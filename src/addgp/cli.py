@@ -596,6 +596,36 @@ def build_parser():
     return parser
 
 
+def _config_value(action, val):
+    """A config value checked the way the command line checks a flag: through
+    the option's ``type`` and ``choices``. Flags take JSON booleans, and null
+    is accepted only where the option's own default is None."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValueError(f"expected true or false, got {val!r}")
+        return val
+    if val is None:
+        if action.default is not None:
+            raise ValueError("null is not allowed here")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise ValueError(f"expected a string or a number, got {val!r}")
+    if action.type is not None:
+        # through str, as on the command line, so 2.5 is no int
+        try:
+            val = action.type(str(val))
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise ValueError(
+                f"invalid {getattr(action.type, '__name__', 'value')} value: {val!r}"
+            ) from None
+    elif not isinstance(val, str):
+        raise ValueError(f"expected a string, got {val!r}")
+    if action.choices is not None and val not in action.choices:
+        allowed = ", ".join(map(repr, action.choices))
+        raise ValueError(f"invalid choice {val!r} (choose from {allowed})")
+    return val
+
+
 def main(argv=None):
     parser = build_parser()
     # a config file supplies defaults; explicit flags still win
@@ -612,23 +642,23 @@ def main(argv=None):
         if not isinstance(overrides, dict):
             print("error: config must be a JSON object", file=sys.stderr)
             return 1
-        subparsers = [
+        parsers = [parser] + [
             sp
             for action in parser._subparsers._group_actions
             for sp in action.choices.values()
         ]
-        known_dests = {a.dest for a in parser._actions}
-        for sp in subparsers:
-            known_dests.update(a.dest for a in sp._actions)
         for key, val in overrides.items():
             dest = key.replace("-", "_")
-            if dest not in known_dests:
+            owners = [(p, a) for p in parsers for a in p._actions if a.dest == dest]
+            if not owners:
                 print(f"error: unknown config option {key!r}", file=sys.stderr)
                 return 1
-            parser.set_defaults(**{dest: val})
-            for sp in subparsers:
-                if any(dest == a.dest for a in sp._actions):
-                    sp.set_defaults(**{dest: val})
+            for p, action in owners:
+                try:
+                    p.set_defaults(**{dest: _config_value(action, val)})
+                except ValueError as exc:
+                    print(f"error: config option {key!r}: {exc}", file=sys.stderr)
+                    return 1
 
     try:
         args = parser.parse_args(argv)

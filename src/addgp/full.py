@@ -197,11 +197,10 @@ class FullModel:
 
         if train_hypers:
             karr = np.empty((c, n, n))
-            kgrads = []
+            pullbacks = []
             for ci, (spec, xp) in enumerate(zip(self.specs, self._xp)):
-                k, dk = spec.kernel.eval_with_grads(xp)
-                karr[ci] = k
-                kgrads.append(dk)
+                karr[ci], pb = spec.kernel.eval_with_pullback(xp)
+                pullbacks.append(pb)
             ksum = karr.sum(axis=0)
         else:
             karr, ksum, _ = self._kmats()
@@ -261,9 +260,7 @@ class FullModel:
                     + np.outer(gmu, alphas[ci])
                     - 0.5 * np.outer(alphas[ci], alphas[ci])
                 )
-                kernel_grads.append(
-                    np.array([np.sum(gk * dk) for dk in kgrads[ci]])
-                )
+                kernel_grads.append(pullbacks[ci](gk))
             grads["kernels"] = kernel_grads
             grads["lik"] = self.likelihood.expected_loglik_param_grads(
                 y, mu, s

@@ -12,9 +12,15 @@ available in closed form through the error function. Sums and products of
 such components give main effects and interactions whose posterior means
 are directly interpretable as sensitivity-analysis effects.
 
-All hyperparameters are carried in log space. ``eval_with_grads`` returns
-the Gram matrix together with one derivative matrix per trainable
-log-parameter, in the order reported by ``param_names``.
+All hyperparameters are carried in log space. Gradients are pullbacks:
+``eval_with_pullback`` returns the Gram matrix K together with a function
+that maps a weight matrix G of K's shape to the vector
+``sum(G * dK/dtheta_p)`` over the trainable log-parameters theta_p, in the
+order reported by ``param_names``; ``diag_with_pullback`` does the same for
+the diagonal. A model passes in dBound/dK and gets dBound/dtheta back, so
+no derivative matrix is ever stored: the SE family contracts G against K
+and against the squared distances, and the mean-embedding terms of the
+zero-mean kernel reduce to matrix-vector products.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.special import erf
 
 from .errors import DimensionMismatch, DomainError
@@ -68,11 +75,15 @@ class Kernel:
     def diag(self, X):
         raise NotImplementedError
 
-    def eval_with_grads(self, X, X2=None):
-        """Gram matrix and its derivatives w.r.t. each trainable log-param."""
+    def eval_with_pullback(self, X, X2=None):
+        """Gram matrix K and its pullback ``G -> [sum(G * dK/dtheta_p)]_p``
+        over the trainable log-parameters, in ``param_names`` order. The
+        pullback may read K, so K must not be modified in place before it
+        is called."""
         raise NotImplementedError
 
-    def diag_with_grads(self, X):
+    def diag_with_pullback(self, X):
+        """Diagonal d and its pullback ``g -> [g @ dd/dtheta_p]_p``."""
         raise NotImplementedError
 
     def get_params(self):
@@ -132,19 +143,27 @@ class SquaredExp(Kernel):
         X = _as_2d(X)
         return np.full(X.shape[0], self.params.variance)
 
-    def eval_with_grads(self, X, X2=None):
+    def eval_with_pullback(self, X, X2=None):
         d = self._scaled_diffs(X, X2)
         sq = d * d
         K = self.params.variance * np.exp(-0.5 * np.sum(sq, axis=2))
-        grads = [K]  # d/d log v
-        for j in range(sq.shape[2]):
-            grads.append(K * sq[:, :, j])  # d/d log l_j
-        return K, grads
 
-    def diag_with_grads(self, X):
-        dg = self.diag(X)
-        zeros = np.zeros_like(dg)
-        return dg, [dg] + [zeros] * len(self.active_dims)
+        def pullback(G):
+            # dK/dlog v = K, dK/dlog l_j = K * sq_j
+            w = G * K
+            return np.concatenate(([w.sum()], np.einsum("nm,nmd->d", w, sq)))
+
+        return K, pullback
+
+    def diag_with_pullback(self, X):
+        X = _as_2d(X)
+        v = self.params.variance
+        nd = len(self.active_dims)
+
+        def pullback(g):
+            return np.concatenate(([v * np.sum(g)], np.zeros(nd)))
+
+        return np.full(X.shape[0], v), pullback
 
     def get_params(self):
         return np.concatenate(
@@ -183,13 +202,23 @@ class Constant(Kernel):
         X = _as_2d(X)
         return np.full(X.shape[0], self.variance)
 
-    def eval_with_grads(self, X, X2=None):
-        K = self.eval(X, X2)
-        return K, ([K] if self.trainable else [])
+    def _pullback(self):
+        v, trainable = self.variance, self.trainable
 
-    def diag_with_grads(self, X):
-        dg = self.diag(X)
-        return dg, ([dg] if self.trainable else [])
+        def pullback(G):
+            # dK/dlog v = K, the constant v everywhere
+            return np.array([v * np.sum(G)]) if trainable else np.zeros(0)
+
+        return pullback
+
+    def eval_with_pullback(self, X, X2=None):
+        X = _as_2d(X)
+        X2 = X if X2 is None else _as_2d(X2)
+        return np.full((X.shape[0], X2.shape[0]), self.variance), self._pullback()
+
+    def diag_with_pullback(self, X):
+        X = _as_2d(X)
+        return np.full(X.shape[0], self.variance), self._pullback()
 
     def get_params(self):
         return np.array([self.log_variance]) if self.trainable else np.zeros(0)
@@ -217,8 +246,9 @@ def se_mean_embedding(params, x):
     return v * ell * _SQRT_HALF_PI * (erf(u) + erf(w))
 
 
-def _se_mean_embedding_dlogl(params, x):
-    """Derivative of the mean embedding w.r.t. log-lengthscale."""
+def _se_mean_embedding_with_dlogl(params, x):
+    """Mean embedding and its derivative w.r.t. log-lengthscale, sharing
+    one pass of erf and exp."""
     x = np.asarray(x, dtype=float)
     v = params.variance
     ell = float(params.lengthscales[0])
@@ -226,7 +256,8 @@ def _se_mean_embedding_dlogl(params, x):
     w = x / (np.sqrt(2.0) * ell)
     m = v * ell * _SQRT_HALF_PI * (erf(u) + erf(w))
     # d/d log l of erf terms: each erf(a/l) contributes -(2/sqrt(pi)) a/l e^{-(a/l)^2}
-    return m - v * np.sqrt(2.0) * ell * (u * np.exp(-u * u) + w * np.exp(-w * w))
+    dm = m - v * np.sqrt(2.0) * ell * (u * np.exp(-u * u) + w * np.exp(-w * w))
+    return m, dm
 
 
 def se_double_integral(params):
@@ -250,6 +281,30 @@ def _se_double_integral_dlogl(params):
     a = 1.0 / (np.sqrt(2.0) * ell)
     # The chain-rule terms through a cancel pairwise, leaving:
     return 2.0 * v * ell * (_SQRT_HALF_PI * erf(a) - 2.0 * ell * (-np.expm1(-a * a)))
+
+
+def _sqdist(x, y):
+    """``(x_i - y_j)^2`` for all pairs of two vectors, as an (n, m) block.
+
+    The differences come from the rank-two product ``[x, 1] [1, -y]^T``.
+    Both of its terms are exact, so every entry is ``x_i - y_j`` rounded
+    once, bit for bit what a broadcast subtraction gives; but the BLAS
+    walks the long axis, where the broadcast loops over the short one.
+    """
+    a = np.ones((len(x), 2))
+    a[:, 0] = x
+    b = np.ones((2, len(y)))
+    np.negative(y, out=b[1])
+    d = a @ b
+    return np.square(d, out=d)
+
+
+def _minus_outer(a, x, y):
+    """``a - x y^T``, updating the C-ordered array ``a`` in place through a
+    BLAS rank-one update of its Fortran-ordered transpose."""
+    if a.size == 0:  # the BLAS wrapper rejects empty operands
+        return a
+    return dger(-1.0, y, x, a=a.T, overwrite_a=True).T
 
 
 def _check_unit_interval(x, what):
@@ -283,19 +338,26 @@ class ZeroMeanSE(Kernel):
         _check_unit_interval(x, what)
         return x
 
-    def _se(self, x, y):
-        ell = float(self.params.lengthscales[0])
-        d = (x[:, None] - y[None, :]) / ell
-        return self.params.variance * np.exp(-0.5 * d * d), d * d
+    def _scaled(self, x, y):
+        """Both columns times ``1 / (sqrt(2) l)``."""
+        c = np.sqrt(0.5) / float(self.params.lengthscales[0])
+        return x * c, y * c
+
+    def _gram(self, xs, ys, mx, my, q):
+        """``v exp(-t) - mx my^T / q`` with ``t`` the block of halved squared
+        scaled distances, built in place on one (n, m) array."""
+        K = _sqdist(xs, ys)
+        np.subtract(self.params.log_variance, K, out=K)
+        np.exp(K, out=K)
+        return _minus_outer(K, mx, my / q)
 
     def eval(self, X, X2=None):
         x = self._column(X, "inputs")
         y = x if X2 is None else self._column(X2, "inputs")
-        g, _ = self._se(x, y)
         mx = se_mean_embedding(self.params, x)
         my = mx if X2 is None else se_mean_embedding(self.params, y)
-        q = se_double_integral(self.params)
-        return g - np.outer(mx, my) / q
+        xs, ys = self._scaled(x, y)
+        return self._gram(xs, ys, mx, my, se_double_integral(self.params))
 
     def diag(self, X):
         x = self._column(X, "inputs")
@@ -303,37 +365,48 @@ class ZeroMeanSE(Kernel):
         q = se_double_integral(self.params)
         return self.params.variance - m * m / q
 
-    def eval_with_grads(self, X, X2=None):
+    def eval_with_pullback(self, X, X2=None):
         x = self._column(X, "inputs")
         y = x if X2 is None else self._column(X2, "inputs")
-        g, sq = self._se(x, y)
-        mx = se_mean_embedding(self.params, x)
-        my = mx if X2 is None else se_mean_embedding(self.params, y)
-        q = se_double_integral(self.params)
-        K = g - np.outer(mx, my) / q
-
-        # log-variance: every term scales linearly with v
-        dv = K.copy()
-
-        dmx = _se_mean_embedding_dlogl(self.params, x)
-        dmy = dmx if X2 is None else _se_mean_embedding_dlogl(self.params, y)
-        dq = _se_double_integral_dlogl(self.params)
-        dl = (
-            g * sq
-            - (np.outer(dmx, my) + np.outer(mx, dmy)) / q
-            + np.outer(mx, my) * (dq / (q * q))
+        mx, dmx = _se_mean_embedding_with_dlogl(self.params, x)
+        my, dmy = (mx, dmx) if X2 is None else _se_mean_embedding_with_dlogl(
+            self.params, y
         )
-        return K, [dv, dl]
-
-    def diag_with_grads(self, X):
-        x = self._column(X, "inputs")
-        m = se_mean_embedding(self.params, x)
         q = se_double_integral(self.params)
-        d = self.params.variance - m * m / q
-        dm = _se_mean_embedding_dlogl(self.params, x)
         dq = _se_double_integral_dlogl(self.params)
+        xs, ys = self._scaled(x, y)
+        K = self._gram(xs, ys, mx, my, q)
+
+        def pullback(G):
+            # dK/dlog v = K (every term is linear in v);
+            # dK/dlog l = 2 g t - (dmx my' + mx dmy')/q + mx my' dq/q^2 with
+            # the SE part g = K + mx my'/q. Only K is kept between the calls:
+            # t is rebuilt here, so sum(G g t) = sum(G t K) + mx'(G t)my/q.
+            gm = G @ np.column_stack((my, dmy))
+            gt = _sqdist(xs, ys)
+            gt *= G
+            sum_gtg = np.einsum("ij,ij->", gt, K) + mx @ (gt @ my) / q
+            dl = (
+                2.0 * sum_gtg
+                - (dmx @ gm[:, 0] + mx @ gm[:, 1]) / q
+                + (mx @ gm[:, 0]) * (dq / (q * q))
+            )
+            return np.array([np.einsum("ij,ij->", G, K), dl])
+
+        return K, pullback
+
+    def diag_with_pullback(self, X):
+        x = self._column(X, "inputs")
+        m, dm = _se_mean_embedding_with_dlogl(self.params, x)
+        q = se_double_integral(self.params)
+        dq = _se_double_integral_dlogl(self.params)
+        d = self.params.variance - m * m / q
         dl = -2.0 * m * dm / q + m * m * (dq / (q * q))
-        return d, [d.copy(), dl]
+
+        def pullback(g):
+            return np.array([g @ d, g @ dl])
+
+        return d, pullback
 
     def get_params(self):
         return np.array(
@@ -401,23 +474,11 @@ class Sum(_Composite):
             out = out + p.diag(X)
         return out
 
-    def eval_with_grads(self, X, X2=None):
-        K = None
-        grads = []
-        for p in self.parts:
-            Kp, gp = p.eval_with_grads(X, X2)
-            K = Kp if K is None else K + Kp
-            grads.extend(gp)
-        return K, grads
+    def eval_with_pullback(self, X, X2=None):
+        return _sum_with_pullback([p.eval_with_pullback(X, X2) for p in self.parts])
 
-    def diag_with_grads(self, X):
-        d = None
-        grads = []
-        for p in self.parts:
-            dp, gp = p.diag_with_grads(X)
-            d = dp if d is None else d + dp
-            grads.extend(gp)
-        return d, grads
+    def diag_with_pullback(self, X):
+        return _sum_with_pullback([p.diag_with_pullback(X) for p in self.parts])
 
 
 class Product(_Composite):
@@ -435,56 +496,59 @@ class Product(_Composite):
             out = out * p.diag(X)
         return out
 
-    def eval_with_grads(self, X, X2=None):
-        evals = []
-        part_grads = []
-        for p in self.parts:
-            Kp, gp = p.eval_with_grads(X, X2)
-            evals.append(Kp)
-            part_grads.append(gp)
-        # prefix/suffix products avoid dividing by possibly-zero entries
-        n = len(evals)
-        prefix = [None] * n
-        suffix = [None] * n
-        acc = 1.0
-        for i in range(n):
-            prefix[i] = acc
-            acc = acc * evals[i]
-        K = acc
-        acc = 1.0
-        for i in range(n - 1, -1, -1):
-            suffix[i] = acc
-            acc = acc * evals[i]
-        grads = []
-        for i in range(n):
-            rest = prefix[i] * suffix[i]
-            grads.extend(g * rest for g in part_grads[i])
-        return K, grads
+    def eval_with_pullback(self, X, X2=None):
+        return _product_with_pullback(
+            [p.eval_with_pullback(X, X2) for p in self.parts]
+        )
 
-    def diag_with_grads(self, X):
-        evals = []
-        part_grads = []
-        for p in self.parts:
-            dp, gp = p.diag_with_grads(X)
-            evals.append(dp)
-            part_grads.append(gp)
-        n = len(evals)
-        prefix = [None] * n
-        suffix = [None] * n
-        acc = 1.0
-        for i in range(n):
-            prefix[i] = acc
-            acc = acc * evals[i]
-        d = acc
-        acc = 1.0
-        for i in range(n - 1, -1, -1):
-            suffix[i] = acc
-            acc = acc * evals[i]
-        grads = []
-        for i in range(n):
-            rest = prefix[i] * suffix[i]
-            grads.extend(g * rest for g in part_grads[i])
-        return d, grads
+    def diag_with_pullback(self, X):
+        return _product_with_pullback([p.diag_with_pullback(X) for p in self.parts])
+
+
+def _sum_with_pullback(parts):
+    """Sum of (value, pullback) pairs: every part sees the same weights."""
+    value = parts[0][0]
+    for v, _ in parts[1:]:
+        value = value + v
+    pullbacks = [pb for _, pb in parts]
+
+    def pullback(G):
+        return np.concatenate([pb(G) for pb in pullbacks])
+
+    return value, pullback
+
+
+def _mul(a, b):
+    """Elementwise product with None as the identity."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+def _product_with_pullback(parts):
+    """Elementwise product of (value, pullback) pairs. Part i sees the
+    weights times the product of the other parts, formed from prefix and
+    suffix products so that no entry is ever divided out."""
+    values = [v for v, _ in parts]
+    n = len(values)
+    prefix = [None] * n
+    for i in range(1, n):
+        prefix[i] = _mul(prefix[i - 1], values[i - 1])
+    value = _mul(prefix[-1], values[-1])
+    rests = [None] * n
+    suffix = None
+    for i in range(n - 1, -1, -1):
+        rests[i] = _mul(prefix[i], suffix)
+        if i:
+            suffix = _mul(values[i], suffix)
+    pullbacks = [pb for _, pb in parts]
+
+    def pullback(G):
+        return np.concatenate(
+            [pb(G if rest is None else G * rest) for pb, rest in zip(pullbacks, rests)]
+        )
+
+    return value, pullback
 
 
 def zero_mean_component(params, active_dim=0):

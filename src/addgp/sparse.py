@@ -23,25 +23,23 @@ All bound terms reduce to the R x R capacitance matrix
                  J = sum_c K_{f_c U_c} B_c,
 
 so a bound evaluation costs O(C M^3 + N C M R) after the kernel rows: no
-N x N matrix is ever formed. Gradients for alpha, B, and all
-log-hyperparameters are analytic.
+N x N matrix is ever formed. The cross-covariances are kept as one
+component-major (N, C M) block F, so mu_sum and J are one product F [alpha, B]
+and their gradients one product F^T [dmu, dJ]. Gradients for alpha, B, and
+all log-hyperparameters are analytic; the hyperparameter part pulls
+dBound/dK back through each kernel (``Kernel.eval_with_pullback``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import likelihoods as _lik
 from . import model as _model
 from .errors import DimensionMismatch
 from .linalg import cholesky, logdet_from_chol, solve_from_chol, tri_solve
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
-
-
-def _diag_prod(a, b):
-    return np.einsum("ij,ji->i", a, b)
 
 
 def _capacitance(b, kb):
@@ -103,18 +101,11 @@ class SparseModel:
         return np.concatenate(vecs).tobytes() if vecs else b""
 
     def _kmats(self):
-        """(C, M, M) inducing Grams, (C, N, M) cross blocks, summed prior
-        diagonal at the data."""
+        """(C, M, M) inducing Grams, the (N, C M) component-major cross
+        block and the summed prior diagonal at the data."""
         key = self._hyper_key()
         if key != self._cache_key:
-            ku = np.stack([s.kernel.eval(s.Z) for s in self.specs])
-            f = np.stack(
-                [s.kernel.eval(xp, s.Z) for s, xp in zip(self.specs, self._xp)]
-            )
-            d0 = np.sum(
-                [s.kernel.diag(xp) for s, xp in zip(self.specs, self._xp)], axis=0
-            )
-            self._cache = (ku, f, d0)
+            self._cache = _prior_blocks(self.specs, self._xp)
             self._cache_key = key
         return self._cache
 
@@ -122,13 +113,6 @@ class SparseModel:
         return self.state.B.reshape(self.c, self.m, self.r)
 
     # -- core quantities ----------------------------------------------------
-
-    def assemble_A(self):
-        """Capacitance A = I_R + sum_c B_c^T K_{U_c} B_c and its Cholesky."""
-        ku, _, _ = self._kmats()
-        b = self._b_blocks()
-        a = _capacitance(b, np.matmul(ku, b))
-        return a, cholesky(a)
 
     def kl(self):
         """KL from q(U) to the prior p(U); exactly zero at alpha=0, B=0."""
@@ -149,34 +133,27 @@ class SparseModel:
         blocks) or at query points."""
         if Xq is None:
             ku, f, d0 = self._kmats()
-            xq_p = None
+            xq_p = self._xp
         else:
-            ku = np.stack([s.kernel.eval(s.Z) for s in self.specs])
             xq_p = [s.project(Xq) for s in self.specs]
-            f = np.stack(
-                [s.kernel.eval(xp, s.Z) for s, xp in zip(self.specs, xq_p)]
-            )
-            d0 = np.sum(
-                [s.kernel.diag(xp) for s, xp in zip(self.specs, xq_p)], axis=0
-            )
+            ku, f, d0 = _prior_blocks(self.specs, xq_p)
+        m = self.m
         b = self._b_blocks()
-        alphas = self.state.alpha.reshape(self.c, self.m)
+        alphas = self.state.alpha.reshape(self.c, m)
         L = cholesky(_capacitance(b, np.matmul(ku, b)))
-        mu_c = np.matmul(f, alphas[:, :, None])[:, :, 0]
-        j = np.tensordot(f, b, axes=([0, 2], [0, 1]))
+        j = f @ self.state.B
         t = tri_solve(L, j.T)
         var = d0 - np.einsum("ji,ji->i", t, t)
         per = None
         if include_components:
             per = []
             for ci, s in enumerate(self.specs):
-                xp = self._xp[ci] if Xq is None else xq_p[ci]
-                tc = tri_solve(L, (f[ci] @ b[ci]).T)
-                per.append(
-                    (mu_c[ci], s.kernel.diag(xp) - np.einsum("ji,ji->i", tc, tc))
-                )
+                fc = f[:, ci * m : (ci + 1) * m]
+                tc = tri_solve(L, (fc @ b[ci]).T)
+                var_c = s.kernel.diag(xq_p[ci]) - np.einsum("ji,ji->i", tc, tc)
+                per.append((fc @ alphas[ci], var_c))
         return _model.PredictorMarginals(
-            mu_sum=mu_c.sum(axis=0), var_sum=var, per_component=per
+            mu_sum=f @ self.state.alpha, var_sum=var, per_component=per
         )
 
     def elbo(self, batch=None):
@@ -201,25 +178,23 @@ class SparseModel:
     def elbo_with_grads(self, train_hypers=False):
         """Bound value and analytic gradients for alpha, B and (optionally)
         the log-hyperparameters."""
-        c, m, r = self.c, self.m, self.r
+        c, m, r, n = self.c, self.m, self.r, self.n
         b = self._b_blocks()
         alphas = self.state.alpha.reshape(c, m)
 
         if train_hypers:
             ku = np.empty((c, m, m))
-            f = np.empty((c, self.n, m))
-            d0 = np.zeros(self.n)
-            ku_grads, f_grads, diag_grads = [], [], []
+            f = np.empty((n, c * m))
+            d0 = np.zeros(n)
+            pullbacks = []
             for ci, (spec, xp) in enumerate(zip(self.specs, self._xp)):
-                kuc, dku = spec.kernel.eval_with_grads(spec.Z)
-                fc, df = spec.kernel.eval_with_grads(xp, spec.Z)
-                dgc, ddg = spec.kernel.diag_with_grads(xp)
-                ku[ci] = kuc
-                f[ci] = fc
+                ku[ci], pb_ku = spec.kernel.eval_with_pullback(spec.Z)
+                f[:, ci * m : (ci + 1) * m], pb_f = spec.kernel.eval_with_pullback(
+                    xp, spec.Z
+                )
+                dgc, pb_d = spec.kernel.diag_with_pullback(xp)
                 d0 += dgc
-                ku_grads.append(dku)
-                f_grads.append(df)
-                diag_grads.append(ddg)
+                pullbacks.append((pb_ku, pb_f, pb_d))
         else:
             ku, f, d0 = self._kmats()
 
@@ -228,9 +203,10 @@ class SparseModel:
         p = solve_from_chol(L, np.eye(r))
         p = 0.5 * (p + p.T)
 
-        mu_c = np.matmul(f, alphas[:, :, None])[:, :, 0]
-        mu = mu_c.sum(axis=0)
-        j = np.tensordot(f, b, axes=([0, 2], [0, 1]))
+        # mu = F alpha and J = F B in one pass over F
+        mj = f @ np.column_stack((self.state.alpha, self.state.B))
+        mu = mj[:, 0]
+        j = mj[:, 1:]
         jp = j @ p
         s_raw = d0 - np.einsum("nr,nr->n", jp, j)
         clamped = s_raw < VAR_CLAMP
@@ -248,36 +224,26 @@ class SparseModel:
         kl = 0.5 * (logdet_from_chol(L) + quad - trace)
         elbo = float(np.sum(vvals)) - kl
 
-        ft = f.transpose(0, 2, 1)  # (C, M, N)
-        galpha = np.matmul(ft, gmu) - ka
-
+        # u = [dE/dmu, Gs J P]: dE/dF_c = u [alpha_c; -2 B_c^T]
+        u = np.empty((n, 1 + r))
+        u[:, 0] = gmu
+        np.multiply(gs[:, None], jp, out=u[:, 1:])
         omega = p - p @ p
-        psi = p @ (j.T @ (gs[:, None] * j)) @ p
-        gb = (
-            -2.0 * np.matmul(ft, gs[:, None] * jp)
-            + 2.0 * np.matmul(kb, psi)
-            - np.matmul(kb, omega)
-        )
+        psi = jp.T @ u[:, 1:]  # P J^T Gs J P
+        ftu = (f.T @ u).reshape(c, m, 1 + r)
+        galpha = ftu[:, :, 0] - ka
+        gb = -2.0 * ftu[:, :, 1:] + 2.0 * np.matmul(kb, psi) - np.matmul(kb, omega)
 
         grads = {"alpha": galpha, "B": gb}
         if train_hypers:
-            jpb = np.matmul(jp, b.transpose(0, 2, 1))  # J P B_c^T per component
             kernel_grads = []
-            for ci in range(c):
+            for ci, (pb_ku, pb_f, pb_d) in enumerate(pullbacks):
                 gk = (
-                    b[ci] @ psi @ b[ci].T
+                    b[ci] @ (psi - 0.5 * omega) @ b[ci].T
                     - 0.5 * np.outer(alphas[ci], alphas[ci])
-                    - 0.5 * (b[ci] @ omega @ b[ci].T)
                 )
-                gf = np.outer(gmu, alphas[ci]) - 2.0 * gs[:, None] * jpb[ci]
-                gvec = []
-                for dku, df, ddg in zip(
-                    ku_grads[ci], f_grads[ci], diag_grads[ci]
-                ):
-                    gvec.append(
-                        np.sum(gk * dku) + np.sum(gf * df) + float(gs @ ddg)
-                    )
-                kernel_grads.append(np.asarray(gvec))
+                gf = u @ np.vstack((alphas[ci], -2.0 * b[ci].T))
+                kernel_grads.append(pb_ku(gk) + pb_f(gf) + pb_d(gs))
             grads["kernels"] = kernel_grads
             grads["lik"] = self.likelihood.expected_loglik_param_grads(
                 y, mu, s
@@ -385,6 +351,18 @@ class SparseModel:
         self.likelihood.set_params(best_snap[3])
         best.clamp_count = self._clamp_total
         return best
+
+
+def _prior_blocks(specs, xps):
+    """(C, M, M) inducing Grams, the (N, C M) cross block with
+    K_c(X, Z_c) in columns c M .. (c + 1) M, and the summed prior diagonal."""
+    m = specs[0].m
+    ku = np.stack([s.kernel.eval(s.Z) for s in specs])
+    f = np.empty((len(xps[0]), len(specs) * m))
+    for ci, (s, xp) in enumerate(zip(specs, xps)):
+        f[:, ci * m : (ci + 1) * m] = s.kernel.eval(xp, s.Z)
+    d0 = np.sum([s.kernel.diag(xp) for s, xp in zip(specs, xps)], axis=0)
+    return ku, f, d0
 
 
 def predict_marginals(specs, alpha, B, Xq, include_components=False):

@@ -219,6 +219,15 @@ def test_config_error_exit_codes(tmp_path, capsys):
 
     assert main(["--config", str(tmp_path / "nope.json"), "synth", "--out", str(out)]) == 2
 
+    # values go through each option's type and choices, as on the command line
+    capsys.readouterr()
+    for bad in ({"m": 2.5}, {"m": "many"}, {"kernel": "cubic"}, {"no_hypers": 1}, {"out": 3}):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(bad))
+        assert main(["--config", str(path), "fit", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config option") and err.count("\n") == 1
+
 
 def test_data_and_format_errors_exit_2(tmp_path, capsys):
     out = tmp_path / "o"

@@ -2,8 +2,10 @@
 
 The closed-form unit-interval integrals are checked against Gauss-Legendre
 quadrature (400 nodes resolves every lengthscale used here to well below
-1e-12), and every eval_with_grads implementation is checked against central
-finite differences in log-parameter space.
+1e-12), and every eval_with_pullback implementation is checked against
+central finite differences in log-parameter space: pulling back the unit
+matrix E_ij yields entry (i, j) of every derivative matrix, so the full
+dK/dtheta_p is rebuilt and compared entry by entry.
 """
 
 import numpy as np
@@ -97,6 +99,10 @@ def test_zero_mean_se_construction():
     q = se_double_integral(params)
     ref = g.eval(X) - np.outer(m, m) / q
     assert np.allclose(k.eval(X), ref, atol=1e-13)
+    # empty blocks stay empty rather than failing in the rank-one update
+    assert k.eval(X[:0]).shape == (0, 0)
+    assert k.eval(X, X[:0]).shape == (3, 0)
+    assert k.eval_with_pullback(X[:0], X)[0].shape == (0, 3)
 
 
 def test_zero_mean_se_rejects_outside_unit_box():
@@ -107,10 +113,23 @@ def test_zero_mean_se_rejects_outside_unit_box():
         k.diag(np.array([[-0.4]]))
 
 
+def _pulled_back_derivatives(pullback, shape, n_params):
+    """Every dK/dtheta_p, rebuilt entry by entry by pulling back unit
+    matrices (or unit vectors for a diagonal)."""
+    out = np.empty((n_params,) + shape)
+    for idx in np.ndindex(*shape):
+        e = np.zeros(shape)
+        e[idx] = 1.0
+        g = pullback(e)
+        assert g.shape == (n_params,)
+        out[(slice(None),) + idx] = g
+    return out
+
+
 def _fd_kernel_grads(kern, X, X2=None, eps=1e-6):
     base = kern.get_params()
-    K0, grads = kern.eval_with_grads(X, X2)
-    assert len(grads) == kern.n_params
+    K0, pullback = kern.eval_with_pullback(X, X2)
+    grads = _pulled_back_derivatives(pullback, K0.shape, kern.n_params)
     for i in range(len(base)):
         vp = base.copy()
         vp[i] += eps
@@ -155,15 +174,28 @@ def test_gradients_composites():
                      X[:, :1])
 
 
-def test_diag_with_grads_consistent():
+def test_diag_pullback_consistent():
     rng = np.random.default_rng(5)
-    k = ZeroMeanSE(KernelParams(np.log(1.3), np.log([0.35])))
-    X = rng.uniform(0, 1, size=(8, 1))
-    d, dg = k.diag_with_grads(X)
-    K, Kg = k.eval_with_grads(X)
-    assert np.allclose(d, np.diag(K), atol=1e-13)
-    for gi, Gi in zip(dg, Kg):
-        assert np.allclose(gi, np.diag(Gi), atol=1e-13)
+    X = rng.uniform(0, 1, size=(8, 2))
+    kernels = [
+        ZeroMeanSE(KernelParams(np.log(1.3), np.log([0.35]))),
+        SquaredExp(KernelParams(0.2, np.log([0.3, 0.7])), active_dims=(0, 1)),
+        Sum([Constant(np.log(2.0)), ZeroMeanSE(KernelParams(0.1, np.log([0.4])))]),
+        Product(
+            [
+                ZeroMeanSE(KernelParams(np.log(1.1), np.log([0.3])), active_dim=0),
+                ZeroMeanSE(KernelParams(np.log(0.6), np.log([0.5])), active_dim=1),
+            ]
+        ),
+    ]
+    for k in kernels:
+        d, pb_d = k.diag_with_pullback(X)
+        K, pb_K = k.eval_with_pullback(X)
+        assert np.allclose(d, np.diag(K), atol=1e-13)
+        dd = _pulled_back_derivatives(pb_d, d.shape, k.n_params)
+        dK = _pulled_back_derivatives(pb_K, K.shape, k.n_params)
+        for gi, Gi in zip(dd, dK):
+            assert np.allclose(gi, np.diag(Gi), atol=1e-13)
 
 
 def test_param_packing_round_trip():

@@ -25,7 +25,7 @@ from addgp import (
     dense_gaussian_kl,
     exact_sum_posterior,
 )
-from addgp.model import MEAN_FIELD, init_state, mean_field_mask
+from addgp.model import MEAN_FIELD, anova_specs, init_state, mean_field_mask
 from addgp.optimize import TrainConfig
 from addgp.sparse import decompose, predict_marginals
 from conftest import (
@@ -60,6 +60,20 @@ def _random_model(seed, c=2, m=4, n=9, d=1, r=None, lik=None):
         ds = Dataset(ds.X, rng.poisson(2.0, size=n).astype(float))
     state = random_sparse_state(rng, specs, r=r)
     return SparseModel(specs, lik, ds, state=state)
+
+
+def _anova_model(seed, m=3, n=7, r=2):
+    # the anova kernel tree on two inputs: Sum(Constant, ZeroMeanSE), a
+    # ZeroMeanSE main effect and a Product of two ZeroMeanSE factors
+    rng = np.random.default_rng(seed)
+    g = [
+        KernelParams(np.log(rng.uniform(0.5, 2.0)), np.log([rng.uniform(0.2, 0.5)]))
+        for _ in range(4)
+    ]
+    specs = anova_specs(g, sigma0=1.3, m=m, ndim=2)
+    ds = gaussian_dataset(rng, n, d=2)
+    state = random_sparse_state(rng, specs, r=r)
+    return SparseModel(specs, Gaussian(np.log(0.5)), ds, state=state)
 
 
 def test_kl_matches_dense_oracle():
@@ -137,8 +151,11 @@ def test_elbo_never_exceeds_evidence():
 
 
 def test_gradients_match_finite_differences():
-    for lik in (None, Poisson()):
-        model = _random_model(6, c=2, m=3, n=7, d=2, r=2, lik=lik)
+    models = [
+        _random_model(6, c=2, m=3, n=7, d=2, r=2, lik=lik) for lik in (None, Poisson())
+    ]
+    models.append(_anova_model(6))
+    for model in models:
         e0, g = model.elbo_with_grads(train_hypers=True)
         st = model.state
         mc, r = st.alpha.size, st.r
