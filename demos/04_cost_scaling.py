@@ -4,96 +4,20 @@ The bound needs one R x R capacitance factorization per evaluation plus
 batched M x M and N x M products, so for fixed M and R the cost should be
 roughly linear in the number of components C (stacked small matmuls) and
 exactly linear in the number of data points N (the likelihood term). This
-script times the divergence term and the full bound over sweeps in C and
-N and fits the growth laws.
+script runs ``addgp bench`` at its defaults (M = R = 64, C in 1, 2, 4, 8 at
+N = 2000, N in 1000 .. 8000 at C = 4), which times the divergence term and
+the full bound over both sweeps and fits the growth laws.
 """
 
-import time
+import os
+import sys
+import tempfile
 
-import numpy as np
-
-from addgp import (
-    ComponentSpec,
-    Dataset,
-    Gaussian,
-    KernelParams,
-    SparseModel,
-    ZeroMeanSE,
-)
+from addgp.cli import main
 from addgp.linalg import blas_threads
-from addgp.model import inducing_grid
-
-
-def build_model(n, c, m, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(size=(n, 6))
-    specs = [
-        ComponentSpec(
-            ZeroMeanSE(KernelParams(0.0, np.array([np.log(0.25)])),
-                       active_dim=0),
-            (ci % 6,),
-            inducing_grid(m, (ci % 6,)),
-        )
-        for ci in range(c)
-    ]
-    model = SparseModel(specs, Gaussian(), Dataset(X, rng.standard_normal(n)))
-    model.state.alpha = rng.normal(0.0, 0.1, m * c)
-    model.state.B = rng.normal(0.0, 1.0 / np.sqrt(m * c), (m * c, m))
-    return model
-
-
-def median_time(fn, reps=5):
-    fn()
-    k = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(k):
-            fn()
-        if time.perf_counter() - t0 > 0.01 or k >= 1024:
-            break
-        k *= 2
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        for _ in range(k):
-            fn()
-        times.append((time.perf_counter() - t0) / k)
-    return float(np.median(times))
-
-
-def main():
-    m = 64
-    print(f"m = {m} inducing points per component, r = {m}\n")
-
-    print("sweep in C at n = 2000:")
-    cs, ts = [], []
-    for c in (1, 2, 4, 8):
-        model = build_model(2000, c, m)
-        t_kl = median_time(model.kl)
-        t_elbo = median_time(model.elbo)
-        cs.append(c)
-        ts.append(t_kl)
-        print(f"  C={c}: divergence {t_kl * 1e3:7.3f} ms, "
-              f"bound {t_elbo * 1e3:7.3f} ms")
-    slope = np.polyfit(np.log(cs), np.log(ts), 1)[0]
-    print(f"divergence growth exponent in C: {slope:.2f} "
-          f"(1.0 = linear)\n")
-
-    print("sweep in N at C = 4:")
-    ns, tes = [], []
-    for n in (1000, 2000, 4000, 8000):
-        model = build_model(n, 4, m)
-        t_elbo = median_time(model.elbo)
-        ns.append(n)
-        tes.append(t_elbo)
-        print(f"  N={n}: bound {t_elbo * 1e3:7.3f} ms")
-    coef = np.polyfit(ns, tes, 1)
-    resid = tes - np.polyval(coef, ns)
-    r2 = 1.0 - np.sum(resid**2) / np.sum((tes - np.mean(tes)) ** 2)
-    print(f"affine fit in N: r^2 = {r2:.4f} (1.0 = perfectly linear)")
-
 
 if __name__ == "__main__":
-    # growth laws are for one thread; raises if BLAS cannot be pinned
-    with blas_threads(1):
-        main()
+    with tempfile.TemporaryDirectory() as tmp:
+        # growth laws are for one thread; raises if BLAS cannot be pinned
+        with blas_threads(1):
+            sys.exit(main(["bench", "--out", os.path.join(tmp, "bench.csv")]))

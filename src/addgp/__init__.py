@@ -34,16 +34,8 @@ from .kernels import (
     build_anova_kernel,
     se_double_integral,
     se_mean_embedding,
-    zero_mean_component,
 )
-from .likelihoods import (
-    Gaussian,
-    Poisson,
-    QuadratureRule,
-    expected_loglik,
-    expected_loglik_grads,
-    expected_loglik_sum,
-)
+from .likelihoods import Gaussian, Poisson, QuadratureRule
 from .model import (
     COUPLED,
     FULL,

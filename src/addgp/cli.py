@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from . import data as _data
-from . import exact as _exact  # noqa: F401 (re-exported for scripts)
 from . import full as _full
 from . import io as _io
 from . import kernels as _kernels
@@ -209,40 +208,22 @@ def cmd_fit(args):
     t0 = time.perf_counter()
     if args.structure == _model.FULL:
         mdl = _full.FullModel(specs, lik, dataset)
-        result = mdl.train(config)
-        saved = _io.SavedModel(
-            structure=_model.FULL,
-            specs=[
-                _model.ComponentSpec(
-                    kernel=s.kernel, active_dims=s.active_dims, Z=s.project(dataset.X)
-                )
-                for s in specs
-            ],
-            likelihood=lik,
-            alpha=mdl.state.alpha,
-            lam=mdl.state.lam,
-            rescale=rescale,
-            input_dim=dataset.d,
-        )
-        r_used = None
     else:
-        rank = args.rank
         mdl = _sparse.SparseModel(
-            specs, lik, dataset, structure=args.structure, r=rank
+            specs, lik, dataset, structure=args.structure, r=args.rank
         )
-        result = mdl.train(config)
-        saved = _io.SavedModel(
-            structure=args.structure,
-            specs=specs,
-            likelihood=lik,
-            alpha=mdl.state.alpha,
-            B=mdl.state.B,
-            rescale=rescale,
-            input_dim=dataset.d,
-        )
-        r_used = mdl.r
+    result = mdl.train(config)
     wall = time.perf_counter() - t0
 
+    saved = _io.SavedModel(
+        structure=args.structure,
+        specs=mdl.posterior_specs,
+        likelihood=lik,
+        alpha=mdl.state.alpha,
+        rescale=rescale,
+        input_dim=dataset.d,
+        **{mdl.coupling: getattr(mdl.state, mdl.coupling)},
+    )
     _io.save_model(args.out, saved)
     report_dict = {
         "structure": args.structure,
@@ -250,7 +231,7 @@ def cmd_fit(args):
         "input_dim": dataset.d,
         "n_components": len(specs),
         "m": specs[0].m,
-        "r": r_used,
+        "r": getattr(mdl, "r", None),
         "likelihood": args.likelihood,
         "final_elbo": result.final_elbo,
         "iterations": result.n_iter,
@@ -289,23 +270,14 @@ def _query_matrix(path, input_dim):
 
 def cmd_predict(args):
     saved = _io.load_model(args.model)
-    input_dim = saved.input_dim or (
-        1 + max(max(s.active_dims) for s in saved.specs)
-    )
-    xq = _query_matrix(args.query, input_dim)
+    xq = _query_matrix(args.query, saved.input_dim)
     if saved.rescale is not None:
         xq = saved.rescale.apply(xq)
 
-    if saved.structure == _model.FULL:
-        marg = _full.predict_marginals(
-            saved.specs, saved.alpha, saved.lam, xq,
-            include_components=args.components,
-        )
-    else:
-        marg = _sparse.predict_marginals(
-            saved.specs, saved.alpha, saved.B, xq,
-            include_components=args.components,
-        )
+    marg = _sparse.predict_marginals(
+        saved.specs, saved.alpha, saved.coupling, xq,
+        include_components=args.components,
+    )
 
     header = ["mean", "variance"]
     cols = [marg.mu_sum, marg.var_sum]
@@ -354,13 +326,10 @@ def cmd_decompose(args):
 
     saved = _io.load_model(args.model)
     grids = _component_grids(saved, args.grid, args.grid2d)
-    if saved.structure == _model.FULL:
-        effects = _full.decompose(saved.specs, saved.alpha, saved.lam, grids)
-    else:
-        effects = _sparse.decompose(
-            saved.specs, saved.alpha, saved.B, grids,
-            coupled_check=args.coupled_check,
-        )
+    effects = _sparse.decompose(
+        saved.specs, saved.alpha, saved.coupling, grids,
+        coupled_check=args.coupled_check,
+    )
     os.makedirs(args.outdir, exist_ok=True)
     paths = []
     for ci, (spec, eff) in enumerate(zip(saved.specs, effects)):
@@ -368,9 +337,7 @@ def cmd_decompose(args):
         gout = g
         if saved.rescale is not None:
             dims = list(spec.active_dims)
-            lo = saved.rescale.lo[dims]
-            hi = saved.rescale.hi[dims]
-            gout = g * (hi - lo)[None, :] + lo[None, :]
+            gout = _io.Rescale(saved.rescale.lo[dims], saved.rescale.hi[dims]).invert(g)
         header = [f"x{d + 1}" for d in spec.active_dims] + ["mean", "variance"]
         cols = [gout[:, j] for j in range(g.shape[1])] + [mean, var]
         meta = [

@@ -2,7 +2,7 @@
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky factorization failed, even after the jitter retry.
+    """Cholesky factorization failed.
 
     Usually means a kernel matrix is numerically indefinite, e.g. because
     of extreme hyperparameters.

@@ -6,8 +6,12 @@ N training inputs keeps the prior-precision-plus-low-rank form
     Sigma_F^{-1} = K_FF^{-1} + (1_C (x) Lambda)(1_C (x) Lambda)^T,
 
 with Lambda = diag(lambda), lambda in R^N unconstrained, and the mean
-parameterized as K_FF alpha. Every quantity the bound needs then reduces
-to the N x N capacitance matrix
+parameterized as K_FF alpha. This is the sparse coupled posterior with
+inducing inputs Z_c = X and the tied diagonal B_c = Lambda for every c (the
+per-datum-precision form of Opper & Archambeau 2009), so marginals,
+prediction, decomposition and training are the sparse module's
+(``sparse.Posterior``, ``sparse.AdditiveModel``). What stays here is the
+bound: every term reduces to the N x N capacitance matrix
 
     A = I + Lambda (sum_c K_c) Lambda:
 
@@ -28,30 +32,24 @@ import warnings
 
 import numpy as np
 
-from . import likelihoods as _lik
 from . import model as _model
-from .errors import CapExceeded, DimensionMismatch, NotPositiveDefinite
+from . import sparse as _sparse
+from .errors import CapExceeded, DimensionMismatch
 from .linalg import cholesky, logdet_from_chol, solve_from_chol, tri_solve
-from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 N_CAP = 5000
 N_WARN = 2000
 
-VAR_CLAMP = 1e-12
 
-
-def _diag_prod(a, b):
-    """diag(a @ b) without forming the product."""
-    return np.einsum("ij,ji->i", a, b)
-
-
-class FullModel:
+class FullModel(_sparse.AdditiveModel):
     """Additive model with the dense coupled posterior.
 
     Parameters live in ``self.state`` (a FullVariationalState); kernels and
     the likelihood own their hyperparameters. ``specs`` provide kernels and
     active dims; inducing inputs in the specs are ignored here.
     """
+
+    coupling = "lam"
 
     def __init__(self, specs, likelihood, dataset, state=None):
         if dataset.n > N_CAP:
@@ -66,123 +64,36 @@ class FullModel:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        report = _model.validate_model(specs, dataset)
-        if not report.ok:
-            raise DimensionMismatch(f"invalid model: {report}")
-        self.specs = list(specs)
-        self.likelihood = likelihood
-        self.data = dataset
+        super().__init__(specs, likelihood, dataset)
         self.state = state or _model.init_full_state(dataset.n, len(specs))
         if len(self.state.lam) != dataset.n or len(self.state.alpha) != (
             dataset.n * len(specs)
         ):
             raise DimensionMismatch("state size does not match N, C")
-        self._xp = [s.project(dataset.X) for s in self.specs]
-        self._kcache_key = None
-        self._kcache = None
-        self._clamp_total = 0
-        self._cfg = TrainConfig()
-
-    @property
-    def n(self):
-        return self.data.n
-
-    @property
-    def c(self):
-        return len(self.specs)
-
-    # -- kernel matrices ------------------------------------------------
-
-    def _hyper_key(self):
-        vecs = [s.kernel.get_params() for s in self.specs]
-        return np.concatenate(vecs).tobytes() if vecs else b""
-
-    def _kmats(self):
-        key = self._hyper_key()
-        if key != self._kcache_key:
-            karr = np.stack(
-                [s.kernel.eval(xp) for s, xp in zip(self.specs, self._xp)]
-            )
-            ksum = karr.sum(axis=0)
-            self._kcache = (karr, ksum, np.diagonal(ksum).copy())
-            self._kcache_key = key
-        return self._kcache
-
-    # -- core quantities -------------------------------------------------
-
-    def assemble_A(self):
-        """Capacitance matrix A = I + Lambda Ksum Lambda and its Cholesky."""
-        _, ksum, _ = self._kmats()
-        lam = self.state.lam
-        a = (lam[:, None] * ksum) * lam[None, :]
-        a[np.diag_indices_from(a)] += 1.0
-        return a, cholesky(a)
-
-    def kl(self):
-        """KL from the posterior to the prior over F; zero at the
-        prior-matching state, always >= 0 up to rounding."""
-        karr, ksum, _ = self._kmats()
-        lam = self.state.lam
-        alphas = self.state.alpha.reshape(self.c, self.n)
-        a, L = self.assemble_A()
-        ka = np.matmul(karr, alphas[:, :, None])[:, :, 0]
-        quad = float(np.sum(alphas * ka))
-        s_mat = (lam[:, None] * ksum) * lam[None, :]
-        trace = float(np.trace(solve_from_chol(L, s_mat)))
-        return 0.5 * (logdet_from_chol(L) + quad - trace)
-
-    def marginals(self, Xq=None, include_components=False):
-        """Gaussian marginals of the summed predictor, at the training
-        inputs by default or at query points Xq."""
-        if Xq is not None:
-            return predict_marginals(
-                self._as_trained_specs(),
-                self.state.alpha,
-                self.state.lam,
-                Xq,
-                include_components=include_components,
-            )
-        karr, ksum, d0 = self._kmats()
-        lam = self.state.lam
-        alphas = self.state.alpha.reshape(self.c, self.n)
-        _, L = self.assemble_A()
-        mu_c = np.matmul(karr, alphas[:, :, None])[:, :, 0]
-        s = tri_solve(L, lam[:, None] * ksum)
-        var = d0 - np.einsum("ji,ji->i", s, s)
-        per = None
-        if include_components:
-            per = []
-            for ci in range(self.c):
-                sc = tri_solve(L, lam[:, None] * karr[ci])
-                per.append(
-                    (mu_c[ci], np.diagonal(karr[ci]) - np.einsum("ji,ji->i", sc, sc))
-                )
-        return _model.PredictorMarginals(
-            mu_sum=mu_c.sum(axis=0), var_sum=var, per_component=per
-        )
-
-    def _as_trained_specs(self):
-        """Specs whose Z carry the projected training inputs, which is what
-        the predictive collapse needs."""
-        return [
+        self.posterior_specs = [
             _model.ComponentSpec(kernel=s.kernel, active_dims=s.active_dims, Z=xp)
             for s, xp in zip(self.specs, self._xp)
         ]
 
-    def elbo(self, batch=None):
-        """Evidence lower bound: expected log-likelihood minus KL."""
-        m = self.marginals()
-        if batch is None:
-            e = _lik.expected_loglik_sum(self.likelihood, self.data.Y, m)
-        else:
-            batch = np.asarray(batch, dtype=int)
-            vals = self.likelihood.expected_loglik(
-                self.data.Y[batch], m.mu_sum[batch], m.var_sum[batch]
-            )
-            e = float(np.sum(vals)) * self.n / len(batch)
-        return e - self.kl()
+    def _prior_blocks(self):
+        """(C, N, N) Grams at the training inputs, which are also the cross
+        blocks, the summed prior diagonal and the summed Gram."""
+        karr = np.stack([s.kernel.eval(xp) for s, xp in zip(self.specs, self._xp)])
+        ksum = karr.sum(axis=0)
+        return karr, karr, np.diagonal(ksum).copy(), ksum
 
-    # -- gradients -------------------------------------------------------
+    def kl(self):
+        """KL from the posterior to the prior over F; zero at the
+        prior-matching state, always >= 0 up to rounding."""
+        karr, _, _, ksum = self._kmats()
+        lam = self.state.lam
+        alphas = self.state.alpha.reshape(self.c, self.n)
+        s_mat = (lam[:, None] * ksum) * lam[None, :]
+        L = cholesky(s_mat + np.eye(self.n))
+        ka = np.matmul(karr, alphas[:, :, None])[:, :, 0]
+        quad = float(np.sum(alphas * ka))
+        trace = float(np.trace(solve_from_chol(L, s_mat)))
+        return 0.5 * (logdet_from_chol(L) + quad - trace)
 
     def elbo_with_grads(self, train_hypers=False):
         """Bound value and analytic gradients.
@@ -203,7 +114,7 @@ class FullModel:
                 pullbacks.append(pb)
             ksum = karr.sum(axis=0)
         else:
-            karr, ksum, _ = self._kmats()
+            karr, _, _, ksum = self._kmats()
         d0 = np.diagonal(ksum)
 
         h = lam[:, None] * ksum  # Lambda Ksum
@@ -211,13 +122,13 @@ class FullModel:
         a[np.diag_indices_from(a)] += 1.0
         L = cholesky(a)
 
-        mu_c = np.matmul(karr, alphas[:, :, None])[:, :, 0]
-        mu = mu_c.sum(axis=0)
+        ka = np.matmul(karr, alphas[:, :, None])[:, :, 0]
+        mu = ka.sum(axis=0)
         t = tri_solve(L, h)
         s_raw = d0 - np.einsum("ji,ji->i", t, t)
-        clamped = s_raw < VAR_CLAMP
+        clamped = s_raw < _sparse.VAR_CLAMP
         self._clamp_total += int(np.sum(clamped))
-        s = np.where(clamped, VAR_CLAMP, s_raw)
+        s = np.where(clamped, _sparse.VAR_CLAMP, s_raw)
 
         y = self.data.Y
         vvals = self.likelihood.expected_loglik(y, mu, s)
@@ -225,7 +136,6 @@ class FullModel:
         gs = np.where(clamped, 0.0, gs)
 
         logdet = logdet_from_chol(L)
-        ka = np.matmul(karr, alphas[:, :, None])[:, :, 0]
         quad = float(np.sum(alphas * ka))
         s_mat = h * lam[None, :]
         p = solve_from_chol(L, np.eye(n))
@@ -239,9 +149,9 @@ class FullModel:
         ph = p @ h
         phgs = ph * gs[None, :]
         d1 = np.sum(phgs * ksum, axis=1)  # diag(PH Gs Ksum), Ksum symmetric
-        d2 = _diag_prod(phgs @ h.T, ph)
+        d2 = np.einsum("ij,ji->i", phgs @ h.T, ph)
         d3 = np.diagonal(ph)
-        d4 = _diag_prod(p, ph)
+        d4 = np.einsum("ij,ji->i", p, ph)
         glam = -2.0 * d1 + 2.0 * d2 - d3 + d4
 
         grads = {"alpha": galpha, "lam": glam}
@@ -267,159 +177,30 @@ class FullModel:
             ).sum(axis=1)
         return elbo, grads
 
-    # -- training ----------------------------------------------------------
+    # -- training hooks ------------------------------------------------------
 
-    def _make_objective(self, train_hypers):
-        n, c = self.n, self.c
-        nv = n * c + n
+    def _fresh_state(self):
+        return _model.init_full_state(self.n, self.c)
 
-        def unpack(x):
-            self.state.alpha = x[: n * c].copy()
-            self.state.lam = x[n * c : nv].copy()
-            if train_hypers:
-                i = nv
-                for s in self.specs:
-                    npar = s.kernel.n_params
-                    s.kernel.set_params(x[i : i + npar])
-                    i += npar
-                self.likelihood.set_params(x[i:])
-
-        def fun(x):
-            unpack(x)
-            val, g = self.elbo_with_grads(train_hypers=train_hypers)
-            gvec = [g["alpha"].ravel(), g["lam"]]
-            if train_hypers:
-                gvec.extend(g["kernels"])
-                gvec.append(g["lik"])
-            return val, np.concatenate(gvec)
-
-        x0 = [self.state.alpha, self.state.lam]
-        bounds = [(None, None)] * nv
-        if train_hypers:
-            cfg = self._cfg
-            for s in self.specs:
-                x0.append(s.kernel.get_params())
-                bounds.extend(bounds_for_names(s.kernel.param_names(), cfg))
-            x0.append(self.likelihood.get_params())
-            bounds.extend(bounds_for_names(self.likelihood.param_names(), cfg))
-        return fun, np.concatenate(x0), bounds, unpack
-
-    def _perturb_start(self, seed, scale=None):
+    def _perturb_start(self, seed, restart=False):
         """Nudge lambda off the exact-zero saddle (the bound is even in
-        lambda, so the gradient vanishes identically there)."""
+        lambda, so the gradient vanishes identically there); restarts draw
+        it at random."""
         if not np.any(self.state.lam):
-            if scale is None:
-                self.state.lam = np.full(self.n, 1e-2)
-            else:
+            if restart:
                 rng = np.random.default_rng(seed)
-                self.state.lam = rng.normal(0.0, scale, self.n)
-
-    def train(self, config=None):
-        """Two-phase maximization of the bound; the model is left at the
-        best parameters found and a TrainResult is returned."""
-        config = config or TrainConfig()
-        self._cfg = config
-        self._clamp_total = 0
-        hyper0 = [s.kernel.get_params() for s in self.specs] + [
-            self.likelihood.get_params()
-        ]
-        best = None
-        best_snap = None
-        for attempt in range(1 + max(0, config.multi_start)):
-            if attempt > 0:
-                for s, p in zip(self.specs, hyper0):
-                    s.kernel.set_params(p)
-                self.likelihood.set_params(hyper0[-1])
-                self.state = _model.init_full_state(self.n, self.c)
-                self._perturb_start(
-                    config.seed + attempt, scale=1.0 / np.sqrt(self.n)
-                )
+                self.state.lam = rng.normal(0.0, 1.0 / np.sqrt(self.n), self.n)
             else:
-                self._perturb_start(config.seed)
-            res = run_two_phase(self._make_objective, config)
-            if best is None or res.final_elbo > best.final_elbo:
-                best = res
-                best_snap = (
-                    self.state.alpha.copy(),
-                    self.state.lam.copy(),
-                    [s.kernel.get_params() for s in self.specs],
-                    self.likelihood.get_params(),
-                )
-        self.state.alpha, self.state.lam = best_snap[0], best_snap[1]
-        for s, p in zip(self.specs, best_snap[2]):
-            s.kernel.set_params(p)
-        self.likelihood.set_params(best_snap[3])
-        best.clamp_count = self._clamp_total
-        return best
+                self.state.lam = np.full(self.n, 1e-2)
 
 
 def predict_marginals(specs, alpha, lam, Xq, include_components=False):
-    """Predictive marginals of the dense model at query points.
-
-    ``specs`` must carry the projected training inputs as Z (that is all
-    the collapse formula needs): with A = I + Lambda Ksum Lambda over the
-    training inputs,
-
-        mu*(x)  = sum_c k_c(x, X) alpha_c
-        var*(x) = sum_c k_c(x, x)
-                  - h(x)^T A^{-1} h(x),   h(x) = Lambda sum_c k_c(X, x).
-    """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    c = len(specs)
-    n = specs[0].Z.shape[0]
-    lam = np.asarray(lam, dtype=float).ravel()
-    alphas = np.asarray(alpha, dtype=float).reshape(c, n)
-    karr = np.stack([s.kernel.eval(s.Z) for s in specs])
-    ksum = karr.sum(axis=0)
-    a = (lam[:, None] * ksum) * lam[None, :]
-    a[np.diag_indices_from(a)] += 1.0
-    L = cholesky(a)
-
-    kq = [s.kernel.eval(s.project(Xq), s.Z) for s in specs]  # (nq, N) each
-    mu_c = np.stack([kq[ci] @ alphas[ci] for ci in range(c)])
-    hq = lam[:, None] * sum(kq).T
-    t = tri_solve(L, hq)
-    var = sum(s.kernel.diag(s.project(Xq)) for s in specs) - np.einsum(
-        "ji,ji->i", t, t
-    )
-    per = None
-    if include_components:
-        per = []
-        for ci, s in enumerate(specs):
-            tc = tri_solve(L, lam[:, None] * kq[ci].T)
-            per.append(
-                (
-                    mu_c[ci],
-                    s.kernel.diag(s.project(Xq)) - np.einsum("ji,ji->i", tc, tc),
-                )
-            )
-    return _model.PredictorMarginals(
-        mu_sum=mu_c.sum(axis=0), var_sum=var, per_component=per
-    )
+    """Predictive marginals of the dense model at query points; ``specs``
+    must carry the projected training inputs as Z."""
+    return _sparse.predict_marginals(specs, alpha, lam, Xq, include_components)
 
 
 def decompose(specs, alpha, lam, grids):
-    """Per-component effects of a dense model on per-component grids.
-
-    ``grids[c]`` has one column per active dim of component c, in the
-    projected space. Returns a list of (grid, mean, variance) triples; the
-    variance is the exact marginal variance of component c, which only
-    involves the (c, c) block of the posterior covariance.
-    """
-    c = len(specs)
-    n = specs[0].Z.shape[0]
-    lam = np.asarray(lam, dtype=float).ravel()
-    alphas = np.asarray(alpha, dtype=float).reshape(c, n)
-    ksum = sum(s.kernel.eval(s.Z) for s in specs)
-    a = (lam[:, None] * ksum) * lam[None, :]
-    a[np.diag_indices_from(a)] += 1.0
-    L = cholesky(a)
-    out = []
-    for ci, s in enumerate(specs):
-        g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
-        kq = s.kernel.eval(g, s.Z)
-        mean = kq @ alphas[ci]
-        tc = tri_solve(L, lam[:, None] * kq.T)
-        var = s.kernel.diag(g) - np.einsum("ji,ji->i", tc, tc)
-        out.append((g, mean, var))
-    return out
+    """Per-component effects of a dense model on per-component grids, as
+    (grid, mean, variance) triples; ``specs`` as for ``predict_marginals``."""
+    return _sparse.decompose(specs, alpha, lam, grids)

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels as _kernels
 from . import likelihoods as _lik
 from . import model as _model
-from .errors import ModelFormatError
+from .errors import DimensionMismatch, ModelFormatError
 
 FORMAT_ID = "addgp-v1"
 
@@ -55,24 +55,70 @@ class SavedModel:
     rescale: Rescale = None
     input_dim: int = None
 
+    @property
+    def coupling(self):
+        """B, or lambda for the dense structure."""
+        return self.lam if self.structure == _model.FULL else self.B
+
 
 def _fhex(x):
     return float(x).hex()
-
-def _funhex(s, key):
-    try:
-        return float.fromhex(s)
-    except ValueError as exc:
-        raise ModelFormatError(f"bad float {s!r} for key {key!r}") from exc
 
 
 def _vec_to_str(v):
     return " ".join(_fhex(x) for x in np.asarray(v, dtype=float).ravel())
 
 
-def _vec_from_str(s, key):
-    parts = s.split()
-    return np.array([_funhex(p, key) for p in parts])
+class _Section(dict):
+    """The ``key = value`` entries of one ``[name]`` section. A missing key
+    or a value that does not parse raises ModelFormatError naming the key
+    and the section."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+    def error(self, key, what):
+        return ModelFormatError(f"key {key!r} in [{self.name}]: {what}")
+
+    def __missing__(self, key):
+        raise self.error(key, "missing")
+
+    def ints(self, key, count=None):
+        try:
+            vals = [int(v) for v in self[key].split()]
+        except ValueError:
+            raise self.error(key, f"bad integer in {self[key]!r}") from None
+        if count is not None and len(vals) != count:
+            raise self.error(key, f"expected {count} integers, got {self[key]!r}")
+        return vals
+
+    def integer(self, key, minimum=0):
+        (val,) = self.ints(key, count=1)
+        if val < minimum:
+            raise self.error(key, f"expected an integer >= {minimum}, got {val}")
+        return val
+
+    def floats(self, key, count=None):
+        try:
+            vals = np.array([float.fromhex(v) for v in self[key].split()])
+        except ValueError:
+            raise self.error(key, f"bad float in {self[key]!r}") from None
+        if count is not None and len(vals) != count:
+            raise self.error(key, f"expected {count} values, got {len(vals)}")
+        return vals
+
+    def scalar(self, key):
+        return float(self.floats(key, count=1)[0])
+
+    def matrix(self, prefix, rows=None, cols=None):
+        """Rows ``{prefix}.row.i`` of the shape given by ``{prefix}.shape``,
+        which must be positive and match ``rows`` and ``cols`` where given."""
+        shape = self.ints(f"{prefix}.shape", count=2)
+        if min(shape) < 1 or any(w is not None and w != v for w, v in zip((rows, cols), shape)):
+            want = " x ".join("any" if w is None else str(w) for w in (rows, cols))
+            raise self.error(f"{prefix}.shape", f"expected {want}, got {shape[0]} x {shape[1]}")
+        return np.array([self.floats(f"{prefix}.row.{ri}", shape[1]) for ri in range(shape[0])])
 
 
 def _write_kernel(lines, prefix, kern):
@@ -109,48 +155,29 @@ def _write_kernel(lines, prefix, kern):
 
 
 def _read_kernel(kv, prefix):
-    tkey = f"{prefix}.type"
-    if tkey not in kv:
-        raise ModelFormatError(f"missing key {tkey!r}")
-    kind = kv[tkey]
+    kind = kv[f"{prefix}.type"]
     if kind == "squared_exp":
-        dims = tuple(int(d) for d in kv[f"{prefix}.active_dims"].split())
         params = _kernels.KernelParams(
-            log_variance=_funhex(
-                kv[f"{prefix}.log_variance"], f"{prefix}.log_variance"
-            ),
-            log_lengthscales=_vec_from_str(
-                kv[f"{prefix}.log_lengthscales"], f"{prefix}.log_lengthscales"
-            ),
+            log_variance=kv.scalar(f"{prefix}.log_variance"),
+            log_lengthscales=kv.floats(f"{prefix}.log_lengthscales"),
         )
-        return _kernels.SquaredExp(params, active_dims=dims)
+        return _kernels.SquaredExp(params, active_dims=kv.ints(f"{prefix}.active_dims"))
     if kind == "constant":
         return _kernels.Constant(
-            log_variance=_funhex(
-                kv[f"{prefix}.log_variance"], f"{prefix}.log_variance"
-            ),
+            log_variance=kv.scalar(f"{prefix}.log_variance"),
             trainable=kv.get(f"{prefix}.trainable", "true") == "true",
         )
     if kind == "zero_mean_se":
         params = _kernels.KernelParams(
-            log_variance=_funhex(
-                kv[f"{prefix}.log_variance"], f"{prefix}.log_variance"
-            ),
-            log_lengthscales=np.array(
-                [
-                    _funhex(
-                        kv[f"{prefix}.log_lengthscale"],
-                        f"{prefix}.log_lengthscale",
-                    )
-                ]
-            ),
+            log_variance=kv.scalar(f"{prefix}.log_variance"),
+            log_lengthscales=kv.floats(f"{prefix}.log_lengthscale", count=1),
         )
-        return _kernels.ZeroMeanSE(params, active_dim=int(kv[f"{prefix}.active_dim"]))
+        return _kernels.ZeroMeanSE(params, active_dim=kv.integer(f"{prefix}.active_dim"))
     if kind in ("sum", "product"):
-        nparts = int(kv[f"{prefix}.nparts"])
+        nparts = kv.integer(f"{prefix}.nparts", minimum=1)
         parts = [_read_kernel(kv, f"{prefix}.part{i}") for i in range(nparts)]
         return _kernels.Sum(parts) if kind == "sum" else _kernels.Product(parts)
-    raise ModelFormatError(f"unknown kernel type {kind!r} at key {tkey!r}")
+    raise kv.error(f"{prefix}.type", f"unknown kernel type {kind!r}")
 
 
 def _write_likelihood(lines, lik):
@@ -162,11 +189,7 @@ def _write_likelihood(lines, lik):
 def _read_likelihood(kv):
     kind = kv.get("likelihood")
     if kind == "gaussian":
-        return _lik.Gaussian(
-            log_noise_variance=_funhex(
-                kv["lik.log_noise_variance"], "lik.log_noise_variance"
-            )
-        )
+        return _lik.Gaussian(log_noise_variance=kv.scalar("lik.log_noise_variance"))
     if kind == "poisson":
         return _lik.Poisson()
     raise ModelFormatError(f"unknown likelihood {kind!r}")
@@ -214,28 +237,32 @@ def _parse_sections(path):
     sections = {}
     current = None
     with open(path) as fh:
-        first = fh.readline().strip()
-        if first != FORMAT_ID:
-            raise ModelFormatError(
-                f"unsupported format id {first!r} (expected {FORMAT_ID!r})"
-            )
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                sections[current] = {}
-                continue
-            if "=" not in line or current is None:
-                raise ModelFormatError(f"malformed line {lineno}: {line!r}")
-            key, _, val = line.partition("=")
-            sections[current][key.strip()] = val.strip()
+        try:
+            first = fh.readline().strip()
+            if first != FORMAT_ID:
+                raise ModelFormatError(
+                    f"unsupported format id {first!r} (expected {FORMAT_ID!r})"
+                )
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("[") and line.endswith("]"):
+                    current = line[1:-1]
+                    sections[current] = _Section(current)
+                    continue
+                if "=" not in line or current is None:
+                    raise ModelFormatError(f"malformed line {lineno}: {line!r}")
+                key, _, val = line.partition("=")
+                sections[current][key.strip()] = val.strip()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"not a text file: {exc}") from None
     return sections
 
 
 def load_model(path):
-    """Read an addgp-v1 file back into a SavedModel."""
+    """Read an addgp-v1 file back into a SavedModel. Anything that does not
+    parse, or sizes that do not fit together, raise ModelFormatError."""
     sections = _parse_sections(path)
     if "model" not in sections or "state" not in sections:
         raise ModelFormatError("missing [model] or [state] section")
@@ -243,14 +270,8 @@ def load_model(path):
     structure = mk.get("structure")
     if structure not in (_model.COUPLED, _model.MEAN_FIELD, _model.FULL):
         raise ModelFormatError(f"unknown structure {structure!r}")
-    n_comp = int(mk["n_components"])
+    n_comp = mk.integer("n_components", minimum=1)
     likelihood = _read_likelihood(mk)
-    rescale = None
-    if mk.get("rescale") == "minmax":
-        rescale = Rescale(
-            lo=_vec_from_str(mk["rescale.lo"], "rescale.lo"),
-            hi=_vec_from_str(mk["rescale.hi"], "rescale.hi"),
-        )
 
     specs = []
     for ci in range(n_comp):
@@ -258,25 +279,41 @@ def load_model(path):
         if name not in sections:
             raise ModelFormatError(f"missing section [{name}]")
         kv = sections[name]
-        dims = tuple(int(d) for d in kv["active_dims"].split())
-        kern = _read_kernel(kv, "kernel")
-        rows, cols = (int(v) for v in kv["z.shape"].split())
-        z = np.empty((rows, cols))
-        for ri in range(rows):
-            z[ri] = _vec_from_str(kv[f"z.row.{ri}"], f"z.row.{ri}")
+        dims = kv.ints("active_dims")
+        if not dims or min(dims) < 0:
+            raise kv.error("active_dims", f"expected input columns >= 0, got {kv['active_dims']!r}")
+        try:
+            kern = _read_kernel(kv, "kernel")
+        except DimensionMismatch as exc:
+            raise ModelFormatError(f"bad kernel in [{name}]: {exc}") from None
+        if any(not 0 <= d < len(dims) for d in kern.active_dims):
+            raise ModelFormatError(
+                f"kernel in [{name}] reads local columns {kern.active_dims} "
+                f"of {len(dims)} active dims"
+            )
+        z = kv.matrix("z", rows=specs[0].m if specs else None, cols=len(dims))
         specs.append(_model.ComponentSpec(kernel=kern, active_dims=dims, Z=z))
 
+    needed = 1 + max(max(s.active_dims) for s in specs)
+    input_dim = (mk.integer("input_dim") if "input_dim" in mk else 0) or needed
+    if input_dim < needed:
+        raise mk.error("input_dim", f"components read input column {needed - 1}")
+    rescale = None
+    if mk.get("rescale") == "minmax":
+        rescale = Rescale(
+            lo=mk.floats("rescale.lo", count=input_dim),
+            hi=mk.floats("rescale.hi", count=input_dim),
+        )
+
     sk = sections["state"]
-    alpha = _vec_from_str(sk["alpha"], "alpha")
+    m = specs[0].m
+    alpha = sk.floats("alpha", count=m * n_comp)
     B = None
     lam = None
     if structure == _model.FULL:
-        lam = _vec_from_str(sk["lambda"], "lambda")
+        lam = sk.floats("lambda", count=m)
     else:
-        rows, cols = (int(v) for v in sk["b.shape"].split())
-        B = np.empty((rows, cols))
-        for ri in range(rows):
-            B[ri] = _vec_from_str(sk[f"b.row.{ri}"], f"b.row.{ri}")
+        B = sk.matrix("b", rows=len(alpha))
     return SavedModel(
         structure=structure,
         specs=specs,
@@ -285,5 +322,5 @@ def load_model(path):
         B=B,
         lam=lam,
         rescale=rescale,
-        input_dim=int(mk.get("input_dim", 0)) or None,
+        input_dim=input_dim,
     )

@@ -551,11 +551,6 @@ def _product_with_pullback(parts):
     return value, pullback
 
 
-def zero_mean_component(params, active_dim=0):
-    """Convenience constructor for a univariate zero-mean SE component."""
-    return ZeroMeanSE(params, active_dim=active_dim)
-
-
 def build_anova_kernel(g_params, sigma0, ndim=6, learn_sigma0=True):
     """Additive component kernels for main effects plus one pairwise
     interaction on the unit box.

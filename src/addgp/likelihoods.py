@@ -171,19 +171,3 @@ class Poisson:
 
     def param_names(self):
         return []
-
-
-def expected_loglik(lik, y, mu, var):
-    """Vector of per-point expected log-likelihood terms."""
-    return lik.expected_loglik(y, mu, var)
-
-
-def expected_loglik_grads(lik, y, mu, var):
-    """Pair of vectors (d/dmu, d/dvar) of the per-point terms."""
-    return lik.expected_loglik_grads(y, mu, var)
-
-
-def expected_loglik_sum(lik, Y, marginals):
-    """Total expected log-likelihood under the summed-predictor marginals."""
-    vals = lik.expected_loglik(Y, marginals.mu_sum, marginals.var_sum)
-    return float(np.sum(vals))

@@ -2,8 +2,8 @@
 log-determinants, and the thread count of the BLAS underneath them.
 
 Everything but the thread control is a pure function on float64 arrays. All
-downstream code funnels its factorizations through this module so the jitter
-policy and the error taxonomy live in one place.
+downstream code funnels its factorizations through this module so the error
+taxonomy lives in one place.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
-
-# Jitter policy for kernel Gram matrices, as fractions of the mean diagonal:
-# one shot at the small value, a single retry at the large one, then give up.
-KERNEL_JITTER = 1e-8
-KERNEL_JITTER_RETRY = 1e-6
 
 
 def cholesky(m, jitter=0.0):
@@ -45,22 +40,6 @@ def cholesky(m, jitter=0.0):
             f"Cholesky failed on a {m.shape[0]}x{m.shape[0]} matrix "
             f"(jitter={jitter:g})"
         ) from exc
-
-
-def kernel_cholesky(m):
-    """Cholesky of a kernel Gram matrix under the standard jitter policy.
-
-    Adds ``1e-8 * mean(diag)`` to the diagonal before factorizing and retries
-    once with ``1e-6 * mean(diag)`` before raising NotPositiveDefinite.
-    """
-    m = np.asarray(m, dtype=float)
-    scale = float(np.mean(np.diag(m))) if m.size else 1.0
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
-    try:
-        return cholesky(m, KERNEL_JITTER * scale)
-    except NotPositiveDefinite:
-        return cholesky(m, KERNEL_JITTER_RETRY * scale)
 
 
 def tri_solve(L, rhs, transpose=False):

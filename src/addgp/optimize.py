@@ -38,7 +38,6 @@ class TrainConfig:
     tol_window: int = 5
     seed: int = 0
     multi_start: int = 0
-    verbose: bool = False
     # bounds for log-parameters, applied by name matching
     log_lengthscale_bounds: tuple = (np.log(1e-3), np.log(1e3))
     log_variance_bounds: tuple = (-20.0, 20.0)

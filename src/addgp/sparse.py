@@ -10,7 +10,8 @@ with B in R^{MC x R} (default R = M). The off-diagonal blocks of B B^T are
 what lets the posterior carry the anti-correlations between components
 that the additive likelihood induces; constraining B to a block-diagonal
 layout (structure "meanfield", R = MC) recovers the factorized baseline in
-the same code path.
+the same code path. The dense reference model (``full.FullModel``) is this
+family too, with Z_c = X and the tied diagonal B_c = Lambda for every c.
 
 All bound terms reduce to the R x R capacitance matrix
 
@@ -23,11 +24,15 @@ All bound terms reduce to the R x R capacitance matrix
                  J = sum_c K_{f_c U_c} B_c,
 
 so a bound evaluation costs O(C M^3 + N C M R) after the kernel rows: no
-N x N matrix is ever formed. The cross-covariances are kept as one
-component-major (N, C M) block F, so mu_sum and J are one product F [alpha, B]
-and their gradients one product F^T [dmu, dJ]. Gradients for alpha, B, and
-all log-hyperparameters are analytic; the hyperparameter part pulls
-dBound/dK back through each kernel (``Kernel.eval_with_pullback``).
+N x N matrix is ever formed. ``Posterior`` factors A once and serves every
+read (model marginals, prediction, decomposition) for B and for Lambda
+alike. ``AdditiveModel`` holds what both model classes share: validation,
+the kernel cache, ``elbo()`` and training. ``SparseModel`` keeps the
+cross-covariances as one component-major (N, C M) block F, so mu_sum and J
+are one product F [alpha, B] and their gradients one product F^T [dmu, dJ].
+Gradients for alpha, B, and all log-hyperparameters are analytic; the
+hyperparameter part pulls dBound/dK back through each kernel
+(``Kernel.eval_with_pullback``).
 """
 
 from __future__ import annotations
@@ -50,29 +55,91 @@ def _capacitance(b, kb):
     return a
 
 
-class SparseModel:
-    """Additive model with the coupled sparse posterior."""
+class Posterior:
+    """The posterior over the inducing variables, factored once for reads.
 
-    def __init__(self, specs, likelihood, dataset, state=None, structure=None, r=None):
+    ``coupling`` is either B (M C x R) or the vector lambda, which stands for
+    B_c = diag(lambda) for every c with Z_c the training inputs (the dense
+    model). ``ku`` holds the prior Grams K_c(Z_c, Z_c) when the caller
+    already has them. Marginals come from cross blocks F_c = K_c(X*, Z_c) and
+    prior diagonals k_c(x, x) at the read points.
+    """
+
+    def __init__(self, specs, alpha, coupling, ku=None):
+        self.specs = specs
+        c, m = len(specs), specs[0].m
+        self.alphas = np.asarray(alpha, dtype=float).reshape(c, m)
+        coupling = np.asarray(coupling, dtype=float)
+        self.ku = [s.kernel.eval(s.Z) for s in specs] if ku is None else ku
+        if coupling.ndim == 1:
+            self._lam, self._b = coupling, None
+            a = (coupling[:, None] * sum(self.ku)) * coupling[None, :]
+            a[np.diag_indices_from(a)] += 1.0
+        else:
+            self._lam, self._b = None, coupling.reshape(c, m, coupling.shape[1])
+            a = _capacitance(self._b, np.matmul(self.ku, self._b))
+        self.L = cholesky(a)
+
+    def times_b(self, ci, fc):
+        """F_c B_c for a block F_c with the M_c columns of component ci."""
+        return fc * self._lam if self._b is None else fc @ self._b[ci]
+
+    def component(self, ci, fc, dc):
+        """(mean, variance) of component ci from its cross block and prior
+        diagonal; only the (c, c) block of the posterior covariance enters."""
+        t = tri_solve(self.L, self.times_b(ci, fc).T)
+        return fc @ self.alphas[ci], dc - np.einsum("ji,ji->i", t, t)
+
+    def marginals(self, fcs, d, diags=None):
+        """Marginals of the summed predictor from the per-component cross
+        blocks and the summed prior diagonal ``d``; given the per-component
+        prior diagonals, each component's (mean, variance) as well."""
+        j = self.times_b(0, fcs[0])
+        for ci in range(1, len(fcs)):
+            j += self.times_b(ci, fcs[ci])
+        t = tri_solve(self.L, j.T)
+        per = None
+        if diags is not None:
+            per = [self.component(ci, fc, dc) for ci, (fc, dc) in enumerate(zip(fcs, diags))]
+        return _model.PredictorMarginals(
+            mu_sum=sum(fc @ a for fc, a in zip(fcs, self.alphas)),
+            var_sum=d - np.einsum("ji,ji->i", t, t),
+            per_component=per,
+        )
+
+    def at(self, Xq, include_components=False):
+        """Marginals at the query points Xq (full input width)."""
+        xps = [s.project(Xq) for s in self.specs]
+        fcs = [s.kernel.eval(xp, s.Z) for s, xp in zip(self.specs, xps)]
+        diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, xps)]
+        return self.marginals(fcs, sum(diags), diags if include_components else None)
+
+
+class AdditiveModel:
+    """What the sparse and the dense model share: validation, the data
+    projections, the hyperparameter-keyed cache of prior blocks, marginals
+    through ``Posterior``, ``elbo()`` and two-phase training with restarts.
+
+    A subclass names its coupling field in the state (``coupling``, "B" or
+    "lam") and supplies ``_prior_blocks`` (whose first three entries are the
+    prior Grams, the per-component cross blocks and the summed prior
+    diagonal at the training inputs), ``kl``, ``elbo_with_grads``,
+    ``_fresh_state`` and ``_perturb_start``, and narrows ``_free_index``
+    where only part of the coupling may move.
+    """
+
+    coupling = None
+
+    def __init__(self, specs, likelihood, dataset):
         report = _model.validate_model(specs, dataset)
         if not report.ok:
             raise DimensionMismatch(f"invalid model: {report}")
         self.specs = list(specs)
         self.likelihood = likelihood
         self.data = dataset
-        if state is None:
-            state = _model.init_state(
-                specs, structure=structure or _model.COUPLED, r=r
-            )
-        elif structure is not None and state.structure != structure:
-            raise ValueError("state structure disagrees with requested structure")
-        self.state = state
-        m, c = self.m, self.c
-        if len(state.alpha) != m * c:
-            raise DimensionMismatch(
-                f"alpha has length {len(state.alpha)}, expected M*C = {m * c}"
-            )
         self._xp = [s.project(dataset.X) for s in self.specs]
+        # the specs the posterior reads Z_c from (X for the dense model)
+        self.posterior_specs = self.specs
         self._cache_key = None
         self._cache = None
         self._clamp_total = 0
@@ -86,6 +153,137 @@ class SparseModel:
     def c(self):
         return len(self.specs)
 
+    def _kmats(self):
+        """``_prior_blocks()``, recomputed only when a kernel
+        hyperparameter changed."""
+        key = np.concatenate([s.kernel.get_params() for s in self.specs]).tobytes()
+        if key != self._cache_key:
+            self._cache = self._prior_blocks()
+            self._cache_key = key
+        return self._cache
+
+    def marginals(self, Xq=None, include_components=False):
+        """Marginals of the summed predictor at the training inputs (cached
+        blocks) or at query points."""
+        ku, fcs, d0 = self._kmats()[:3]
+        post = Posterior(
+            self.posterior_specs, self.state.alpha, getattr(self.state, self.coupling), ku=ku
+        )
+        if Xq is not None:
+            return post.at(Xq, include_components)
+        diags = None
+        if include_components:
+            diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, self._xp)]
+        return post.marginals(fcs, d0, diags)
+
+    def elbo(self):
+        """Evidence lower bound, with the variance clamp of the training
+        bound."""
+        m = self.marginals()
+        var = np.maximum(m.var_sum, VAR_CLAMP)
+        e = float(np.sum(self.likelihood.expected_loglik(self.data.Y, m.mu_sum, var)))
+        return e - self.kl()
+
+    # -- training --------------------------------------------------------------
+
+    def _hypers(self):
+        return [s.kernel.get_params() for s in self.specs] + [
+            self.likelihood.get_params()
+        ]
+
+    def _set_hypers(self, vecs):
+        for s, pvec in zip(self.specs, vecs):
+            s.kernel.set_params(pvec)
+        self.likelihood.set_params(vecs[-1])
+
+    def _free_index(self):
+        """Flat indices into the coupling that the optimizer may move."""
+        return np.arange(getattr(self.state, self.coupling).size)
+
+    def _make_objective(self, train_hypers):
+        field = self.coupling
+        free = self._free_index()
+        shape = getattr(self.state, field).shape
+        na = len(self.state.alpha)
+        nv = na + len(free)
+        sizes = [s.kernel.n_params for s in self.specs]
+
+        def unpack(x):
+            self.state.alpha = x[:na].copy()
+            flat = np.zeros(int(np.prod(shape)))
+            flat[free] = x[na:nv]
+            setattr(self.state, field, flat.reshape(shape))
+            if train_hypers:
+                self._set_hypers(np.split(x[nv:], np.cumsum(sizes)))
+
+        def fun(x):
+            unpack(x)
+            val, g = self.elbo_with_grads(train_hypers=train_hypers)
+            gvec = [g["alpha"].ravel(), g[field].reshape(-1)[free]]
+            if train_hypers:
+                gvec.extend(g["kernels"])
+                gvec.append(g["lik"])
+            return val, np.concatenate(gvec)
+
+        x0 = [self.state.alpha, getattr(self.state, field).ravel()[free]]
+        bounds = [(None, None)] * nv
+        if train_hypers:
+            x0 += self._hypers()
+            names = [p for s in self.specs for p in s.kernel.param_names()]
+            bounds += bounds_for_names(names + self.likelihood.param_names(), self._cfg)
+        return fun, np.concatenate(x0), bounds, unpack
+
+    def train(self, config=None):
+        """Two-phase maximization of the bound; returns a TrainResult and
+        leaves the model at the best parameters found. Each of the
+        ``config.multi_start`` restarts begins from the starting
+        hyperparameters and a fresh, randomly perturbed state."""
+        config = config or TrainConfig()
+        self._cfg = config
+        self._clamp_total = 0
+        hyper0 = self._hypers()
+        best = None
+        best_snap = None
+        for attempt in range(1 + max(0, config.multi_start)):
+            if attempt > 0:
+                self._set_hypers(hyper0)
+                self.state = self._fresh_state()
+            self._perturb_start(config.seed + attempt, restart=attempt > 0)
+            res = run_two_phase(self._make_objective, config)
+            if best is None or res.final_elbo > best.final_elbo:
+                best = res
+                best_snap = (
+                    self.state.alpha.copy(),
+                    getattr(self.state, self.coupling).copy(),
+                    self._hypers(),
+                )
+        self.state.alpha = best_snap[0]
+        setattr(self.state, self.coupling, best_snap[1])
+        self._set_hypers(best_snap[2])
+        best.clamp_count = self._clamp_total
+        return best
+
+
+class SparseModel(AdditiveModel):
+    """Additive model with the coupled sparse posterior."""
+
+    coupling = "B"
+
+    def __init__(self, specs, likelihood, dataset, state=None, structure=None, r=None):
+        super().__init__(specs, likelihood, dataset)
+        if state is None:
+            state = _model.init_state(
+                specs, structure=structure or _model.COUPLED, r=r
+            )
+        elif structure is not None and state.structure != structure:
+            raise ValueError("state structure disagrees with requested structure")
+        self.state = state
+        m, c = self.m, self.c
+        if len(state.alpha) != m * c:
+            raise DimensionMismatch(
+                f"alpha has length {len(state.alpha)}, expected M*C = {m * c}"
+            )
+
     @property
     def m(self):
         return self.specs[0].m
@@ -94,29 +292,25 @@ class SparseModel:
     def r(self):
         return self.state.r
 
-    # -- cached kernel blocks ---------------------------------------------
-
-    def _hyper_key(self):
-        vecs = [s.kernel.get_params() for s in self.specs]
-        return np.concatenate(vecs).tobytes() if vecs else b""
-
-    def _kmats(self):
-        """(C, M, M) inducing Grams, the (N, C M) component-major cross
-        block and the summed prior diagonal at the data."""
-        key = self._hyper_key()
-        if key != self._cache_key:
-            self._cache = _prior_blocks(self.specs, self._xp)
-            self._cache_key = key
-        return self._cache
+    def _prior_blocks(self):
+        """(C, M, M) inducing Grams, the per-component cross blocks, the
+        summed prior diagonal at the data, and the (N, C M) block those
+        cross blocks are views of, with K_c(X, Z_c) in columns
+        c M .. (c + 1) M."""
+        m = self.m
+        ku = np.stack([s.kernel.eval(s.Z) for s in self.specs])
+        f = np.empty((self.n, self.c * m))
+        for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
+            f[:, ci * m : (ci + 1) * m] = s.kernel.eval(xp, s.Z)
+        d0 = np.sum([s.kernel.diag(xp) for s, xp in zip(self.specs, self._xp)], axis=0)
+        return ku, np.hsplit(f, self.c), d0, f
 
     def _b_blocks(self):
         return self.state.B.reshape(self.c, self.m, self.r)
 
-    # -- core quantities ----------------------------------------------------
-
     def kl(self):
         """KL from q(U) to the prior p(U); exactly zero at alpha=0, B=0."""
-        ku, _, _ = self._kmats()
+        ku = self._kmats()[0]
         b = self._b_blocks()
         alphas = self.state.alpha.reshape(self.c, self.m)
         kb = np.matmul(ku, b)  # (C, M, R)
@@ -127,53 +321,6 @@ class SparseModel:
         ba = solve_from_chol(L, self.state.B.T).T.reshape(self.c, self.m, self.r)
         trace = float(np.sum(ba * kb))
         return 0.5 * (logdet_from_chol(L) + quad - trace)
-
-    def marginals(self, Xq=None, include_components=False):
-        """Marginals of the summed predictor at the training inputs (cached
-        blocks) or at query points."""
-        if Xq is None:
-            ku, f, d0 = self._kmats()
-            xq_p = self._xp
-        else:
-            xq_p = [s.project(Xq) for s in self.specs]
-            ku, f, d0 = _prior_blocks(self.specs, xq_p)
-        m = self.m
-        b = self._b_blocks()
-        alphas = self.state.alpha.reshape(self.c, m)
-        L = cholesky(_capacitance(b, np.matmul(ku, b)))
-        j = f @ self.state.B
-        t = tri_solve(L, j.T)
-        var = d0 - np.einsum("ji,ji->i", t, t)
-        per = None
-        if include_components:
-            per = []
-            for ci, s in enumerate(self.specs):
-                fc = f[:, ci * m : (ci + 1) * m]
-                tc = tri_solve(L, (fc @ b[ci]).T)
-                var_c = s.kernel.diag(xq_p[ci]) - np.einsum("ji,ji->i", tc, tc)
-                per.append((fc @ alphas[ci], var_c))
-        return _model.PredictorMarginals(
-            mu_sum=f @ self.state.alpha, var_sum=var, per_component=per
-        )
-
-    def elbo(self, batch=None):
-        """Evidence lower bound; optional minibatch indices rescale the
-        data term by N/|batch| (unbiased in expectation)."""
-        m = self.marginals()
-        var = np.maximum(m.var_sum, VAR_CLAMP)
-        if batch is None:
-            e = float(
-                np.sum(self.likelihood.expected_loglik(self.data.Y, m.mu_sum, var))
-            )
-        else:
-            batch = np.asarray(batch, dtype=int)
-            vals = self.likelihood.expected_loglik(
-                self.data.Y[batch], m.mu_sum[batch], var[batch]
-            )
-            e = float(np.sum(vals)) * self.n / len(batch)
-        return e - self.kl()
-
-    # -- gradients -----------------------------------------------------------
 
     def elbo_with_grads(self, train_hypers=False):
         """Bound value and analytic gradients for alpha, B and (optionally)
@@ -196,7 +343,7 @@ class SparseModel:
                 d0 += dgc
                 pullbacks.append((pb_ku, pb_f, pb_d))
         else:
-            ku, f, d0 = self._kmats()
+            ku, _, d0, f = self._kmats()
 
         kb = np.matmul(ku, b)  # (C, M, R)
         L = cholesky(_capacitance(b, kb))
@@ -250,197 +397,64 @@ class SparseModel:
             ).sum(axis=1)
         return elbo, grads
 
-    # -- training --------------------------------------------------------------
+    # -- training hooks ----------------------------------------------------------
 
-    def _free_b_index(self):
-        """Flat indices into B that the optimizer may move: everything for
-        the coupled structure, the diagonal blocks for mean-field."""
+    def _free_index(self):
+        """Everything for the coupled structure, the diagonal blocks for
+        mean-field."""
         if self.state.structure == _model.MEAN_FIELD:
-            mask = _model.mean_field_mask(self.m, self.c)
-            return np.flatnonzero(mask.ravel())
-        return np.arange(self.state.B.size)
+            return np.flatnonzero(_model.mean_field_mask(self.m, self.c).ravel())
+        return super()._free_index()
 
-    def _make_objective(self, train_hypers):
-        m, c = self.m, self.c
-        free = self._free_b_index()
-        na = m * c
-        nv = na + len(free)
+    def _fresh_state(self):
+        return _model.init_state(self.specs, structure=self.state.structure, r=self.r)
 
-        def unpack(x):
-            self.state.alpha = x[:na].copy()
-            bflat = np.zeros(self.state.B.size)
-            bflat[free] = x[na:nv]
-            self.state.B = bflat.reshape(self.state.B.shape)
-            if train_hypers:
-                i = nv
-                for s in self.specs:
-                    npar = s.kernel.n_params
-                    s.kernel.set_params(x[i : i + npar])
-                    i += npar
-                self.likelihood.set_params(x[i:])
-
-        def fun(x):
-            unpack(x)
-            val, g = self.elbo_with_grads(train_hypers=train_hypers)
-            gvec = [g["alpha"].ravel(), g["B"].reshape(-1)[free]]
-            if train_hypers:
-                gvec.extend(g["kernels"])
-                gvec.append(g["lik"])
-            return val, np.concatenate(gvec)
-
-        x0 = [self.state.alpha, self.state.B.ravel()[free]]
-        bounds = [(None, None)] * nv
-        if train_hypers:
-            cfg = self._cfg
-            for s in self.specs:
-                x0.append(s.kernel.get_params())
-                bounds.extend(bounds_for_names(s.kernel.param_names(), cfg))
-            x0.append(self.likelihood.get_params())
-            bounds.extend(bounds_for_names(self.likelihood.param_names(), cfg))
-        return fun, np.concatenate(x0), bounds, unpack
-
-    def _perturb_start(self, seed, scale=None):
+    def _perturb_start(self, seed, restart=False):
         """Nudge B off the exact-zero saddle (the bound is even in B, so
-        its gradient vanishes identically there)."""
+        its gradient vanishes identically there); restarts draw larger."""
         if not np.any(self.state.B):
             rng = np.random.default_rng(seed)
-            sd = scale if scale is not None else 1e-2 / np.sqrt(self.m * self.c)
+            sd = (1.0 if restart else 1e-2) / np.sqrt(self.m * self.c)
             bflat = np.zeros(self.state.B.size)
-            free = self._free_b_index()
+            free = self._free_index()
             bflat[free] = rng.normal(0.0, sd, len(free))
             self.state.B = bflat.reshape(self.state.B.shape)
 
-    def train(self, config=None):
-        """Two-phase maximization of the bound; returns a TrainResult and
-        leaves the model at the best parameters found."""
-        config = config or TrainConfig()
-        self._cfg = config
-        self._clamp_total = 0
-        hyper0 = [s.kernel.get_params() for s in self.specs] + [
-            self.likelihood.get_params()
-        ]
-        structure = self.state.structure
-        rank = self.r
-        best = None
-        best_snap = None
-        for attempt in range(1 + max(0, config.multi_start)):
-            if attempt > 0:
-                for s, pvec in zip(self.specs, hyper0):
-                    s.kernel.set_params(pvec)
-                self.likelihood.set_params(hyper0[-1])
-                self.state = _model.init_state(
-                    self.specs, structure=structure, r=rank if structure == _model.COUPLED else None
-                )
-                self._perturb_start(
-                    config.seed + attempt, scale=1.0 / np.sqrt(self.m * self.c)
-                )
-            else:
-                self._perturb_start(config.seed)
-            res = run_two_phase(self._make_objective, config)
-            if best is None or res.final_elbo > best.final_elbo:
-                best = res
-                best_snap = (
-                    self.state.alpha.copy(),
-                    self.state.B.copy(),
-                    [s.kernel.get_params() for s in self.specs],
-                    self.likelihood.get_params(),
-                )
-        self.state.alpha, self.state.B = best_snap[0], best_snap[1]
-        for s, pvec in zip(self.specs, best_snap[2]):
-            s.kernel.set_params(pvec)
-        self.likelihood.set_params(best_snap[3])
-        best.clamp_count = self._clamp_total
-        return best
+
+def predict_marginals(specs, alpha, coupling, Xq, include_components=False):
+    """Predictive marginals at query points, given only the specs and the
+    posterior parameters (no dataset needed). ``coupling`` is B, or lambda
+    for the dense model, whose specs carry the projected training inputs as
+    Z."""
+    return Posterior(specs, alpha, coupling).at(Xq, include_components)
 
 
-def _prior_blocks(specs, xps):
-    """(C, M, M) inducing Grams, the (N, C M) cross block with
-    K_c(X, Z_c) in columns c M .. (c + 1) M, and the summed prior diagonal."""
-    m = specs[0].m
-    ku = np.stack([s.kernel.eval(s.Z) for s in specs])
-    f = np.empty((len(xps[0]), len(specs) * m))
-    for ci, (s, xp) in enumerate(zip(specs, xps)):
-        f[:, ci * m : (ci + 1) * m] = s.kernel.eval(xp, s.Z)
-    d0 = np.sum([s.kernel.diag(xp) for s, xp in zip(specs, xps)], axis=0)
-    return ku, f, d0
-
-
-def predict_marginals(specs, alpha, B, Xq, include_components=False):
-    """Predictive marginals of a sparse model at query points, given only
-    the specs and the posterior parameters (no dataset needed)."""
-    c = len(specs)
-    m = specs[0].m
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    state = _model.VariationalState(alpha=alpha, B=B)
-    b = B.reshape(c, m, state.r)
-    alphas = alpha.reshape(c, m)
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-
-    ku = np.stack([s.kernel.eval(s.Z) for s in specs])
-    L = cholesky(_capacitance(b, np.matmul(ku, b)))
-
-    f = [s.kernel.eval(s.project(Xq), s.Z) for s in specs]
-    mu_c = np.stack([f[ci] @ alphas[ci] for ci in range(c)])
-    j = sum(f[ci] @ b[ci] for ci in range(c))
-    t = tri_solve(L, j.T)
-    var = sum(s.kernel.diag(s.project(Xq)) for s in specs) - np.einsum(
-        "ji,ji->i", t, t
-    )
-    per = None
-    if include_components:
-        per = []
-        for ci, s in enumerate(specs):
-            tc = tri_solve(L, (f[ci] @ b[ci]).T)
-            per.append(
-                (
-                    mu_c[ci],
-                    s.kernel.diag(s.project(Xq)) - np.einsum("ji,ji->i", tc, tc),
-                )
-            )
-    return _model.PredictorMarginals(
-        mu_sum=mu_c.sum(axis=0), var_sum=var, per_component=per
-    )
-
-
-def decompose(specs, alpha, B, grids, coupled_check=False):
+def decompose(specs, alpha, coupling, grids, coupled_check=False):
     """Per-component posterior effects on per-component grids.
 
     ``grids[c]`` has one column per active dim of component c (projected
-    space). Returns a list of (grid, mean, variance) triples. The marginal
-    variance of component c only involves the (c, c) block of the coupled
-    posterior covariance; with ``coupled_check`` the cross term is
-    recomputed through a densely assembled capacitance and generic LU
-    solves, bypassing the factored per-block path, and the maximum
-    discrepancy is returned as a fourth element.
+    space); ``coupling`` is B or lambda, as for ``predict_marginals``.
+    Returns a list of (grid, mean, variance) triples. The marginal variance
+    of component c only involves the (c, c) block of the coupled posterior
+    covariance; with ``coupled_check`` the cross term is recomputed through
+    a densely assembled capacitance, I + [B_1^T K_1, ..., B_C^T K_C] [B_1;
+    ...; B_C], and generic LU solves, bypassing the Cholesky path, and the
+    maximum discrepancy is returned as a fourth element.
     """
-    c = len(specs)
-    m = specs[0].m
-    alphas = np.asarray(alpha, dtype=float).reshape(c, m)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    b = B.reshape(c, m, B.shape[1])
-    ku = np.stack([s.kernel.eval(s.Z) for s in specs])
-    L = cholesky(_capacitance(b, np.matmul(ku, b)))
-
-    a_dense = None
+    post = Posterior(specs, alpha, coupling)
     if coupled_check:
-        kfull = np.zeros((m * c, m * c))
-        for ci in range(c):
-            kfull[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m] = ku[ci]
-        a_dense = np.eye(B.shape[1]) + B.T @ kfull @ B
-
+        bk = np.hstack([post.times_b(ci, k.T).T for ci, k in enumerate(post.ku)])
+        bs = np.vstack([post.times_b(ci, np.eye(len(k))) for ci, k in enumerate(post.ku)])
+        a_dense = np.eye(len(post.L)) + bk @ bs
     out = []
     for ci, s in enumerate(specs):
         g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
         kq = s.kernel.eval(g, s.Z)
-        mean = kq @ alphas[ci]
-        tc = tri_solve(L, (kq @ b[ci]).T)
-        var = s.kernel.diag(g) - np.einsum("ji,ji->i", tc, tc)
+        dg = s.kernel.diag(g)
+        mean, var = post.component(ci, kq, dg)
         if coupled_check:
-            jc = kq @ b[ci]
-            var_dense = s.kernel.diag(g) - np.einsum(
-                "ij,ji->i", jc, np.linalg.solve(a_dense, jc.T)
-            )
+            jc = post.times_b(ci, kq)
+            var_dense = dg - np.einsum("ij,ji->i", jc, np.linalg.solve(a_dense, jc.T))
             out.append((g, mean, var, float(np.max(np.abs(var - var_dense)))))
         else:
             out.append((g, mean, var))

@@ -13,7 +13,7 @@ import pytest
 
 from addgp import Gaussian, KernelParams, SquaredExp, linalg, save_model
 from addgp.cli import main, read_csv, write_csv
-from addgp.io import SavedModel
+from addgp.io import Rescale, SavedModel
 from addgp.model import COUPLED, ComponentSpec
 
 
@@ -185,6 +185,28 @@ def test_decompose_writes_effect_tables(tmp_path):
     )
     assert float(line.rsplit(" ", 1)[1]) < 1e-6
 
+    # the check covers the dense structure too: lambda stands for B_c
+    small = tmp_path / "small.csv"
+    assert main(["synth", "--out", str(small), "--n", "60", "--seed", "1"]) == 0
+    dense = tmp_path / "dense.addgp"
+    assert main(
+        ["fit", str(small), "--structure", "full", "--max-iter", "20",
+         "--seed", "0", "--out", str(dense)]
+    ) == 0
+    dense_dir = tmp_path / "dense_effects"
+    assert main(
+        ["decompose", str(dense), "--outdir", str(dense_dir), "--grid", "40",
+         "--grid2d", "8", "--coupled-check"]
+    ) == 0
+    files = sorted(dense_dir.glob("effect_*.csv"))
+    assert len(files) == 7
+    for path in files:
+        line = next(
+            l for l in path.read_text().splitlines()
+            if "cross-check max discrepancy" in l
+        )
+        assert float(line.rsplit(" ", 1)[1]) < 1e-6
+
 
 def test_config_supplies_defaults_but_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -293,6 +315,88 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["decompose", str(model), "--outdir", str(tmp_path / "e"), "--grid", "5"])
     assert rc == 3
+
+
+def _set_key(text, key, value):
+    """Set the first ``key = ...`` entry of a model file, or drop it when
+    ``value`` is None."""
+    lines = text.splitlines()
+    i = next(i for i, l in enumerate(lines) if l.partition("=")[0].strip() == key)
+    if value is None:
+        del lines[i]
+    else:
+        lines[i] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+# (key, new value or None to drop it, what the one error line must name)
+MODEL_CORRUPTIONS = [
+    ("n_components", "2.5", "'n_components' in [model]"),
+    ("n_components", "0", "'n_components' in [model]"),
+    ("n_components", "3", "[component 2]"),
+    ("input_dim", "two", "'input_dim' in [model]"),
+    ("input_dim", "1", "'input_dim' in [model]"),
+    ("rescale.lo", "0x0p+0", "'rescale.lo' in [model]"),
+    ("lik.log_noise_variance", None, "'lik.log_noise_variance' in [model]"),
+    ("active_dims", None, "'active_dims' in [component 0]"),
+    ("active_dims", "-1", "'active_dims' in [component 0]"),
+    ("active_dims", "0 x", "'active_dims' in [component 0]"),
+    ("kernel.type", None, "'kernel.type' in [component 0]"),
+    ("kernel.active_dims", "1", "[component 0]"),
+    ("kernel.active_dims", "-1", "[component 0]"),
+    ("kernel.log_lengthscales", "0x1p+0 0x1p+0", "[component 0]"),
+    ("z.shape", "3", "'z.shape' in [component 0]"),
+    ("z.shape", "3 2", "'z.shape' in [component 0]"),
+    ("z.shape", "4 1", "'z.row.3' in [component 0]"),
+    ("z.row.1", "0x1p-1 0x1p-1", "'z.row.1' in [component 0]"),
+    ("alpha", "0x1p+0", "'alpha' in [state]"),
+    ("b.shape", "5 3", "'b.shape' in [state]"),
+    ("b.row.0", "0x1p+0 oops 0x1p+0", "'b.row.0' in [state]"),
+]
+
+
+def test_corrupt_model_files_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    specs = [
+        ComponentSpec(
+            SquaredExp(KernelParams(0.0, np.zeros(1))), (ci,), rng.uniform(0, 1, (3, 1))
+        )
+        for ci in range(2)
+    ]
+    saved = SavedModel(
+        structure=COUPLED,
+        specs=specs,
+        likelihood=Gaussian(0.0),
+        alpha=rng.normal(size=6),
+        B=rng.normal(size=(6, 3)),
+        rescale=Rescale(lo=np.zeros(2), hi=np.ones(2)),
+        input_dim=2,
+    )
+    good = tmp_path / "good.addgp"
+    save_model(good, saved)
+    query = tmp_path / "q.csv"
+    _write_dataset(query, rng.uniform(0, 1, (4, 2)), np.zeros(4))
+    assert main(["predict", str(good), str(query), "--out", str(tmp_path / "p.csv")]) == 0
+
+    bad = tmp_path / "bad.addgp"
+    cases = [_set_key(good.read_text(), k, v) for k, v, _ in MODEL_CORRUPTIONS]
+    names = [want for _, _, want in MODEL_CORRUPTIONS]
+    cases.append(b"\xff\xfe binary")
+    names.append("not a text file")
+    for text, want in zip(cases, names):
+        if isinstance(text, bytes):
+            bad.write_bytes(text)
+        else:
+            bad.write_text(text)
+        capsys.readouterr()
+        for argv in (
+            ["predict", str(bad), str(query), "--out", str(tmp_path / "p.csv")],
+            ["decompose", str(bad), "--outdir", str(tmp_path / "e"), "--grid", "5"],
+        ):
+            assert main(argv) == 2, want
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert want in err and "Traceback" not in err, err
 
 
 def test_usage_errors_exit_1(capsys):

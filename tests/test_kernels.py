@@ -23,7 +23,6 @@ from addgp import (
     build_anova_kernel,
     se_double_integral,
     se_mean_embedding,
-    zero_mean_component,
 )
 
 # 400-point Gauss-Legendre rule mapped to [0, 1]
@@ -238,7 +237,7 @@ def test_anova_kernel_structure():
     # the constant offset rides on the first component
     X = np.full((3, 1), 0.5)
     first = comps[0][0].eval(X)
-    alone = zero_mean_component(g[0]).eval(X)
+    alone = ZeroMeanSE(g[0], active_dim=0).eval(X)
     assert np.allclose(first - alone, 2.0, atol=1e-12)
 
     no_const = build_anova_kernel(g, sigma0=0.0, ndim=6)

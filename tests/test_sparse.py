@@ -325,6 +325,15 @@ def test_decompose_coupled_check_agrees():
     for _, _, _, disc in out:
         assert disc < 1e-7
 
+    # the dense model: lambda stands for B_c = diag(lambda) with Z_c = X
+    rng = np.random.default_rng(120)
+    X = rng.uniform(0, 1, size=(8, 1))
+    specs = make_specs(rng, 2, 8, X=X)
+    lam = rng.normal(size=8)
+    out = decompose(specs, rng.normal(size=16), lam, [X, X], coupled_check=True)
+    for _, _, _, disc in out:
+        assert disc < 1e-7
+
 
 def test_predict_marginals_matches_method():
     model = _random_model(13, c=2, m=4, n=8, d=2)
