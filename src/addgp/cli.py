@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -183,6 +184,11 @@ def _build_specs(args, dataset_scaled):
 
 
 def cmd_fit(args):
+    # an unusable output path fails before training, and creates nothing
+    for path in filter(None, (args.out, args.report)):
+        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise DataError(f"cannot write {path}")
     seed = _seed_of(args)
     raw = _load_dataset(args.data)
     rescale, xs = _maybe_rescale(raw.X, args.kernel)
@@ -326,8 +332,6 @@ def _component_grids(saved, n1, n2):
 
 
 def cmd_decompose(args):
-    import os
-
     saved = _io.load_model(args.model)
     grids = _component_grids(saved, args.grid, args.grid2d)
     effects = _sparse.decompose(

@@ -86,8 +86,9 @@ class VariationalState:
 
     ``alpha`` has length M*C; ``B`` is (M*C, R) and adds the low-rank term
     ``B B^T`` to the prior precision of the inducing variables. Under the
-    mean-field structure R equals M*C and rows of component c may be
-    nonzero only in column block c.
+    mean-field structure R equals M*C and only the diagonal M x M blocks
+    are parameters: the bound and training read and move nothing else,
+    and the read paths, which take the whole B, expect zeros there.
     """
 
     alpha: np.ndarray

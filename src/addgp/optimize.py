@@ -11,7 +11,7 @@ convergence independently of scipy's own stopping tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -78,25 +78,20 @@ class _Converged(Exception):
 
 
 @dataclass
-class _Tracker:
+class MaximizeOutcome:
+    """The best iterate (``x``, ``f``), the trace of accepted steps, how the
+    run stopped, and the last point evaluated."""
+
     trace: list = field(default_factory=list)
-    best_f: float = -np.inf
-    best_x: np.ndarray = None
+    f: float = -np.inf
+    x: np.ndarray = None
     last_x: np.ndarray = None
     last_f: float = None
     failures: int = 0
-
-
-@dataclass
-class MaximizeOutcome:
-    x: np.ndarray
-    f: float
-    trace: list
-    converged: bool
-    max_iter_reached: bool
-    n_iter: int
-    message: str
-    failures: int
+    converged: bool = False
+    max_iter_reached: bool = False
+    n_iter: int = 0
+    message: str = ""
 
 
 def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
@@ -107,48 +102,46 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
     NotPositiveDefinite (or producing non-finite values) is treated as a
     soft failure worth a penalty, not an abort.
     """
-    tracker = _Tracker(trace=list(trace_offset))
+    out = MaximizeOutcome(trace=list(trace_offset))
     x0 = np.asarray(x0, dtype=float)
 
     def penalty():
         # proportional to the best value seen: an absurdly large constant
         # makes the line-search interpolation collapse to a zero step and
         # the whole run stall at the pre-failure iterate
-        if np.isfinite(tracker.best_f):
-            return 1e3 * (abs(tracker.best_f) + 1.0)
+        if np.isfinite(out.f):
+            return 1e3 * (abs(out.f) + 1.0)
         return _PENALTY
 
     def objective(x):
         try:
             f, g = value_and_grad(x)
         except NotPositiveDefinite:
-            tracker.failures += 1
+            out.failures += 1
             return penalty(), np.zeros_like(x)
         if not np.isfinite(f) or not np.all(np.isfinite(g)):
-            tracker.failures += 1
+            out.failures += 1
             return penalty(), np.zeros_like(x)
-        if f > tracker.best_f:
-            tracker.best_f = f
-            tracker.best_x = x.copy()
-        tracker.last_x = x.copy()
-        tracker.last_f = f
+        if f > out.f:
+            out.f = f
+            out.x = x.copy()
+        out.last_x = x.copy()
+        out.last_f = f
         return -f, -g
 
     def callback(xk):
-        if tracker.last_x is not None and np.array_equal(xk, tracker.last_x):
-            fk = tracker.last_f
+        if out.last_x is not None and np.array_equal(xk, out.last_x):
+            fk = out.last_f
         else:
             fk = value_and_grad(xk)[0]
-        tracker.trace.append(fk)
+        out.trace.append(fk)
         w = config.tol_window
-        t = tracker.trace
+        t = out.trace
         if len(t) > w:
             if abs(t[-1] - t[-1 - w]) <= config.rel_tol * (abs(t[-1 - w]) + 1.0):
                 raise _Converged
 
     max_iter = config.max_iter
-    converged = False
-    message = ""
     try:
         res = minimize(
             objective,
@@ -165,33 +158,20 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
                 "gtol": config.gtol,
             },
         )
-        message = str(res.message)
+        out.message = str(res.message)
         # scipy's own convergence (tiny relative reduction) counts too
-        converged = bool(res.success)
-        max_iter_reached = res.status == 1
+        out.converged = bool(res.success)
+        out.max_iter_reached = res.status == 1
     except _Converged:
-        converged = True
-        max_iter_reached = False
-        message = f"relative change below {config.rel_tol:g} over {config.tol_window} steps"
+        out.converged = True
+        out.message = f"relative change below {config.rel_tol:g} over {config.tol_window} steps"
 
-    n_iter = len(tracker.trace) - len(trace_offset)
-    if tracker.best_x is None:
+    out.n_iter = len(out.trace) - len(trace_offset)
+    if out.x is None:
         # every evaluation failed; return the start point unchanged
-        tracker.best_x = x0
-        tracker.best_f = -np.inf
-        converged = False
-        message = "no successful evaluation"
-        max_iter_reached = False
-    return MaximizeOutcome(
-        x=tracker.best_x,
-        f=tracker.best_f,
-        trace=tracker.trace,
-        converged=converged,
-        max_iter_reached=max_iter_reached,
-        n_iter=n_iter,
-        message=message,
-        failures=tracker.failures,
-    )
+        out.x, out.converged, out.max_iter_reached = x0, False, False
+        out.message = "no successful evaluation"
+    return out
 
 
 def bounds_for_names(names, config):
@@ -219,12 +199,8 @@ def run_two_phase(make_objective, config):
 
     fun, x0, bnds, setter = make_objective(False)
     n_variational = len(x0)
-    cfg1 = (
-        config
-        if config.phase1_max_iter is None
-        else _with_max_iter(config, config.phase1_max_iter)
-    )
-    out = maximize(fun, x0, bnds, cfg1)
+    p1 = config.max_iter if config.phase1_max_iter is None else config.phase1_max_iter
+    out = maximize(fun, x0, bnds, replace(config, max_iter=p1))
     setter(out.x)
     total_iter = out.n_iter
     failures = out.failures
@@ -248,10 +224,3 @@ def run_two_phase(make_objective, config):
         failures=failures,
     )
 
-
-def _with_max_iter(config, max_iter):
-    import copy
-
-    cfg = copy.copy(config)
-    cfg.max_iter = max_iter
-    return cfg

@@ -8,9 +8,10 @@ space as
 
 with B in R^{MC x R} (default R = M). The off-diagonal blocks of B B^T carry
 the anti-correlations between components that the additive likelihood
-induces. A block-diagonal B (structure "meanfield", R = MC) is the
-factorized baseline; the dense reference model (``full.FullModel``) is
-Z_c = X with the tied diagonal B_c = Lambda for every c.
+induces. The mean-field baseline q(U) = prod_c q(U_c) (structure
+"meanfield") is this posterior for each component on its own, stored as
+the diagonal M x M blocks of an (MC x MC) B. The dense reference model
+(``full.FullModel``) is Z_c = X with the tied diagonal B_c = Lambda.
 
 Every term reduces to the R x R capacitance A = I_R + sum_c B_c^T K_{U_c} B_c:
 
@@ -26,9 +27,11 @@ place the coupling enters: it serves every read and pulls the gradients
 back to B or Lambda. ``AdditiveModel`` holds the rest for all three
 structures: validation, the kernel cache, the bound with analytic gradients
 (the hyperparameter part pulled back through each kernel,
-``Kernel.eval_with_pullback``) and training. ``SparseModel`` keeps the
-cross-covariances as one (N, C M) block F, so mu_sum and J are one product
-F [alpha, B] and their gradients one product F^T [dmu, dJ].
+``Kernel.eval_with_pullback``) and training. The bound sums one
+``Posterior`` per block of q(U), so mean-field factors C capacitances of
+M x M; the read paths take its B whole, which is exact. ``SparseModel``
+keeps the cross-covariances as one (N, C M) block F, so mu_sum and J are
+one product F [alpha, B] and their gradients one product F^T [dmu, dJ].
 """
 
 from __future__ import annotations
@@ -178,8 +181,9 @@ class AdditiveModel:
 
     A subclass names its coupling field in the state (``coupling``, "B" or
     "lam") and supplies ``_prior_blocks``, ``_fresh_state`` and
-    ``_perturb_start``, and narrows ``_free_index`` where only part of the
-    coupling may move. ``_prior_blocks(pullbacks)`` returns the prior Grams,
+    ``_perturb_start``, and splits ``_blocks`` where q(U) factorizes: the
+    bound and the optimizer see only those views into the coupling.
+    ``_prior_blocks(pullbacks)`` returns the prior Grams,
     the per-component cross blocks and the summed prior diagonal at the
     training inputs, the block ``Posterior.project`` reads, and with
     ``pullbacks`` one function per component that maps the weights on its
@@ -220,16 +224,27 @@ class AdditiveModel:
             self._cache_key = key
         return self._cache
 
-    def _posterior(self, ku):
-        return Posterior(
-            self.posterior_specs, self.state.alpha, getattr(self.state, self.coupling), ku=ku
-        )
+    def _blocks(self, coupling=None):
+        """The independent blocks of q(U) as (component slice, view into
+        ``coupling``, by default the state's): here one coupled block."""
+        if coupling is None:
+            coupling = getattr(self.state, self.coupling)
+        return [(slice(0, self.c), coupling)]
+
+    def _posteriors(self, ku):
+        """(component slice, ``Posterior``) for every block of q(U)."""
+        alphas = self.state.alpha.reshape(self.c, -1)
+        return [
+            (comps, Posterior(self.posterior_specs[comps], alphas[comps], b, ku=ku[comps]))
+            for comps, b in self._blocks()
+        ]
 
     def marginals(self, Xq=None, include_components=False):
         """Marginals of the summed predictor at the training inputs (cached
         blocks) or at query points."""
         ku, fcs, d0 = self._kmats()[:3]
-        post = self._posterior(ku)
+        coupling = getattr(self.state, self.coupling)
+        post = Posterior(self.posterior_specs, self.state.alpha, coupling, ku=ku)
         if Xq is not None:
             return post.at(Xq, include_components)
         diags = None
@@ -240,7 +255,7 @@ class AdditiveModel:
     def kl(self):
         """KL from q(U) to the prior p(U); exactly zero at the
         prior-matching state."""
-        return self._posterior(self._kmats()[0]).kl()
+        return sum(post.kl() for _, post in self._posteriors(self._kmats()[0]))
 
     def elbo(self):
         """Evidence lower bound, clamped as in training."""
@@ -248,14 +263,14 @@ class AdditiveModel:
 
     def elbo_with_grads(self, train_hypers=False):
         """Bound value and analytic gradients: a dict with 'alpha' (C, M),
-        the coupling field, and with ``train_hypers`` 'kernels' (one array
-        per component) and 'lik'."""
+        the coupling field (shaped like it), and with ``train_hypers``
+        'kernels' (one array per component) and 'lik'."""
         return self._bound(train_hypers)
 
     def _bound(self, train_hypers=False, grads=True):
-        """The bound from one factorization of A, with P = A^{-1}:
+        """The bound from one factorization of A per block, with P = A^{-1}:
 
-            var_sum = d0 - diag(J P J^T),  KL as in ``Posterior.kl``.
+            var_sum = d0 - sum_blocks diag(J P J^T),  KL summed over blocks.
 
         With U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the
         variance weights of the expected log-likelihood), every gradient is
@@ -264,33 +279,47 @@ class AdditiveModel:
             ku, _, d0, f, pullbacks = self._prior_blocks(pullbacks=True)
         else:
             ku, _, d0, f, _ = self._kmats()
-        post = self._posterior(ku)
-        p = post.inverse()
-        mu, j = post.project(f)
-        jp = j @ p
-        s_raw = d0 - np.einsum("nr,nr->n", jp, j)
+        m = len(self.state.alpha) // self.c
+        mu, down, kl, parts = 0.0, 0.0, 0.0, []
+        for comps, post in self._posteriors(ku):
+            p = post.inverse()
+            fb = None if f is None else f[:, comps.start * m : comps.stop * m]
+            mu_b, j = post.project(fb)
+            jp = j @ p
+            mu = mu + mu_b
+            down = down + np.einsum("nr,nr->n", jp, j)
+            kl = kl + post.kl(p)
+            parts.append((comps, post, p, fb, jp))
+        s_raw = d0 - down
         clamped = s_raw < VAR_CLAMP
         s = np.where(clamped, VAR_CLAMP, s_raw)
         y = self.data.Y
-        bound = float(np.sum(self.likelihood.expected_loglik(y, mu, s))) - post.kl(p)
+        bound = float(np.sum(self.likelihood.expected_loglik(y, mu, s))) - kl
         if not grads:
             return bound
 
         self._clamp_total += int(np.sum(clamped))
         gmu, gs = self.likelihood.expected_loglik_grads(y, mu, s)
         gs = np.where(clamped, 0.0, gs)
-        u = np.empty((len(y), 1 + len(p)))
-        u[:, 0] = gmu
-        np.multiply(gs[:, None], jp, out=u[:, 1:])
-        psi = jp.T @ u[:, 1:]
-        omega = p - p @ p
-        fg, gcoupling = post.pullback(f, u, 2.0 * psi - omega)
-        grads = {"alpha": fg - post.ka, self.coupling: gcoupling}
+        galpha = np.empty((self.c, m))
+        gcoupling = np.zeros_like(getattr(self.state, self.coupling))
+        gkernels = [None] * self.c
+        for (comps, post, p, fb, jp), (_, gview) in zip(parts, self._blocks(gcoupling)):
+            u = np.empty((len(y), 1 + len(p)))
+            u[:, 0] = gmu
+            np.multiply(gs[:, None], jp, out=u[:, 1:])
+            psi = jp.T @ u[:, 1:]
+            omega = p - p @ p
+            fg, gb = post.pullback(fb, u, 2.0 * psi - omega)
+            galpha[comps] = fg - post.ka
+            gview[...] = gb.reshape(gview.shape)
+            if train_hypers:
+                v = psi - 0.5 * omega
+                for k, ci in enumerate(range(self.c)[comps]):
+                    gkernels[ci] = pullbacks[ci](*post.kernel_weights(k, u, v), gs)
+        grads = {"alpha": galpha, self.coupling: gcoupling}
         if train_hypers:
-            v = psi - 0.5 * omega
-            grads["kernels"] = [
-                pb(*post.kernel_weights(ci, u, v), gs) for ci, pb in enumerate(pullbacks)
-            ]
+            grads["kernels"] = gkernels
             grads["lik"] = self.likelihood.expected_loglik_param_grads(y, mu, s).sum(axis=1)
         return bound, grads
 
@@ -306,36 +335,28 @@ class AdditiveModel:
             s.kernel.set_params(pvec)
         self.likelihood.set_params(vecs[-1])
 
-    def _free_index(self):
-        """Flat indices into the coupling that the optimizer may move."""
-        return np.arange(getattr(self.state, self.coupling).size)
+    def _variational(self):
+        """Views of alpha and the coupling blocks, the optimizer's order."""
+        return [self.state.alpha] + [b for _, b in self._blocks()]
 
     def _make_objective(self, train_hypers):
-        field = self.coupling
-        free = self._free_index()
-        shape = getattr(self.state, field).shape
-        na = len(self.state.alpha)
-        nv = na + len(free)
+        nv = sum(v.size for v in self._variational())
         sizes = [s.kernel.n_params for s in self.specs]
 
         def unpack(x):
-            self.state.alpha = x[:na].copy()
-            flat = np.zeros(int(np.prod(shape)))
-            flat[free] = x[na:nv]
-            setattr(self.state, field, flat.reshape(shape))
+            _scatter(self._variational(), x[:nv])
             if train_hypers:
                 self._set_hypers(np.split(x[nv:], np.cumsum(sizes)))
 
         def fun(x):
             unpack(x)
             val, g = self.elbo_with_grads(train_hypers=train_hypers)
-            gvec = [g["alpha"].ravel(), g[field].reshape(-1)[free]]
+            gvec = [g["alpha"]] + [b for _, b in self._blocks(g[self.coupling])]
             if train_hypers:
-                gvec.extend(g["kernels"])
-                gvec.append(g["lik"])
-            return val, np.concatenate(gvec)
+                gvec += g["kernels"] + [g["lik"]]
+            return val, np.concatenate([a.ravel() for a in gvec])
 
-        x0 = [self.state.alpha, getattr(self.state, field).ravel()[free]]
+        x0 = [v.ravel() for v in self._variational()]
         bounds = [(None, None)] * nv
         if train_hypers:
             x0 += self._hypers()
@@ -353,7 +374,6 @@ class AdditiveModel:
         self._clamp_total = 0
         hyper0 = self._hypers()
         best = None
-        best_snap = None
         failures = 0
         for attempt in range(1 + max(0, config.multi_start)):
             if attempt > 0:
@@ -363,18 +383,19 @@ class AdditiveModel:
             res = run_two_phase(self._make_objective, config)
             failures += res.failures
             if best is None or res.final_elbo > best.final_elbo:
-                best = res
-                best_snap = (
-                    self.state.alpha.copy(),
-                    getattr(self.state, self.coupling).copy(),
-                    self._hypers(),
-                )
-        self.state.alpha = best_snap[0]
-        setattr(self.state, self.coupling, best_snap[1])
-        self._set_hypers(best_snap[2])
+                best, best_hypers = res, self._hypers()
+                best_x = np.concatenate([v.ravel() for v in self._variational()])
+        _scatter(self._variational(), best_x)
+        self._set_hypers(best_hypers)
         best.clamp_count = self._clamp_total
         best.failures = failures
         return best
+
+
+def _scatter(views, x):
+    """Write the flat vector x into ``views`` in order, in place."""
+    for v, xv in zip(views, np.split(x, np.cumsum([v.size for v in views]))):
+        v[...] = xv.reshape(v.shape)
 
 
 class SparseModel(AdditiveModel):
@@ -433,12 +454,17 @@ class SparseModel(AdditiveModel):
 
     # -- training hooks ----------------------------------------------------------
 
-    def _free_index(self):
-        """Everything for the coupled structure, the diagonal blocks for
-        mean-field."""
-        if self.state.structure == _model.MEAN_FIELD:
-            return np.flatnonzero(_model.mean_field_mask(self.m, self.c).ravel())
-        return super()._free_index()
+    def _blocks(self, coupling=None):
+        """One block over all components, or for mean-field one per
+        component: the diagonal M x M block of B (R = M C)."""
+        blocks = super()._blocks(coupling)
+        if self.state.structure != _model.MEAN_FIELD:
+            return blocks
+        b, m = blocks[0][1], self.m
+        return [
+            (slice(ci, ci + 1), b[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m])
+            for ci in range(self.c)
+        ]
 
     def _fresh_state(self):
         return _model.init_state(self.specs, structure=self.state.structure, r=self.r)
@@ -449,10 +475,8 @@ class SparseModel(AdditiveModel):
         if not np.any(self.state.B):
             rng = np.random.default_rng(seed)
             sd = (1.0 if restart else 1e-2) / np.sqrt(self.m * self.c)
-            bflat = np.zeros(self.state.B.size)
-            free = self._free_index()
-            bflat[free] = rng.normal(0.0, sd, len(free))
-            self.state.B = bflat.reshape(self.state.B.shape)
+            blocks = [b for _, b in self._blocks()]
+            _scatter(blocks, rng.normal(0.0, sd, sum(b.size for b in blocks)))
 
 
 def predict_marginals(specs, alpha, coupling, Xq, include_components=False):

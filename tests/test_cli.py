@@ -15,6 +15,7 @@ from addgp import Gaussian, KernelParams, SquaredExp, linalg, save_model
 from addgp.cli import main, read_csv, write_csv
 from addgp.io import Rescale, SavedModel
 from addgp.model import COUPLED, ComponentSpec
+from addgp.sparse import AdditiveModel
 
 
 def _write_dataset(path, X, y, names=None):
@@ -294,6 +295,31 @@ def test_data_and_format_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err, argv
         assert [line for line in err.splitlines() if line.startswith("error:")], argv
+
+
+def test_fit_checks_output_paths_before_training(tmp_path, capsys, monkeypatch):
+    def never(self, config=None):
+        raise AssertionError("fit trained before checking its output paths")
+
+    monkeypatch.setattr(AdditiveModel, "train", never)
+    dataset = tmp_path / "data.csv"
+    rng = np.random.default_rng(0)
+    _write_dataset(dataset, rng.uniform(0, 1, (10, 1)), rng.normal(size=10))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    model = tmp_path / "m.addgp"
+    for outputs in (
+        ["--out", str(folder)],
+        ["--out", str(tmp_path / "missing" / "m.addgp")],
+        ["--out", str(model), "--report", str(folder)],
+        ["--out", str(model), "--report", str(tmp_path / "missing" / "r.json")],
+    ):
+        argv = ["fit", str(dataset), "--kernel", "se", "--m", "3", *outputs]
+        assert main(argv) == 2, outputs
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), outputs
+        assert not model.exists(), outputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "folder"]
 
 
 def test_poisson_fit_rejects_non_count_targets(tmp_path):

@@ -102,6 +102,39 @@ def test_read_paths_agree_and_stay_nonnegative(model):
     assert np.min(train.var_sum) >= -1e-10
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 4),
+    m=st.integers(1, 5),
+    n=st.integers(2, 9),
+    d=st.integers(1, 2),
+)
+def test_mean_field_blocks_match_full_rank_coupled(seed, c, m, n, d):
+    # the coupled model with R = M C at the same block-diagonal B is the
+    # same posterior through one MC x MC capacitance: an oracle for the
+    # per-block bound and its gradients
+    mf = _model(MEAN_FIELD, seed, c, m, n, d)
+    cp = SparseModel(mf.specs, mf.likelihood, mf.data, r=m * c)
+    cp.state.alpha = mf.state.alpha.copy()
+    cp.state.B = mf.state.B.copy()
+
+    def rel_close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    assert rel_close(mf.elbo(), cp.elbo())
+    bound_mf, g_mf = mf.elbo_with_grads(train_hypers=True)
+    bound_cp, g_cp = cp.elbo_with_grads(train_hypers=True)
+    assert rel_close(bound_mf, bound_cp)
+    assert rel_close(g_mf["alpha"], g_cp["alpha"])
+    mask = mean_field_mask(m, c)
+    assert rel_close(g_mf["B"][mask], g_cp["B"][mask])
+    assert np.all(g_mf["B"][~mask] == 0.0)
+    assert rel_close(np.concatenate(g_mf["kernels"]), np.concatenate(g_cp["kernels"]))
+    assert rel_close(g_mf["lik"], g_cp["lik"])
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """The bytes of one valid CSV and one valid model file."""

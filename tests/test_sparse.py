@@ -25,8 +25,9 @@ from addgp import (
     dense_gaussian_kl,
     exact_sum_posterior,
 )
+from addgp import sparse
 from addgp.errors import NotPositiveDefinite
-from addgp.model import MEAN_FIELD, anova_specs, init_state, mean_field_mask
+from addgp.model import MEAN_FIELD, VariationalState, anova_specs, init_state, mean_field_mask
 from addgp.optimize import TrainConfig
 from addgp.sparse import decompose, predict_marginals
 from conftest import (
@@ -61,6 +62,17 @@ def _random_model(seed, c=2, m=4, n=9, d=1, r=None, lik=None):
         ds = Dataset(ds.X, rng.poisson(2.0, size=n).astype(float))
     state = random_sparse_state(rng, specs, r=r)
     return SparseModel(specs, lik, ds, state=state)
+
+
+def _mean_field_model(seed, c=2, m=3, n=7, d=2):
+    # a random full-rank coupled instance with B cut to its diagonal blocks
+    coupled = _random_model(seed, c=c, m=m, n=n, d=d, r=m * c)
+    st = coupled.state
+    b = np.where(mean_field_mask(m, c), st.B, 0.0)
+    return SparseModel(
+        coupled.specs, coupled.likelihood, coupled.data,
+        state=VariationalState(st.alpha, b, MEAN_FIELD),
+    )
 
 
 def _anova_model(seed, m=3, n=7, r=2):
@@ -156,6 +168,9 @@ def test_gradients_match_finite_differences():
         _random_model(6, c=2, m=3, n=7, d=2, r=2, lik=lik) for lik in (None, Poisson())
     ]
     models.append(_anova_model(6))
+    # mean-field: entries off the diagonal blocks are not parameters, so
+    # both the analytic and the numerical derivative there are zero
+    models.append(_mean_field_model(6))
     for model in models:
         e0, g = model.elbo_with_grads(train_hypers=True)
         st = model.state
@@ -277,6 +292,23 @@ def test_mean_field_structure_is_preserved_by_training():
     assert np.any(model.state.B[mask] != 0.0)
     assert res.final_elbo > -np.inf
     assert model.state.structure == MEAN_FIELD
+
+
+def test_mean_field_factors_c_blocks_of_m(monkeypatch):
+    c, m = 3, 4
+    model = _mean_field_model(15, c=c, m=m, n=20, d=1)
+    shapes = []
+    factor = sparse.cholesky
+
+    def recording(a):
+        shapes.append(a.shape)
+        return factor(a)
+
+    monkeypatch.setattr(sparse, "cholesky", recording)
+    model.elbo_with_grads(train_hypers=True)
+    assert shapes == [(m, m)] * c
+    model.train(TrainConfig(max_iter=5, phase1_max_iter=5, seed=1))
+    assert set(shapes) == {(m, m)}
 
 
 def test_train_counts_soft_failures_over_restarts(monkeypatch):
