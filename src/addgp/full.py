@@ -75,19 +75,17 @@ class FullModel(_sparse.AdditiveModel):
 
     def _prior_blocks(self, pullbacks=False):
         """(C, N, N) Grams at the training inputs, which are also the cross
-        blocks, and the summed prior diagonal. With Z_c = X one kernel
-        evaluation serves all three uses, so each pullback is one call on
-        the summed weights."""
+        blocks, their sum Ksum and the summed prior diagonal. With Z_c = X
+        one kernel evaluation serves all three uses, so each pullback is one
+        call on the summed weights."""
         karr = np.empty((self.c, self.n, self.n))
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
+            karr[ci], pb = s.kernel.eval_with_pullback(xp)
             if pullbacks:
-                karr[ci], pb = s.kernel.eval_with_pullback(xp)
                 pbs.append(lambda gk, gf, gs, pb=pb: pb(_plus_diag(gk + gf, gs)))
-            else:
-                karr[ci] = s.kernel.eval(xp)
         d0 = np.diagonal(karr, axis1=1, axis2=2).sum(axis=0)
-        return karr, karr, d0, None, pbs
+        return karr, sum(karr), karr, d0, None, pbs
 
     # -- training hooks ------------------------------------------------------
 

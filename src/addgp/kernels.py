@@ -12,14 +12,18 @@ available in closed form through the error function. Sums and products of
 such components give main effects and interactions whose posterior means
 are directly interpretable as sensitivity-analysis effects.
 
-All hyperparameters are carried in log space. Gradients are pullbacks:
-``eval_with_pullback`` returns the Gram matrix K together with a function
-that maps a weight matrix G of K's shape to the vector
+All hyperparameters are carried in log space. Each kernel implements two
+methods: ``eval_with_pullback`` returns the Gram matrix K together with a
+function that maps a weight matrix G of K's shape to the vector
 ``sum(G * dK/dtheta_p)`` over the trainable log-parameters theta_p, in the
 order reported by ``param_names``; ``diag_with_pullback`` does the same for
-the diagonal. A model passes in dBound/dK and gets dBound/dtheta back, so
-no derivative matrix is ever stored: the SE family contracts G against K
-and against the squared distances, and the mean-embedding terms of the
+the diagonal. ``eval`` and ``diag`` are their value halves, defined once on
+``Kernel``, so work that only the gradient needs (the derivatives of the
+zero-mean kernel's integrals, a product's leave-one-out factors) is done
+inside the pullback: a caller that needs only values pays for no
+derivative. A model passes in dBound/dK and gets dBound/dtheta back, so no
+derivative matrix is ever stored: the SE family contracts G against K and
+against the squared distances, and the mean-embedding terms of the
 zero-mean kernel reduce to matrix-vector products.
 """
 
@@ -66,20 +70,24 @@ class Kernel:
     on the columns of its inputs selected by the subclass's active
     dimensions (indices into the arrays it is handed, not into any wider
     dataset). Composite kernels concatenate the parameter vectors of their
-    parts.
+    parts. A subclass implements ``eval_with_pullback`` and
+    ``diag_with_pullback``; the pullbacks hold every step that only the
+    gradient needs and capture the parameter values they were made with.
     """
 
     def eval(self, X, X2=None):
-        raise NotImplementedError
+        """Cross-covariance K(X, X2), or the Gram matrix of X."""
+        return self.eval_with_pullback(X, X2)[0]
 
     def diag(self, X):
-        raise NotImplementedError
+        """Prior variances k(x, x) at the rows of X."""
+        return self.diag_with_pullback(X)[0]
 
     def eval_with_pullback(self, X, X2=None):
         """Gram matrix K and its pullback ``G -> [sum(G * dK/dtheta_p)]_p``
         over the trainable log-parameters, in ``param_names`` order. The
-        pullback may read K, so K must not be modified in place before it
-        is called."""
+        pullback may read K and the inputs, so neither may be modified in
+        place before it is called."""
         raise NotImplementedError
 
     def diag_with_pullback(self, X):
@@ -126,25 +134,12 @@ class SquaredExp(Kernel):
                 f"({len(self.params.log_lengthscales)} vs {len(self.active_dims)})"
             )
 
-    def _scaled_diffs(self, X, X2):
+    def eval_with_pullback(self, X, X2=None):
         X = _as_2d(X)
         X2 = X if X2 is None else _as_2d(X2)
-        ell = self.params.lengthscales
+        dims = list(self.active_dims)
         # (n, m, d) array of per-dimension scaled differences
-        a = X[:, None, list(self.active_dims)]
-        b = X2[None, :, list(self.active_dims)]
-        return (a - b) / ell
-
-    def eval(self, X, X2=None):
-        d = self._scaled_diffs(X, X2)
-        return self.params.variance * np.exp(-0.5 * np.sum(d * d, axis=2))
-
-    def diag(self, X):
-        X = _as_2d(X)
-        return np.full(X.shape[0], self.params.variance)
-
-    def eval_with_pullback(self, X, X2=None):
-        d = self._scaled_diffs(X, X2)
+        d = (X[:, None, dims] - X2[None, :, dims]) / self.params.lengthscales
         sq = d * d
         K = self.params.variance * np.exp(-0.5 * np.sum(sq, axis=2))
 
@@ -193,15 +188,6 @@ class Constant(Kernel):
     def variance(self):
         return np.exp(self.log_variance)
 
-    def eval(self, X, X2=None):
-        X = _as_2d(X)
-        X2 = X if X2 is None else _as_2d(X2)
-        return np.full((X.shape[0], X2.shape[0]), self.variance)
-
-    def diag(self, X):
-        X = _as_2d(X)
-        return np.full(X.shape[0], self.variance)
-
     def _pullback(self):
         v, trainable = self.variance, self.trainable
 
@@ -233,31 +219,31 @@ class Constant(Kernel):
         return ["log_variance"] if self.trainable else []
 
 
+def _scalars(params):
+    """(v, l) of a univariate SE kernel."""
+    return params.variance, float(params.lengthscales[0])
+
+
 def se_mean_embedding(params, x):
     """``int_0^1 g(x, t) dt`` for the univariate squared-exponential g.
 
     Closed form: ``v * l * sqrt(pi/2) * (erf((1-x)/(sqrt(2) l)) + erf(x/(sqrt(2) l)))``.
     """
-    x = np.asarray(x, dtype=float)
-    v = params.variance
-    ell = float(params.lengthscales[0])
+    return _se_mean_embedding(*_scalars(params), np.asarray(x, dtype=float))
+
+
+def _se_mean_embedding(v, ell, x):
     u = (1.0 - x) / (np.sqrt(2.0) * ell)
     w = x / (np.sqrt(2.0) * ell)
     return v * ell * _SQRT_HALF_PI * (erf(u) + erf(w))
 
 
-def _se_mean_embedding_with_dlogl(params, x):
-    """Mean embedding and its derivative w.r.t. log-lengthscale, sharing
-    one pass of erf and exp."""
-    x = np.asarray(x, dtype=float)
-    v = params.variance
-    ell = float(params.lengthscales[0])
+def _se_mean_embedding_dlogl(v, ell, x, m):
+    """Derivative w.r.t. log-lengthscale of the mean embedding ``m`` at x."""
     u = (1.0 - x) / (np.sqrt(2.0) * ell)
     w = x / (np.sqrt(2.0) * ell)
-    m = v * ell * _SQRT_HALF_PI * (erf(u) + erf(w))
     # d/d log l of erf terms: each erf(a/l) contributes -(2/sqrt(pi)) a/l e^{-(a/l)^2}
-    dm = m - v * np.sqrt(2.0) * ell * (u * np.exp(-u * u) + w * np.exp(-w * w))
-    return m, dm
+    return m - v * np.sqrt(2.0) * ell * (u * np.exp(-u * u) + w * np.exp(-w * w))
 
 
 def se_double_integral(params):
@@ -267,17 +253,17 @@ def se_double_integral(params):
     Always positive; tends to v as l grows (the kernel flattens to a
     constant) and to 0 as l -> 0.
     """
-    v = params.variance
-    ell = float(params.lengthscales[0])
+    return _se_double_integral(*_scalars(params))
+
+
+def _se_double_integral(v, ell):
     a = 1.0 / (np.sqrt(2.0) * ell)
     # -expm1 keeps l^2 * (1 - e^{-a^2}) accurate for large lengthscales
     return 2.0 * v * (ell * _SQRT_HALF_PI * erf(a) - ell * ell * (-np.expm1(-a * a)))
 
 
-def _se_double_integral_dlogl(params):
+def _se_double_integral_dlogl(v, ell):
     """Derivative of the double integral w.r.t. log-lengthscale."""
-    v = params.variance
-    ell = float(params.lengthscales[0])
     a = 1.0 / (np.sqrt(2.0) * ell)
     # The chain-rule terms through a cancel pairwise, leaving:
     return 2.0 * v * ell * (_SQRT_HALF_PI * erf(a) - 2.0 * ell * (-np.expm1(-a * a)))
@@ -338,50 +324,30 @@ class ZeroMeanSE(Kernel):
         _check_unit_interval(x, what)
         return x
 
-    def _scaled(self, x, y):
-        """Both columns times ``1 / (sqrt(2) l)``."""
-        c = np.sqrt(0.5) / float(self.params.lengthscales[0])
-        return x * c, y * c
-
-    def _gram(self, xs, ys, mx, my, q):
-        """``v exp(-t) - mx my^T / q`` with ``t`` the block of halved squared
-        scaled distances, built in place on one (n, m) array."""
-        K = _sqdist(xs, ys)
-        np.subtract(self.params.log_variance, K, out=K)
-        np.exp(K, out=K)
-        return _minus_outer(K, mx, my / q)
-
-    def eval(self, X, X2=None):
-        x = self._column(X, "inputs")
-        y = x if X2 is None else self._column(X2, "inputs")
-        mx = se_mean_embedding(self.params, x)
-        my = mx if X2 is None else se_mean_embedding(self.params, y)
-        xs, ys = self._scaled(x, y)
-        return self._gram(xs, ys, mx, my, se_double_integral(self.params))
-
-    def diag(self, X):
-        x = self._column(X, "inputs")
-        m = se_mean_embedding(self.params, x)
-        q = se_double_integral(self.params)
-        return self.params.variance - m * m / q
-
     def eval_with_pullback(self, X, X2=None):
         x = self._column(X, "inputs")
         y = x if X2 is None else self._column(X2, "inputs")
-        mx, dmx = _se_mean_embedding_with_dlogl(self.params, x)
-        my, dmy = (mx, dmx) if X2 is None else _se_mean_embedding_with_dlogl(
-            self.params, y
-        )
-        q = se_double_integral(self.params)
-        dq = _se_double_integral_dlogl(self.params)
-        xs, ys = self._scaled(x, y)
-        K = self._gram(xs, ys, mx, my, q)
+        v, ell = _scalars(self.params)
+        mx = _se_mean_embedding(v, ell, x)
+        my = mx if y is x else _se_mean_embedding(v, ell, y)
+        q = _se_double_integral(v, ell)
+        c = np.sqrt(0.5) / ell
+        xs, ys = x * c, y * c
+        # v exp(-t) - mx my^T / q with t the block of halved squared scaled
+        # distances, built in place on one (n, m) array
+        K = _sqdist(xs, ys)
+        np.subtract(self.params.log_variance, K, out=K)
+        np.exp(K, out=K)
+        K = _minus_outer(K, mx, my / q)
 
         def pullback(G):
             # dK/dlog v = K (every term is linear in v);
             # dK/dlog l = 2 g t - (dmx my' + mx dmy')/q + mx my' dq/q^2 with
             # the SE part g = K + mx my'/q. Only K is kept between the calls:
             # t is rebuilt here, so sum(G g t) = sum(G t K) + mx'(G t)my/q.
+            dmx = _se_mean_embedding_dlogl(v, ell, x, mx)
+            dmy = dmx if y is x else _se_mean_embedding_dlogl(v, ell, y, my)
+            dq = _se_double_integral_dlogl(v, ell)
             gm = G @ np.column_stack((my, dmy))
             gt = _sqdist(xs, ys)
             gt *= G
@@ -397,13 +363,15 @@ class ZeroMeanSE(Kernel):
 
     def diag_with_pullback(self, X):
         x = self._column(X, "inputs")
-        m, dm = _se_mean_embedding_with_dlogl(self.params, x)
-        q = se_double_integral(self.params)
-        dq = _se_double_integral_dlogl(self.params)
-        d = self.params.variance - m * m / q
-        dl = -2.0 * m * dm / q + m * m * (dq / (q * q))
+        v, ell = _scalars(self.params)
+        m = _se_mean_embedding(v, ell, x)
+        q = _se_double_integral(v, ell)
+        d = v - m * m / q
 
         def pullback(g):
+            dm = _se_mean_embedding_dlogl(v, ell, x, m)
+            dq = _se_double_integral_dlogl(v, ell)
+            dl = -2.0 * m * dm / q + m * m * (dq / (q * q))
             return np.array([g @ d, g @ dl])
 
         return d, pullback
@@ -462,18 +430,6 @@ class _Composite(Kernel):
 class Sum(_Composite):
     """Sum of kernels; parameter vector is the concatenation of the parts'."""
 
-    def eval(self, X, X2=None):
-        out = self.parts[0].eval(X, X2)
-        for p in self.parts[1:]:
-            out = out + p.eval(X, X2)
-        return out
-
-    def diag(self, X):
-        out = self.parts[0].diag(X)
-        for p in self.parts[1:]:
-            out = out + p.diag(X)
-        return out
-
     def eval_with_pullback(self, X, X2=None):
         return _sum_with_pullback([p.eval_with_pullback(X, X2) for p in self.parts])
 
@@ -483,18 +439,6 @@ class Sum(_Composite):
 
 class Product(_Composite):
     """Elementwise product of kernels."""
-
-    def eval(self, X, X2=None):
-        out = self.parts[0].eval(X, X2)
-        for p in self.parts[1:]:
-            out = out * p.eval(X, X2)
-        return out
-
-    def diag(self, X):
-        out = self.parts[0].diag(X)
-        for p in self.parts[1:]:
-            out = out * p.diag(X)
-        return out
 
     def eval_with_pullback(self, X, X2=None):
         return _product_with_pullback(
@@ -527,26 +471,26 @@ def _mul(a, b):
 
 def _product_with_pullback(parts):
     """Elementwise product of (value, pullback) pairs. Part i sees the
-    weights times the product of the other parts, formed from prefix and
-    suffix products so that no entry is ever divided out."""
+    weights times the product of the other parts, formed from the prefix
+    products the value is built from and, in the pullback, the suffix
+    products, so that no entry is ever divided out."""
     values = [v for v, _ in parts]
     n = len(values)
     prefix = [None] * n
     for i in range(1, n):
         prefix[i] = _mul(prefix[i - 1], values[i - 1])
     value = _mul(prefix[-1], values[-1])
-    rests = [None] * n
-    suffix = None
-    for i in range(n - 1, -1, -1):
-        rests[i] = _mul(prefix[i], suffix)
-        if i:
-            suffix = _mul(values[i], suffix)
     pullbacks = [pb for _, pb in parts]
 
     def pullback(G):
-        return np.concatenate(
-            [pb(G if rest is None else G * rest) for pb, rest in zip(pullbacks, rests)]
-        )
+        out = [None] * n
+        suffix = None
+        for i in range(n - 1, -1, -1):
+            rest = _mul(prefix[i], suffix)
+            out[i] = pullbacks[i](G if rest is None else G * rest)
+            if i:
+                suffix = _mul(values[i], suffix)
+        return np.concatenate(out)
 
     return value, pullback
 

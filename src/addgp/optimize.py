@@ -19,6 +19,8 @@ from scipy.optimize import minimize
 from .errors import NotPositiveDefinite
 
 _PENALTY = 1e25
+# L-BFGS memory; the problems here are small enough to afford plenty
+HISTORY_SIZE = 50
 
 
 @dataclass
@@ -41,8 +43,6 @@ class TrainConfig:
     # bounds for log-parameters, applied by name matching
     log_lengthscale_bounds: tuple = (np.log(1e-3), np.log(1e3))
     log_variance_bounds: tuple = (-20.0, 20.0)
-    # L-BFGS memory; the problems here are small enough to afford plenty
-    history_size: int = 50
     # inner L-BFGS stopping tests (relative objective reduction and
     # projected-gradient norm); drop these to squeeze out the flat
     # directions when near-exact optima are required
@@ -153,7 +153,7 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
             options={
                 "maxiter": max_iter,
                 "maxfun": max(15000, 2 * max_iter),
-                "maxcor": config.history_size,
+                "maxcor": HISTORY_SIZE,
                 "ftol": config.ftol,
                 "gtol": config.gtol,
             },

@@ -54,12 +54,12 @@ class Posterior:
     ``coupling`` is either B (M C x R) or the vector lambda, which stands for
     B_c = diag(lambda) for every c with Z_c the training inputs (the dense
     model). ``ku`` holds the prior Grams K_c(Z_c, Z_c) when the caller
-    already has them. Reads take cross blocks F_c = K_c(X*, Z_c) and prior
-    diagonals k_c(x, x); the bound takes its pieces from ``kl``,
-    ``project`` and the two pullbacks.
+    already has them, and ``ksum`` their sum for lambda. Reads take cross
+    blocks F_c = K_c(X*, Z_c) and prior diagonals k_c(x, x); the bound
+    takes its pieces from ``kl``, ``project`` and the two pullbacks.
     """
 
-    def __init__(self, specs, alpha, coupling, ku=None):
+    def __init__(self, specs, alpha, coupling, ku=None, ksum=None):
         self.specs = specs
         c, m = len(specs), specs[0].m
         self.alphas = np.asarray(alpha, dtype=float).reshape(c, m)
@@ -68,7 +68,7 @@ class Posterior:
         if coupling.ndim == 1:
             # tied B_c: only sum_c K_c B_c = Ksum Lambda (= J at X) enters
             self._lam, self._b = coupling, None
-            self._ksum = sum(self.ku)
+            self._ksum = sum(self.ku) if ksum is None else ksum
             self._kb = self._ksum * coupling
             a = coupling[:, None] * self._kb
         else:
@@ -183,11 +183,12 @@ class AdditiveModel:
     "lam") and supplies ``_prior_blocks``, ``_fresh_state`` and
     ``_perturb_start``, and splits ``_blocks`` where q(U) factorizes: the
     bound and the optimizer see only those views into the coupling.
-    ``_prior_blocks(pullbacks)`` returns the prior Grams,
-    the per-component cross blocks and the summed prior diagonal at the
-    training inputs, the block ``Posterior.project`` reads, and with
-    ``pullbacks`` one function per component that maps the weights on its
-    Gram, cross block and diagonal to its log-hyperparameter gradient.
+    ``_prior_blocks(pullbacks)`` returns the prior Grams, their sum for
+    lambda (else None), the per-component cross blocks and the summed prior
+    diagonal at the training inputs, the block ``Posterior.project`` reads,
+    and with ``pullbacks`` one function per component that maps the
+    weights on its Gram, cross block and diagonal to its log-hyperparameter
+    gradient.
     """
 
     coupling = None
@@ -231,20 +232,20 @@ class AdditiveModel:
             coupling = getattr(self.state, self.coupling)
         return [(slice(0, self.c), coupling)]
 
-    def _posteriors(self, ku):
+    def _posteriors(self, ku, ksum):
         """(component slice, ``Posterior``) for every block of q(U)."""
         alphas = self.state.alpha.reshape(self.c, -1)
         return [
-            (comps, Posterior(self.posterior_specs[comps], alphas[comps], b, ku=ku[comps]))
+            (comps, Posterior(self.posterior_specs[comps], alphas[comps], b, ku[comps], ksum))
             for comps, b in self._blocks()
         ]
 
     def marginals(self, Xq=None, include_components=False):
         """Marginals of the summed predictor at the training inputs (cached
         blocks) or at query points."""
-        ku, fcs, d0 = self._kmats()[:3]
+        ku, ksum, fcs, d0 = self._kmats()[:4]
         coupling = getattr(self.state, self.coupling)
-        post = Posterior(self.posterior_specs, self.state.alpha, coupling, ku=ku)
+        post = Posterior(self.posterior_specs, self.state.alpha, coupling, ku, ksum)
         if Xq is not None:
             return post.at(Xq, include_components)
         diags = None
@@ -255,7 +256,7 @@ class AdditiveModel:
     def kl(self):
         """KL from q(U) to the prior p(U); exactly zero at the
         prior-matching state."""
-        return sum(post.kl() for _, post in self._posteriors(self._kmats()[0]))
+        return sum(post.kl() for _, post in self._posteriors(*self._kmats()[:2]))
 
     def elbo(self):
         """Evidence lower bound, clamped as in training."""
@@ -275,13 +276,11 @@ class AdditiveModel:
         With U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the
         variance weights of the expected log-likelihood), every gradient is
         a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``)."""
-        if train_hypers:
-            ku, _, d0, f, pullbacks = self._prior_blocks(pullbacks=True)
-        else:
-            ku, _, d0, f, _ = self._kmats()
+        blocks = self._prior_blocks(pullbacks=True) if train_hypers else self._kmats()
+        ku, ksum, _, d0, f, pullbacks = blocks
         m = len(self.state.alpha) // self.c
         mu, down, kl, parts = 0.0, 0.0, 0.0, []
-        for comps, post in self._posteriors(ku):
+        for comps, post in self._posteriors(ku, ksum):
             p = post.inverse()
             fb = None if f is None else f[:, comps.start * m : comps.stop * m]
             mu_b, j = post.project(fb)
@@ -427,10 +426,10 @@ class SparseModel(AdditiveModel):
         return self.state.r
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, M, M) inducing Grams, the per-component cross blocks, the
-        summed prior diagonal at the data, the (N, C M) block those cross
-        blocks are views of, with K_c(X, Z_c) in columns c M .. (c + 1) M,
-        and the pullbacks (empty unless asked for)."""
+        """(C, M, M) inducing Grams, no Gram sum, the per-component cross
+        blocks, the summed prior diagonal at the data, the (N, C M) block
+        those cross blocks are views of, with K_c(X, Z_c) in columns
+        c M .. (c + 1) M, and the pullbacks (empty unless asked for)."""
         m = self.m
         ku = np.empty((self.c, m, m))
         f = np.empty((self.n, self.c * m))
@@ -438,19 +437,15 @@ class SparseModel(AdditiveModel):
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
             cols = slice(ci * m, (ci + 1) * m)
+            ku[ci], pb_k = s.kernel.eval_with_pullback(s.Z)
+            f[:, cols], pb_f = s.kernel.eval_with_pullback(xp, s.Z)
+            dc, pb_d = s.kernel.diag_with_pullback(xp)
+            d0 += dc
             if pullbacks:
-                ku[ci], pb_k = s.kernel.eval_with_pullback(s.Z)
-                f[:, cols], pb_f = s.kernel.eval_with_pullback(xp, s.Z)
-                dc, pb_d = s.kernel.diag_with_pullback(xp)
                 pbs.append(
                     lambda gk, gf, gs, pk=pb_k, pf=pb_f, pd=pb_d: pk(gk) + pf(gf) + pd(gs)
                 )
-            else:
-                ku[ci] = s.kernel.eval(s.Z)
-                f[:, cols] = s.kernel.eval(xp, s.Z)
-                dc = s.kernel.diag(xp)
-            d0 += dc
-        return ku, np.hsplit(f, self.c), d0, f, pbs
+        return ku, None, np.hsplit(f, self.c), d0, f, pbs
 
     # -- training hooks ----------------------------------------------------------
 

@@ -10,20 +10,33 @@ dK/dtheta_p is rebuilt and compared entry by entry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from addgp import (
+    ComponentSpec,
     Constant,
+    Dataset,
     DomainError,
+    FullModel,
+    Gaussian,
     KernelParams,
     Product,
+    SavedModel,
+    SparseModel,
     SquaredExp,
     Sum,
     ZeroMeanSE,
     build_anova_kernel,
+    kernels,
+    load_model,
+    save_model,
     se_double_integral,
     se_mean_embedding,
+    sparse,
 )
+from addgp.model import COUPLED, anova_specs
 
 # 400-point Gauss-Legendre rule mapped to [0, 1]
 _GL_X, _GL_W = leggauss(400)
@@ -173,10 +186,11 @@ def test_gradients_composites():
                      X[:, :1])
 
 
-def test_diag_pullback_consistent():
+def test_diag_pullback_consistent(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 1, size=(8, 2))
-    kernels = [
+    X2 = rng.uniform(0, 1, size=(3, 2))
+    kerns = [
         ZeroMeanSE(KernelParams(np.log(1.3), np.log([0.35]))),
         SquaredExp(KernelParams(0.2, np.log([0.3, 0.7])), active_dims=(0, 1)),
         Sum([Constant(np.log(2.0)), ZeroMeanSE(KernelParams(0.1, np.log([0.4])))]),
@@ -186,8 +200,16 @@ def test_diag_pullback_consistent():
                 ZeroMeanSE(KernelParams(np.log(0.6), np.log([0.5])), active_dim=1),
             ]
         ),
+        Product(
+            [
+                ZeroMeanSE(KernelParams(0.2, np.log([0.6])), active_dim=1),
+                SquaredExp(KernelParams(-0.3, np.log([0.4, 0.9])), active_dims=(0, 1)),
+                Constant(np.log(0.7)),
+            ]
+        ),
     ]
-    for k in kernels:
+    G, G2, g = rng.normal(size=(8, 8)), rng.normal(size=(8, 3)), rng.normal(size=8)
+    for k in kerns:
         d, pb_d = k.diag_with_pullback(X)
         K, pb_K = k.eval_with_pullback(X)
         assert np.allclose(d, np.diag(K), atol=1e-13)
@@ -195,6 +217,100 @@ def test_diag_pullback_consistent():
         dK = _pulled_back_derivatives(pb_K, K.shape, k.n_params)
         for gi, Gi in zip(dd, dK):
             assert np.allclose(gi, np.diag(Gi), atol=1e-13)
+
+        # a pullback keeps the parameters it was made with
+        pb_K2 = k.eval_with_pullback(X, X2)[1]
+        ref = [pb_K(G), k.eval_with_pullback(X, X2)[1](G2), pb_d(g)]
+        theta = k.get_params()
+        k.set_params(theta + 0.3)
+        for a, b in zip([pb_K(G), pb_K2(G2), pb_d(g)], ref):
+            assert np.array_equal(a, b)
+        k.set_params(theta)
+
+    # values do no derivative work: with the zero-mean kernel's derivative
+    # helpers broken, every read path and the bound value still run
+    def broken(*args):
+        raise RuntimeError("derivative work on the value path")
+
+    monkeypatch.setattr(kernels, "_se_mean_embedding_dlogl", broken)
+    monkeypatch.setattr(kernels, "_se_double_integral_dlogl", broken)
+    with pytest.raises(RuntimeError):
+        kerns[0].diag_with_pullback(X)[1](g)
+    for k in kerns:
+        k.eval(X, X2)
+        k.diag(X)
+    g_params = [KernelParams(0.1 * i, np.log([0.3 + 0.05 * i])) for i in range(4)]
+    specs = anova_specs(g_params, sigma0=1.2, m=4, ndim=2)
+    data = Dataset(X, rng.normal(size=8))
+    model = SparseModel(specs, Gaussian(-1.0), data)
+    model.state.B = rng.normal(size=model.state.B.shape)
+    assert np.isfinite(model.elbo())
+    assert np.isfinite(FullModel(specs, Gaussian(-1.0), data).elbo())
+    sparse.predict_marginals(specs, model.state.alpha, model.state.B, X2, True)
+    grids = [s.project(X2) for s in specs]
+    sparse.decompose(specs, model.state.alpha, model.state.B, grids, coupled_check=True)
+
+
+def test_kernels_implement_only_the_pullback_methods():
+    # eval and diag are the value halves of the pullback methods, written
+    # once on Kernel: a subclass with its own copy would be a second value
+    # path to keep in step
+    classes = [
+        c for c in vars(kernels).values()
+        if isinstance(c, type) and issubclass(c, kernels.Kernel) and c is not kernels.Kernel
+    ]
+    for cls in classes:
+        assert not {"eval", "diag"} & set(vars(cls)), cls.__name__
+    concrete = [c for c in classes if not c.__name__.startswith("_")]
+    assert {c.__name__ for c in concrete} >= {
+        "Constant", "SquaredExp", "ZeroMeanSE", "Sum", "Product"
+    }
+    for cls in concrete:
+        assert {"eval_with_pullback", "diag_with_pullback"} <= set(vars(cls)), cls.__name__
+
+
+# Kernel trees of depth <= 3 on two input columns. The magnitudes are kept
+# moderate so that central differences at eps = 1e-6 resolve 1e-7 (their
+# rounding error grows with the size of K).
+@st.composite
+def _kernel_trees(draw, depth=3):
+    kinds = ["constant", "se", "zero_mean"] + (["sum", "product"] if depth > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("sum", "product"):
+        parts = draw(st.lists(_kernel_trees(depth - 1), min_size=1, max_size=3))
+        return Sum(parts) if kind == "sum" else Product(parts)
+    log_var = draw(st.floats(-0.5, 0.5))
+    if kind == "constant":
+        return Constant(log_var, trainable=draw(st.booleans()))
+    if kind == "se":
+        dims = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        log_ls = draw(st.lists(st.floats(np.log(0.2), np.log(1.5)), min_size=len(dims),
+                               max_size=len(dims)))
+        return SquaredExp(KernelParams(log_var, log_ls), active_dims=dims)
+    log_ls = draw(st.floats(np.log(0.2), np.log(1.5)))
+    return ZeroMeanSE(KernelParams(log_var, [log_ls]), active_dim=draw(st.integers(0, 1)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_kernel_trees())
+def test_random_kernel_trees(tmp_path_factory, kern):
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0, 1, size=(5, 2))
+    X2 = rng.uniform(0, 1, size=(3, 2))
+
+    path = tmp_path_factory.mktemp("tree") / "m.addgp"
+    spec = ComponentSpec(kernel=kern, active_dims=(0, 1), Z=X2)
+    save_model(path, SavedModel(COUPLED, [spec], Gaussian(-1.0), np.zeros(3), np.zeros((3, 3))))
+    back = load_model(path).specs[0].kernel
+    assert back.param_names() == kern.param_names()
+    assert np.array_equal(back.get_params(), kern.get_params())
+    for a, b in ((back.eval(X), kern.eval(X)), (back.eval(X, X2), kern.eval(X, X2)),
+                 (back.diag(X), kern.diag(X))):
+        assert np.array_equal(a, b)
+
+    assert np.max(np.abs(kern.diag(X) - np.diag(kern.eval(X)))) <= 1e-13
+    _fd_kernel_grads(kern, X)
+    _fd_kernel_grads(kern, X, X2)
 
 
 def test_param_packing_round_trip():
