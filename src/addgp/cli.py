@@ -8,7 +8,10 @@ the bound and its KL term).
 Conventions: CSV values are written with 17 significant digits so reruns
 with the same seed are byte-identical (timing fields excepted); lines
 starting with ``#`` are comments; exit codes are 0 on success, 1 for usage
-errors, 2 for data or format errors, 3 for numerical failures.
+errors, 2 for data or format errors, 3 for numerical failures. CSV output
+is formatted, and ``predict`` evaluated, in blocks of 4096 rows
+(``sparse._ROWS``), so beyond its input and output columns memory does not
+grow with the query size; the output bytes are those of one pass.
 """
 
 from __future__ import annotations
@@ -49,30 +52,39 @@ _FLOAT_FMT = "%.17g"
 
 
 def write_csv(path, header, columns, meta=()):
-    """Write columns of floats with a comment preamble."""
+    """Write columns of floats with a comment preamble, formatting
+    ``_sparse._ROWS`` rows at a time to the bytes of ``csv.writer``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join([_FLOAT_FMT] * len(columns)) + "\r\n"
+    n = min((len(c) for c in columns), default=0)
     with open(path, "w", newline="") as fh:
         for line in meta:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_FLOAT_FMT % v for v in row])
+        csv.writer(fh).writerow(header)
+        for i in range(0, n, _sparse._ROWS):
+            block = zip(*(c[i : i + _sparse._ROWS].tolist() for c in columns))
+            fh.write("".join([row % vals for vals in block]))
 
 
 def read_csv(path):
     """Read a numeric CSV written by this package (or any plain numeric
     CSV): '#' lines are comments, one optional header row. Returns
-    (header, array); raises DataError naming the offending row."""
+    (header, array); raises DataError naming the offending row. Lines
+    with no quote or NUL within the field limit are split on commas, as
+    ``csv.reader`` would; the rest go through it."""
     rows = []
     header = None
     saw_first = False
+    limit = csv.field_size_limit()
     with open(path, newline="") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.startswith("#") or not line.strip():
                     continue
-                fields = next(csv.reader([line]))
+                if len(line) <= limit and '"' not in line and "\0" not in line:
+                    fields = line.rstrip("\r\n").split(",")
+                else:
+                    fields = next(csv.reader([line]))
                 if not saw_first:
                     saw_first = True
                     try:

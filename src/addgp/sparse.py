@@ -46,6 +46,8 @@ from .linalg import cholesky, logdet_from_chol, solve_from_chol, tri_solve
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
+# query rows per block of Posterior.at (and of cli.write_csv)
+_ROWS = 4096
 
 
 class Posterior:
@@ -145,32 +147,49 @@ class Posterior:
     def component(self, ci, fc, dc):
         """(mean, variance) of component ci from its cross block and prior
         diagonal; only the (c, c) block of the posterior covariance enters."""
-        t = tri_solve(self.L, self.times_b(ci, fc).T)
-        return fc @ self.alphas[ci], dc - np.einsum("ji,ji->i", t, t)
+        return self._component(fc @ self.alphas[ci], self.times_b(ci, fc), dc)
+
+    def _component(self, mean, fb, dc):
+        t = tri_solve(self.L, fb.T)
+        return mean, dc - np.einsum("ji,ji->i", t, t)
 
     def marginals(self, fcs, d, diags=None):
         """Marginals of the summed predictor from the per-component cross
         blocks and the summed prior diagonal ``d``; given the per-component
         prior diagonals, each component's (mean, variance) as well."""
-        j = self.times_b(0, fcs[0])
-        for ci in range(1, len(fcs)):
-            j += self.times_b(ci, fcs[ci])
+        mu, j, per = 0, None, None if diags is None else []
+        for ci, fc in enumerate(fcs):
+            fa, fb = fc @ self.alphas[ci], self.times_b(ci, fc)
+            if per is not None:
+                per.append(self._component(fa, fb, diags[ci]))
+            mu = mu + fa
+            j = fb if j is None else np.add(j, fb, out=j)
+            del fb  # one F_c B_c at a time besides J, as in a running sum
         t = tri_solve(self.L, j.T)
-        per = None
-        if diags is not None:
-            per = [self.component(ci, fc, dc) for ci, (fc, dc) in enumerate(zip(fcs, diags))]
         return _model.PredictorMarginals(
-            mu_sum=sum(fc @ a for fc, a in zip(fcs, self.alphas)),
-            var_sum=d - np.einsum("ji,ji->i", t, t),
-            per_component=per,
+            mu_sum=mu, var_sum=d - np.einsum("ji,ji->i", t, t), per_component=per
         )
 
     def at(self, Xq, include_components=False):
-        """Marginals at the query points Xq (full input width)."""
+        """Marginals at the query points Xq (full input width). The prior
+        diagonals are taken over the whole query, so an input outside a
+        kernel's domain fails as in one pass; the cross blocks, and all
+        read from them, ``_ROWS`` rows at a time, to the bits of one pass."""
         xps = [s.project(Xq) for s in self.specs]
-        fcs = [s.kernel.eval(xp, s.Z) for s, xp in zip(self.specs, xps)]
         diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, xps)]
-        return self.marginals(fcs, sum(diags), diags if include_components else None)
+        d = sum(diags)
+        # a one-column triangular solve takes another BLAS path with other
+        # rounding, so a lone last row joins the block before it
+        edges = [*range(0, max(len(d) - 1, 1), _ROWS), len(d)]
+        blocks = []
+        for rows in map(slice, edges, edges[1:]):
+            fcs = [s.kernel.eval(xp[rows], s.Z) for s, xp in zip(self.specs, xps)]
+            per = [dc[rows] for dc in diags] if include_components else None
+            m = self.marginals(fcs, d[rows], per)
+            blocks.append([m.mu_sum, m.var_sum, *(v for mv in m.per_component or () for v in mv)])
+        cols = [np.concatenate(c) for c in zip(*blocks)]
+        per = list(zip(cols[2::2], cols[3::2])) if include_components else None
+        return _model.PredictorMarginals(cols[0], cols[1], per)
 
 
 class AdditiveModel:

@@ -6,13 +6,17 @@ handling, and the exit-code contract (1 usage, 2 data/format, 3
 numerics).
 """
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from addgp import Gaussian, KernelParams, SquaredExp, linalg, save_model
+from addgp import Gaussian, KernelParams, SquaredExp, linalg, save_model, sparse
 from addgp.cli import main, read_csv, write_csv
+from addgp.errors import DataError
 from addgp.io import Rescale, SavedModel
 from addgp.model import COUPLED, ComponentSpec
 from addgp.sparse import AdditiveModel
@@ -49,6 +53,106 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert header == ["a", "b"]
     assert np.array_equal(arr[:, 0], cols[0])
     assert np.array_equal(arr[:, 1], cols[1])
+
+
+def _row_write_csv(path, header, columns, meta=()):
+    """The reference writer: one csv.writer row per data row."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", newline="") as fh:
+        for line in meta:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow(["%.17g" % v for v in row])
+
+
+def _row_read_csv(path):
+    """The reference reader: every line through its own csv.reader."""
+    rows = []
+    header = None
+    saw_first = False
+    with open(path, newline="") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.startswith("#") or not line.strip():
+                    continue
+                fields = next(csv.reader([line]))
+                if not saw_first:
+                    saw_first = True
+                    try:
+                        rows.append([float(v) for v in fields])
+                    except ValueError:
+                        header = [f.strip() for f in fields]
+                    continue
+                try:
+                    vals = [float(v) for v in fields]
+                except ValueError as exc:
+                    raise DataError(f"{path}: malformed value on line {lineno}: {exc}")
+                width = len(rows[0]) if rows else len(header)
+                if len(vals) != width:
+                    raise DataError(
+                        f"{path}: line {lineno} has {len(vals)} fields, expected {width}"
+                    )
+                rows.append(vals)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not CSV text: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, np.asarray(rows, dtype=float)
+
+
+def test_write_csv_matches_row_writer(tmp_path, monkeypatch):
+    tiny = np.finfo(float).tiny
+    special = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -tiny / 3, tiny,
+         1.79e308, -1.79e308, 1.0 / 3.0, -1e-5, 123456789.0]
+    )
+    rng = np.random.default_rng(7)
+    cols = [special, special[::-1], rng.normal(size=13) * 10.0 ** rng.integers(-300, 300, 13)]
+    for block in (4, 13, 4096):
+        monkeypatch.setattr(sparse, "_ROWS", block)
+        for rows in (0, 1, 4, 5, 13):
+            for k in (1, 3):
+                args = (["a", "b c", "d,e"][:k], [c[:rows] for c in cols[:k]], ["x, y"])
+                write_csv(tmp_path / "new.csv", *args)
+                _row_write_csv(tmp_path / "ref.csv", *args)
+                ref = (tmp_path / "ref.csv").read_bytes()
+                assert (tmp_path / "new.csv").read_bytes() == ref, (block, rows, k)
+
+
+def _read_outcome(read, path):
+    try:
+        header, arr = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, arr.shape, arr.tobytes()
+
+
+_CSV_PIECES = st.sampled_from(
+    ["1", "-2.5", "1e308", "nan", "-inf", "0.125", ",", ",", " ", '"', '"1"', "\0",
+     "\r", "\n", "\r\n", "\n", "#", "x", "a,b", "12345678901234567890"]
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=st.lists(_CSV_PIECES, max_size=30).map("".join))
+@example(text="a,b\r\n")
+@example(text="# only\n\n1,2\r\n3,4\r5,6\n")
+@example(text='"1","2"\n3,4\n')
+@example(text="1,2\n3\n")
+@example(text="1,2\n3,x\n")
+@example(text="1,\0\n")
+@example(text="1,12345678901234567890\n")
+def test_read_csv_matches_row_reader(tmp_path_factory, text):
+    # a small field limit so that drawn lines cross it
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(text.encode())
+    limit = csv.field_size_limit(12)
+    try:
+        assert _read_outcome(read_csv, path) == _read_outcome(_row_read_csv, path)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_fit_predict_round_trip(tmp_path):

@@ -11,12 +11,17 @@ A trained model with one component must land on that value, and its
 predictions must match the collapsed posterior.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addgp import (
     ComponentSpec,
     Dataset,
+    FullModel,
     Gaussian,
     KernelParams,
     Poisson,
@@ -405,6 +410,64 @@ def test_predict_marginals_matches_method():
     for (ma, va), (mb, vb) in zip(a.per_component, b.per_component):
         assert np.max(np.abs(ma - mb)) < 1e-12
         assert np.max(np.abs(va - vb)) < 1e-12
+
+
+def _dense_model(seed, n=7, c=2, d=2):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=(n, d))
+    specs = make_specs(rng, c, n, d=d, X=X)
+    model = FullModel(specs, Gaussian(np.log(0.5)), Dataset(X, rng.normal(size=n)))
+    model.state.alpha = rng.normal(size=c * n)
+    model.state.lam = rng.normal(size=n)
+    return model
+
+
+_READ_MODELS = {
+    "coupled": lambda seed: _random_model(seed, c=3, m=4, n=9, d=2),
+    "anova": _anova_model,
+    "meanfield": _mean_field_model,
+    "dense": _dense_model,
+}
+
+
+def _reads(model, Xq, components):
+    """Every array of both query read paths, in a fixed order."""
+    coupling = getattr(model.state, model.coupling)
+    out = []
+    for marg in (
+        model.marginals(Xq, include_components=components),
+        predict_marginals(model.posterior_specs, model.state.alpha, coupling, Xq, components),
+    ):
+        out += [marg.mu_sum, marg.var_sum]
+        for mean, var in marg.per_component or ():
+            out += [mean, var]
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_READ_MODELS)),
+    seed=st.integers(0, 2**16),
+    rows=st.sampled_from([0, 1, 7, 8, 9, 17, 19]),
+    components=st.booleans(),
+)
+def test_blocked_reads_match_one_pass(kind, seed, rows, components):
+    # Posterior.at in blocks of 8 rows against one pass: row counts 0, 1,
+    # _ROWS - 1, _ROWS, _ROWS + 1 and 2 _ROWS + 1 (a lone last row, which
+    # joins the block before it) and 2 _ROWS + 3. The block size must be a
+    # multiple of the BLAS kernels' row unroll, as 4096 is: at 7, rows land
+    # on other lanes of the gemv/gemm kernels and round differently.
+    assert sparse._ROWS % 8 == 0
+    model = _READ_MODELS[kind](seed)
+    Xq = np.random.default_rng(seed + 1).uniform(0, 1, size=(rows, 2))
+    with mock.patch.object(sparse, "_ROWS", 8):
+        blocked = _reads(model, Xq, components)
+    with mock.patch.object(sparse, "_ROWS", rows + 8):
+        whole = _reads(model, Xq, components)
+    assert len(blocked) == len(whole) == 4 + 4 * model.c * components
+    for a, b in zip(blocked, whole):
+        assert a.shape == (rows,)
+        assert np.array_equal(a, b)
 
 
 def test_poisson_training_improves_bound():
