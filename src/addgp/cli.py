@@ -9,9 +9,9 @@ Conventions: CSV values are written with 17 significant digits so reruns
 with the same seed are byte-identical (timing fields excepted); lines
 starting with ``#`` are comments; exit codes are 0 on success, 1 for usage
 errors, 2 for data or format errors, 3 for numerical failures. CSV output
-is formatted, and ``predict`` evaluated, in blocks of 4096 rows
-(``sparse._ROWS``), so beyond its input and output columns memory does not
-grow with the query size; the output bytes are those of one pass.
+is formatted, and ``predict`` evaluated, in blocks of 4096 rows, so beyond
+its input and output columns memory does not grow with the query size; the
+output bytes are those of one pass.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .likelihoods import Gaussian, Poisson
 from .optimize import TrainConfig
 
 _FLOAT_FMT = "%.17g"
+# rows formatted per write by write_csv
+_CSV_ROWS = 4096
 
 
 # -- CSV helpers ------------------------------------------------------------
@@ -53,7 +55,7 @@ _FLOAT_FMT = "%.17g"
 
 def write_csv(path, header, columns, meta=()):
     """Write columns of floats with a comment preamble, formatting
-    ``_sparse._ROWS`` rows at a time to the bytes of ``csv.writer``."""
+    ``_CSV_ROWS`` rows at a time to the bytes of ``csv.writer``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     row = ",".join([_FLOAT_FMT] * len(columns)) + "\r\n"
     n = min((len(c) for c in columns), default=0)
@@ -61,8 +63,8 @@ def write_csv(path, header, columns, meta=()):
         for line in meta:
             fh.write(f"# {line}\n")
         csv.writer(fh).writerow(header)
-        for i in range(0, n, _sparse._ROWS):
-            block = zip(*(c[i : i + _sparse._ROWS].tolist() for c in columns))
+        for i in range(0, n, _CSV_ROWS):
+            block = zip(*(c[i : i + _CSV_ROWS].tolist() for c in columns))
             fh.write("".join([row % vals for vals in block]))
 
 

@@ -46,7 +46,7 @@ from .linalg import cholesky, logdet_from_chol, solve_from_chol, tri_solve
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
-# query rows per block of Posterior.at (and of cli.write_csv)
+# query rows per block of Posterior.at
 _ROWS = 4096
 
 
@@ -178,18 +178,20 @@ class Posterior:
         xps = [s.project(Xq) for s in self.specs]
         diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, xps)]
         d = sum(diags)
+        # rows: summed mean and variance, then each component's pair
+        out = np.empty((2 + 2 * len(self.specs) * include_components, len(d)))
         # a one-column triangular solve takes another BLAS path with other
         # rounding, so a lone last row joins the block before it
         edges = [*range(0, max(len(d) - 1, 1), _ROWS), len(d)]
-        blocks = []
         for rows in map(slice, edges, edges[1:]):
             fcs = [s.kernel.eval(xp[rows], s.Z) for s, xp in zip(self.specs, xps)]
             per = [dc[rows] for dc in diags] if include_components else None
             m = self.marginals(fcs, d[rows], per)
-            blocks.append([m.mu_sum, m.var_sum, *(v for mv in m.per_component or () for v in mv)])
-        cols = [np.concatenate(c) for c in zip(*blocks)]
-        per = list(zip(cols[2::2], cols[3::2])) if include_components else None
-        return _model.PredictorMarginals(cols[0], cols[1], per)
+            out[:2, rows] = m.mu_sum, m.var_sum
+            for ci, (mean, var) in enumerate(m.per_component or ()):
+                out[2 + 2 * ci : 4 + 2 * ci, rows] = mean, var
+        per = list(zip(out[2::2], out[3::2])) if include_components else None
+        return _model.PredictorMarginals(out[0], out[1], per)
 
 
 class AdditiveModel:

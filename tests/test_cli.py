@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addgp import Gaussian, KernelParams, SquaredExp, linalg, save_model, sparse
+from addgp import Gaussian, KernelParams, SquaredExp, cli, linalg, save_model
 from addgp.cli import main, read_csv, write_csv
 from addgp.errors import DataError
 from addgp.io import Rescale, SavedModel
@@ -111,7 +111,7 @@ def test_write_csv_matches_row_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     cols = [special, special[::-1], rng.normal(size=13) * 10.0 ** rng.integers(-300, 300, 13)]
     for block in (4, 13, 4096):
-        monkeypatch.setattr(sparse, "_ROWS", block)
+        monkeypatch.setattr(cli, "_CSV_ROWS", block)
         for rows in (0, 1, 4, 5, 13):
             for k in (1, 3):
                 args = (["a", "b c", "d,e"][:k], [c[:rows] for c in cols[:k]], ["x, y"])

@@ -79,35 +79,6 @@ def test_squared_exp_diag_matches_eval():
     assert np.allclose(k.diag(X), np.diag(k.eval(X)))
 
 
-def test_se_exponents_are_floored(monkeypatch):
-    # At l = 0.01 on [0, 1] most exponents lie far below -708, where an
-    # unfloored exp (or v times it) is subnormal and takes a slow path.
-    # Floored, no value is subnormal and none moves by more than about
-    # max(v, 1) exp(-708); where every exponent is above the floor, as at
-    # l = 0.3, the values are the unfloored formula's bits.
-    x = np.linspace(0.0, 1.0, 201)[:, None]
-
-    def subnormal(a):
-        return np.any((a != 0.0) & (np.abs(a) < np.finfo(float).tiny))
-
-    for ell in (0.01, 0.3):
-        for v in (0.5, 2.0):
-            params = KernelParams(np.log(v), np.log([ell]))
-            for k in (SquaredExp(params, (0,)), ZeroMeanSE(params)):
-                floored = [k.eval(x), k.diag(x)]
-                with monkeypatch.context() as mp:
-                    mp.setattr(kernels, "_EXP_FLOOR", -np.inf)
-                    raw = [k.eval(x), k.diag(x)]
-                for a, b in zip(floored, raw):
-                    assert not subnormal(a)
-                    if ell == 0.3:
-                        assert np.array_equal(a, b)
-                    else:
-                        assert np.max(np.abs(a - b)) <= max(v, 1.0) * np.exp(-707.0)
-                if ell == 0.01 and isinstance(k, SquaredExp):
-                    assert subnormal(raw[0])
-
-
 @pytest.mark.parametrize("ell", [0.08, 0.3, 1.5])
 def test_mean_embedding_matches_quadrature(ell):
     params = KernelParams(np.log(1.7), np.log([ell]))

@@ -11,6 +11,7 @@ A trained model with one component must land on that value, and its
 predictions must match the collapsed posterior.
 """
 
+import ctypes
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from addgp import (
     dense_gaussian_kl,
     exact_sum_posterior,
 )
-from addgp import sparse
+from addgp import linalg, sparse
 from addgp.errors import NotPositiveDefinite
 from addgp.model import MEAN_FIELD, VariationalState, anova_specs, init_state, mean_field_mask
 from addgp.optimize import TrainConfig
@@ -444,6 +445,29 @@ def _reads(model, Xq, components):
     return out
 
 
+def _openblas_cores():
+    """Kernel family each loaded OpenBLAS copy runs ('' if it does not say)."""
+    cores = []
+    for path in linalg._loaded_openblas_paths():
+        lib = ctypes.CDLL(path)
+        names = (
+            "scipy_openblas_get_corename64_",
+            "scipy_openblas_get_corename",
+            "openblas_get_corename",
+        )
+        fn = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+        cores.append(fn().decode() if fn is not None else "")
+    return cores
+
+
+# Blocked and one-pass reads agree to the bit only through BLAS kernels whose
+# row unroll divides the block size; that was checked on the SkylakeX kernels
+# of OpenBLAS. Elsewhere they are held to rounding.
+_BLOCKS_BIT_EQUAL = set(_openblas_cores()) == {"SkylakeX"}
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(sorted(_READ_MODELS)),
@@ -455,8 +479,9 @@ def test_blocked_reads_match_one_pass(kind, seed, rows, components):
     # Posterior.at in blocks of 8 rows against one pass: row counts 0, 1,
     # _ROWS - 1, _ROWS, _ROWS + 1 and 2 _ROWS + 1 (a lone last row, which
     # joins the block before it) and 2 _ROWS + 3. The block size must be a
-    # multiple of the BLAS kernels' row unroll, as 4096 is: at 7, rows land
-    # on other lanes of the gemv/gemm kernels and round differently.
+    # multiple of the BLAS kernels' row unroll (4 on OpenBLAS SkylakeX), as
+    # 4096 is: at 7, rows can land on other lanes of the gemv/gemm kernels
+    # and round differently.
     assert sparse._ROWS % 8 == 0
     model = _READ_MODELS[kind](seed)
     Xq = np.random.default_rng(seed + 1).uniform(0, 1, size=(rows, 2))
@@ -467,7 +492,10 @@ def test_blocked_reads_match_one_pass(kind, seed, rows, components):
     assert len(blocked) == len(whole) == 4 + 4 * model.c * components
     for a, b in zip(blocked, whole):
         assert a.shape == (rows,)
-        assert np.array_equal(a, b)
+        scale = max(1.0, np.max(np.abs(b), initial=0.0))
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * scale
+        if _BLOCKS_BIT_EQUAL:
+            assert np.array_equal(a, b)
 
 
 def test_poisson_training_improves_bound():
