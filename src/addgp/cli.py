@@ -115,12 +115,11 @@ def read_csv(path):
 
 
 def cmd_synth(args):
-    seed = _seed_of(args)
-    X, y = _data.sample_friedman(args.n, noise_sd=args.noise_sd, seed=seed, d=args.dims)
+    X, y = _data.sample_friedman(args.n, noise_sd=args.noise_sd, seed=args.seed, d=args.dims)
     header = [f"x{j + 1}" for j in range(args.dims)] + ["y"]
     meta = [
         f"synthetic benchmark: friedman function, n={args.n} "
-        f"noise_sd={args.noise_sd:g} seed={seed} rng={_data.RNG_ALGORITHM}"
+        f"noise_sd={args.noise_sd:g} seed={args.seed} rng={_data.RNG_ALGORITHM}"
     ]
     write_csv(args.out, header, [X[:, j] for j in range(args.dims)] + [y], meta)
     print(f"wrote {args.n} rows to {args.out}")
@@ -131,11 +130,10 @@ def cmd_synth(args):
 
 
 def _load_dataset(path):
-    header, arr = read_csv(path)
+    _, arr = read_csv(path)
     if arr.shape[1] < 2:
         raise DataError(f"{path}: need at least one feature column plus a target")
-    names = tuple(header[:-1]) if header else ()
-    return _model.Dataset(X=arr[:, :-1], Y=arr[:, -1], column_names=names)
+    return _model.Dataset(X=arr[:, :-1], Y=arr[:, -1])
 
 
 def _maybe_rescale(X, kernel_kind):
@@ -188,7 +186,7 @@ def _build_specs(args, dataset_scaled):
         log_lengthscales=np.full(d, np.log(args.lengthscale)),
     )
     kern = _kernels.SquaredExp(params, active_dims=tuple(range(d)))
-    rng = np.random.default_rng(_seed_of(args))
+    rng = np.random.default_rng(args.seed)
     idx = rng.choice(dataset_scaled.n, size=min(args.m, dataset_scaled.n), replace=False)
     return [
         _model.ComponentSpec(
@@ -203,15 +201,11 @@ def cmd_fit(args):
         target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise DataError(f"cannot write {path}")
-    seed = _seed_of(args)
     raw = _load_dataset(args.data)
     rescale, xs = _maybe_rescale(raw.X, args.kernel)
-    dataset = _model.Dataset(X=xs, Y=raw.Y, column_names=raw.column_names)
+    dataset = _model.Dataset(X=xs, Y=raw.Y)
 
     specs = _build_specs(args, dataset)
-    report = _model.validate_model(specs, dataset)
-    if not report.ok:
-        raise DataError(f"model validation failed: {report}")
 
     if args.likelihood == "gaussian":
         lik = Gaussian(log_noise_variance=np.log(args.noise_var))
@@ -224,7 +218,7 @@ def cmd_fit(args):
         max_iter=args.max_iter,
         phase1_max_iter=args.phase1_iter,
         train_hypers=not args.no_hypers,
-        seed=seed,
+        seed=args.seed,
         multi_start=args.multi_start,
     )
 
@@ -264,7 +258,7 @@ def cmd_fit(args):
         "failures": result.failures,
         "message": result.message,
         "wall_time_s": wall,
-        "seed": seed,
+        "seed": args.seed,
         "rng": _data.RNG_ALGORITHM,
         "model_file": args.out,
     }
@@ -429,15 +423,13 @@ def _median_time(fn, reps):
 
 
 def cmd_bench(args):
-    seed = _seed_of(args)
-    c_list = [int(v) for v in args.c_list.split(",") if v]
-    n_list = [int(v) for v in args.n_list.split(",") if v]
-    m, r = args.m, (args.rank or args.m)
+    m, r = args.m, args.m if args.rank is None else args.rank
     rows = []
     print(f"timing kl/elbo at m={m}, r={r} (median of {args.reps})")
-    sweeps = [("c", c, args.n_fixed) for c in c_list] + [("n", args.c_fixed, n) for n in n_list]
+    sweeps = [("c", c, args.n_fixed) for c in args.c_list]
+    sweeps += [("n", args.c_fixed, n) for n in args.n_list]
     for axis, c, n in sweeps:
-        mdl = _bench_model(n, c, m, r, seed)
+        mdl = _bench_model(n, c, m, r, args.seed)
         t_kl = _median_time(mdl.kl, args.reps)
         t_elbo = _median_time(mdl.elbo, args.reps)
         rows.append(("kl", axis, c, n, t_kl))
@@ -445,7 +437,7 @@ def cmd_bench(args):
         print(f"  C={c:<3d} N={n:<6d} kl {t_kl * 1e3:8.3f} ms   elbo {t_elbo * 1e3:8.3f} ms")
 
     meta = [
-        f"bench m={m} r={r} reps={args.reps} seed={seed}",
+        f"bench m={m} r={r} reps={args.reps} seed={args.seed}",
         "columns: quantity, sweep axis, C, N, median seconds",
         # read back from the libraries, not taken from --threads
         "blas_threads = "
@@ -487,14 +479,17 @@ def cmd_bench(args):
 # -- plumbing -----------------------------------------------------------------------------
 
 
-def _seed_of(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return getattr(args, "global_seed", None) or 0
+def positive_int(text):
+    """argparse type of a count flag."""
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return val
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+def positive_ints(text):
+    """argparse type of a comma-separated list of counts."""
+    return [positive_int(v) for v in text.split(",") if v]
 
 
 def build_parser():
@@ -502,7 +497,6 @@ def build_parser():
         prog="addgp",
         description="Additive GP regression with coupled sparse variational posteriors",
     )
-    parser.add_argument("--seed", dest="global_seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="JSON file of default options")
     parser.add_argument(
         "--threads", type=int, default=None,
@@ -512,10 +506,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="write a synthetic benchmark dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=5000)
+    p.add_argument("--n", type=positive_int, default=5000)
     p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--dims", type=int, default=6)
-    _add_common(p)
+    p.add_argument("--dims", type=positive_int, default=6)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="train a model on a CSV (last column = target)")
@@ -529,8 +523,8 @@ def build_parser():
     )
     p.add_argument("--kernel", choices=["anova", "se"], default="anova")
     p.add_argument("--likelihood", choices=["gaussian", "poisson"], default="gaussian")
-    p.add_argument("--m", type=int, default=16, help="inducing points per component")
-    p.add_argument("--rank", type=int, default=None, help="coupling rank R (default M)")
+    p.add_argument("--m", type=positive_int, default=16, help="inducing points per component")
+    p.add_argument("--rank", type=positive_int, default=None, help="coupling rank R (default M)")
     p.add_argument("--lengthscale", type=float, default=0.3)
     p.add_argument("--variance", type=float, default=None, help="default: var(y)/(D+1)")
     p.add_argument("--sigma0", type=float, default=None, help="default: var(y)")
@@ -540,7 +534,7 @@ def build_parser():
     p.add_argument("--phase1-iter", type=int, default=None)
     p.add_argument("--no-hypers", action="store_true")
     p.add_argument("--multi-start", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="marginals of the summed predictor at query points")
@@ -548,33 +542,31 @@ def build_parser():
     p.add_argument("query")
     p.add_argument("--out", required=True)
     p.add_argument("--components", action="store_true", help="per-component columns")
-    _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("decompose", help="per-component effect tables")
     p.add_argument("model")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--grid", type=int, default=200, help="points per 1-d grid")
-    p.add_argument("--grid2d", type=int, default=50, help="points per 2-d axis")
+    p.add_argument("--grid", type=positive_int, default=200, help="points per 1-d grid")
+    p.add_argument("--grid2d", type=positive_int, default=50, help="points per 2-d axis")
     p.add_argument(
         "--coupled-check",
         action="store_true",
         help="cross-check variances against the dense coupled covariance",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bench", help="timing tables for the bound and its KL term")
     p.add_argument("--out", required=True)
     # large enough that BLAS work, not call overhead, dominates the timings
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--c-list", default="1,2,4,8")
-    p.add_argument("--n-list", default="1000,2000,4000,8000")
-    p.add_argument("--n-fixed", type=int, default=2000)
-    p.add_argument("--c-fixed", type=int, default=4)
-    p.add_argument("--reps", type=int, default=5)
-    _add_common(p)
+    p.add_argument("--m", type=positive_int, default=64)
+    p.add_argument("--rank", type=positive_int, default=None)
+    p.add_argument("--c-list", type=positive_ints, default="1,2,4,8")
+    p.add_argument("--n-list", type=positive_ints, default="1000,2000,4000,8000")
+    p.add_argument("--n-fixed", type=positive_int, default=2000)
+    p.add_argument("--c-fixed", type=positive_int, default=4)
+    p.add_argument("--reps", type=positive_int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_bench)
     return parser
 

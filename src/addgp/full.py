@@ -74,10 +74,10 @@ class FullModel(_sparse.AdditiveModel):
         ]
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, N, N) Grams at the training inputs, which are also the cross
-        blocks, their sum Ksum and the summed prior diagonal. With Z_c = X
-        one kernel evaluation serves all three uses, so each pullback is one
-        call on the summed weights."""
+        """(C, N, N) Grams at the training inputs, their sum Ksum, the summed
+        prior diagonal and no cross block: with Z_c = X the Grams are the
+        cross blocks, so one kernel evaluation serves every use and each
+        pullback is one call on the summed weights."""
         karr = np.empty((self.c, self.n, self.n))
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
@@ -85,12 +85,9 @@ class FullModel(_sparse.AdditiveModel):
             if pullbacks:
                 pbs.append(lambda gk, gf, gs, pb=pb: pb(_plus_diag(gk + gf, gs)))
         d0 = np.diagonal(karr, axis1=1, axis2=2).sum(axis=0)
-        return karr, sum(karr), karr, d0, None, pbs
+        return karr, sum(karr), d0, None, pbs
 
     # -- training hooks ------------------------------------------------------
-
-    def _fresh_state(self):
-        return _model.init_full_state(self.n, self.c)
 
     def _perturb_start(self, seed, restart=False):
         """Nudge lambda off the exact-zero saddle (the bound is even in
@@ -99,9 +96,9 @@ class FullModel(_sparse.AdditiveModel):
         if not np.any(self.state.lam):
             if restart:
                 rng = np.random.default_rng(seed)
-                self.state.lam = rng.normal(0.0, 1.0 / np.sqrt(self.n), self.n)
+                self.state.lam[...] = rng.normal(0.0, 1.0 / np.sqrt(self.n), self.n)
             else:
-                self.state.lam = np.full(self.n, 1e-2)
+                self.state.lam[...] = 1e-2
 
 
 def _plus_diag(g, d):

@@ -51,31 +51,32 @@ def _check_lengths(y, mu, var):
     return y, mu, var
 
 
-def _quad_nodes(mu, var, rule):
+# the one rule every quadrature expectation uses
+_RULE = QuadratureRule.gauss_hermite()
+
+
+def _quad_nodes(mu, var):
     # negative variances of rounding size are clamped to zero here
     sd = np.sqrt(2.0 * np.maximum(var, 0.0))
-    return mu[:, None] + sd[:, None] * rule.nodes[None, :]
+    return mu[:, None] + sd[:, None] * _RULE.nodes[None, :]
 
 
-def quadrature_expected_loglik(lik, y, mu, var, rule=None):
+def quadrature_expected_loglik(lik, y, mu, var):
     """Gauss-Hermite estimate of ``E[log p(y | f)]`` for any likelihood
     exposing ``log_density``. Mostly a test hook; likelihoods without a
     closed form call this internally."""
     y, mu, var = _check_lengths(y, mu, var)
-    rule = rule or QuadratureRule.gauss_hermite()
-    f = _quad_nodes(mu, var, rule)
-    vals = lik.log_density(y[:, None], f)
-    return vals @ rule.weights / _SQRT_PI
+    vals = lik.log_density(y[:, None], _quad_nodes(mu, var))
+    return vals @ _RULE.weights / _SQRT_PI
 
 
-def quadrature_expected_loglik_grads(lik, y, mu, var, rule=None):
+def quadrature_expected_loglik_grads(lik, y, mu, var):
     """d/dmu and d/ds of the quadrature estimate, via the score and the
     curvature of the log-density at the same nodes."""
     y, mu, var = _check_lengths(y, mu, var)
-    rule = rule or QuadratureRule.gauss_hermite()
-    f = _quad_nodes(mu, var, rule)
-    dmu = lik.d_log_density(y[:, None], f) @ rule.weights / _SQRT_PI
-    dvar = 0.5 * (lik.d2_log_density(y[:, None], f) @ rule.weights) / _SQRT_PI
+    f = _quad_nodes(mu, var)
+    dmu = lik.d_log_density(y[:, None], f) @ _RULE.weights / _SQRT_PI
+    dvar = 0.5 * (lik.d2_log_density(y[:, None], f) @ _RULE.weights) / _SQRT_PI
     return dmu, dvar
 
 
@@ -138,9 +139,6 @@ class Poisson:
     through the shared quadrature rule.
     """
 
-    def __init__(self, rule=None):
-        self.rule = rule or QuadratureRule.gauss_hermite()
-
     kind = "poisson"
     n_params = 0
 
@@ -154,10 +152,10 @@ class Poisson:
         return -np.exp(f) * np.ones_like(y)
 
     def expected_loglik(self, y, mu, var):
-        return quadrature_expected_loglik(self, y, mu, var, self.rule)
+        return quadrature_expected_loglik(self, y, mu, var)
 
     def expected_loglik_grads(self, y, mu, var):
-        return quadrature_expected_loglik_grads(self, y, mu, var, self.rule)
+        return quadrature_expected_loglik_grads(self, y, mu, var)
 
     def expected_loglik_param_grads(self, y, mu, var):
         return np.zeros((0, np.asarray(y).shape[0]))

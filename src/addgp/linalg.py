@@ -18,27 +18,25 @@ from scipy.linalg import solve_triangular
 from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
 
 
-def cholesky(m, jitter=0.0):
-    """Lower Cholesky factor of ``m + jitter * I``.
+def cholesky(m):
+    """Lower Cholesky factor of ``m``.
 
     Raises NotPositiveDefinite if LAPACK rejects the matrix.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    a = m if jitter == 0.0 else m + jitter * np.eye(m.shape[0])
     # LAPACK passes inf/nan matrices through without complaint, returning
     # garbage factors; treat them as the definiteness failures they are
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(m)):
         raise NotPositiveDefinite(
             f"matrix of shape {m.shape} contains non-finite entries"
         )
     try:
-        return np.linalg.cholesky(a)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
-            f"Cholesky failed on a {m.shape[0]}x{m.shape[0]} matrix "
-            f"(jitter={jitter:g})"
+            f"Cholesky failed on a {m.shape[0]}x{m.shape[0]} matrix"
         ) from exc
 
 

@@ -31,7 +31,6 @@ class Dataset:
 
     X: np.ndarray
     Y: np.ndarray
-    column_names: tuple = ()
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -256,19 +255,19 @@ def validate_model(specs, dataset):
     return report
 
 
-def inducing_grid(m, active_dims, lo=0.0, hi=1.0):
+def inducing_grid(m, active_dims):
     """Regularly spaced inducing inputs for a component.
 
-    One dimension: m points on [lo, hi]. Two dimensions: the smallest g x g
+    One dimension: m points on [0, 1]. Two dimensions: the smallest g x g
     product grid with g*g >= m, truncated to the first m points in
     row-major order (g*g == m gives the exact grid).
     """
     nd = len(active_dims)
     if nd == 1:
-        return np.linspace(lo, hi, m)[:, None]
+        return np.linspace(0.0, 1.0, m)[:, None]
     if nd == 2:
         g = int(np.ceil(np.sqrt(m)))
-        axis = np.linspace(lo, hi, g)
+        axis = np.linspace(0.0, 1.0, g)
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         return pts[:m]

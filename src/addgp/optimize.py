@@ -21,6 +21,9 @@ from .errors import NotPositiveDefinite
 _PENALTY = 1e25
 # L-BFGS memory; the problems here are small enough to afford plenty
 HISTORY_SIZE = 50
+# boxes for log-parameters, applied by name matching
+LOG_LENGTHSCALE_BOUNDS = (np.log(1e-3), np.log(1e3))
+LOG_VARIANCE_BOUNDS = (-20.0, 20.0)
 
 
 @dataclass
@@ -40,9 +43,6 @@ class TrainConfig:
     tol_window: int = 5
     seed: int = 0
     multi_start: int = 0
-    # bounds for log-parameters, applied by name matching
-    log_lengthscale_bounds: tuple = (np.log(1e-3), np.log(1e3))
-    log_variance_bounds: tuple = (-20.0, 20.0)
     # inner L-BFGS stopping tests (relative objective reduction and
     # projected-gradient norm); drop these to squeeze out the flat
     # directions when near-exact optima are required
@@ -174,15 +174,15 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
     return out
 
 
-def bounds_for_names(names, config):
+def bounds_for_names(names):
     """Box bounds for a list of parameter names: lengthscales and variances
-    get the configured log-space boxes, everything else is free."""
+    get the log-space boxes above, everything else is free."""
     out = []
     for name in names:
         if "lengthscale" in name:
-            out.append(config.log_lengthscale_bounds)
+            out.append(LOG_LENGTHSCALE_BOUNDS)
         elif "variance" in name:
-            out.append(config.log_variance_bounds)
+            out.append(LOG_VARIANCE_BOUNDS)
         else:
             out.append((None, None))
     return out

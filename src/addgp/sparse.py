@@ -147,34 +147,22 @@ class Posterior:
     def component(self, ci, fc, dc):
         """(mean, variance) of component ci from its cross block and prior
         diagonal; only the (c, c) block of the posterior covariance enters."""
-        return self._component(fc @ self.alphas[ci], self.times_b(ci, fc), dc)
+        return fc @ self.alphas[ci], self._var(dc, self.times_b(ci, fc))
 
-    def _component(self, mean, fb, dc):
+    def _var(self, d, fb):
+        """d - diag(J A^{-1} J^T) for the rows J = F B (or F_c B_c)."""
         t = tri_solve(self.L, fb.T)
-        return mean, dc - np.einsum("ji,ji->i", t, t)
-
-    def marginals(self, fcs, d, diags=None):
-        """Marginals of the summed predictor from the per-component cross
-        blocks and the summed prior diagonal ``d``; given the per-component
-        prior diagonals, each component's (mean, variance) as well."""
-        mu, j, per = 0, None, None if diags is None else []
-        for ci, fc in enumerate(fcs):
-            fa, fb = fc @ self.alphas[ci], self.times_b(ci, fc)
-            if per is not None:
-                per.append(self._component(fa, fb, diags[ci]))
-            mu = mu + fa
-            j = fb if j is None else np.add(j, fb, out=j)
-            del fb  # one F_c B_c at a time besides J, as in a running sum
-        t = tri_solve(self.L, j.T)
-        return _model.PredictorMarginals(
-            mu_sum=mu, var_sum=d - np.einsum("ji,ji->i", t, t), per_component=per
-        )
+        return d - np.einsum("ji,ji->i", t, t)
 
     def at(self, Xq, include_components=False):
-        """Marginals at the query points Xq (full input width). The prior
-        diagonals are taken over the whole query, so an input outside a
-        kernel's domain fails as in one pass; the cross blocks, and all
-        read from them, ``_ROWS`` rows at a time, to the bits of one pass."""
+        """Marginals of the summed predictor at the query points Xq (full
+        input width) and, with ``include_components``, each component's
+        (mean, variance). The prior diagonals are taken over the whole
+        query, so an input outside a kernel's domain fails as in one pass.
+        Then, ``_ROWS`` rows at a time, each component's cross block F_c
+        adds F_c alpha_c to the mean and F_c B_c to J in turn, and J gives
+        the variance: to the bits of one pass, with one F_c and one F_c B_c
+        besides J alive at a time."""
         xps = [s.project(Xq) for s in self.specs]
         diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, xps)]
         d = sum(diags)
@@ -184,12 +172,17 @@ class Posterior:
         # rounding, so a lone last row joins the block before it
         edges = [*range(0, max(len(d) - 1, 1), _ROWS), len(d)]
         for rows in map(slice, edges, edges[1:]):
-            fcs = [s.kernel.eval(xp[rows], s.Z) for s, xp in zip(self.specs, xps)]
-            per = [dc[rows] for dc in diags] if include_components else None
-            m = self.marginals(fcs, d[rows], per)
-            out[:2, rows] = m.mu_sum, m.var_sum
-            for ci, (mean, var) in enumerate(m.per_component or ()):
-                out[2 + 2 * ci : 4 + 2 * ci, rows] = mean, var
+            mu, j = out[0, rows], None
+            mu[...] = 0.0
+            for ci, (s, xp) in enumerate(zip(self.specs, xps)):
+                fc = s.kernel.eval(xp[rows], s.Z)
+                fa, fb = fc @ self.alphas[ci], self.times_b(ci, fc)
+                if include_components:
+                    out[2 + 2 * ci, rows] = fa
+                    out[3 + 2 * ci, rows] = self._var(diags[ci][rows], fb)
+                mu += fa
+                j = fb if j is None else np.add(j, fb, out=j)
+            out[1, rows] = self._var(d[rows], j)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
 
@@ -201,14 +194,14 @@ class AdditiveModel:
     training with restarts.
 
     A subclass names its coupling field in the state (``coupling``, "B" or
-    "lam") and supplies ``_prior_blocks``, ``_fresh_state`` and
-    ``_perturb_start``, and splits ``_blocks`` where q(U) factorizes: the
-    bound and the optimizer see only those views into the coupling.
-    ``_prior_blocks(pullbacks)`` returns the prior Grams, their sum for
-    lambda (else None), the per-component cross blocks and the summed prior
-    diagonal at the training inputs, the block ``Posterior.project`` reads,
-    and with ``pullbacks`` one function per component that maps the
-    weights on its Gram, cross block and diagonal to its log-hyperparameter
+    "lam") and supplies ``_prior_blocks`` and ``_perturb_start``, and
+    splits ``_blocks`` where q(U) factorizes: the bound and the optimizer
+    see only those views into the coupling. ``_prior_blocks(pullbacks)``
+    returns ``(ku, ksum, d0, f, pullbacks)``: the prior Grams, their sum
+    for lambda (else None), the summed prior diagonal at the training
+    inputs, the cross block ``Posterior.project`` reads (None for lambda),
+    and with ``pullbacks`` one function per component that maps the weights
+    on its Gram, cross block and diagonal to its log-hyperparameter
     gradient.
     """
 
@@ -227,7 +220,6 @@ class AdditiveModel:
         self._cache_key = None
         self._cache = None
         self._clamp_total = 0
-        self._cfg = TrainConfig()
 
     @property
     def n(self):
@@ -262,17 +254,12 @@ class AdditiveModel:
         ]
 
     def marginals(self, Xq=None, include_components=False):
-        """Marginals of the summed predictor at the training inputs (cached
-        blocks) or at query points."""
-        ku, ksum, fcs, d0 = self._kmats()[:4]
+        """``Posterior.at`` the query points, by default the training
+        inputs, with the cached prior Grams."""
+        ku, ksum = self._kmats()[:2]
         coupling = getattr(self.state, self.coupling)
         post = Posterior(self.posterior_specs, self.state.alpha, coupling, ku, ksum)
-        if Xq is not None:
-            return post.at(Xq, include_components)
-        diags = None
-        if include_components:
-            diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, self._xp)]
-        return post.marginals(fcs, d0, diags)
+        return post.at(self.data.X if Xq is None else Xq, include_components)
 
     def kl(self):
         """KL from q(U) to the prior p(U); exactly zero at the
@@ -298,7 +285,7 @@ class AdditiveModel:
         variance weights of the expected log-likelihood), every gradient is
         a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``)."""
         blocks = self._prior_blocks(pullbacks=True) if train_hypers else self._kmats()
-        ku, ksum, _, d0, f, pullbacks = blocks
+        ku, ksum, d0, f, pullbacks = blocks
         m = len(self.state.alpha) // self.c
         mu, down, kl, parts = 0.0, 0.0, 0.0, []
         for comps, post in self._posteriors(ku, ksum):
@@ -381,16 +368,16 @@ class AdditiveModel:
         if train_hypers:
             x0 += self._hypers()
             names = [p for s in self.specs for p in s.kernel.param_names()]
-            bounds += bounds_for_names(names + self.likelihood.param_names(), self._cfg)
+            bounds += bounds_for_names(names + self.likelihood.param_names())
         return fun, np.concatenate(x0), bounds, unpack
 
     def train(self, config=None):
         """Two-phase maximization of the bound; returns a TrainResult and
         leaves the model at the best parameters found. Each of the
         ``config.multi_start`` restarts begins from the starting
-        hyperparameters and a fresh, randomly perturbed state."""
+        hyperparameters and the zero state, randomly perturbed; the state
+        is written in place throughout."""
         config = config or TrainConfig()
-        self._cfg = config
         self._clamp_total = 0
         hyper0 = self._hypers()
         best = None
@@ -398,7 +385,8 @@ class AdditiveModel:
         for attempt in range(1 + max(0, config.multi_start)):
             if attempt > 0:
                 self._set_hypers(hyper0)
-                self.state = self._fresh_state()
+                for v in self._variational():
+                    v[...] = 0.0
             self._perturb_start(config.seed + attempt, restart=attempt > 0)
             res = run_two_phase(self._make_objective, config)
             failures += res.failures
@@ -447,9 +435,8 @@ class SparseModel(AdditiveModel):
         return self.state.r
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, M, M) inducing Grams, no Gram sum, the per-component cross
-        blocks, the summed prior diagonal at the data, the (N, C M) block
-        those cross blocks are views of, with K_c(X, Z_c) in columns
+        """(C, M, M) inducing Grams, no Gram sum, the summed prior diagonal
+        at the data, the (N, C M) cross block with K_c(X, Z_c) in columns
         c M .. (c + 1) M, and the pullbacks (empty unless asked for)."""
         m = self.m
         ku = np.empty((self.c, m, m))
@@ -466,7 +453,7 @@ class SparseModel(AdditiveModel):
                 pbs.append(
                     lambda gk, gf, gs, pk=pb_k, pf=pb_f, pd=pb_d: pk(gk) + pf(gf) + pd(gs)
                 )
-        return ku, None, np.hsplit(f, self.c), d0, f, pbs
+        return ku, None, d0, f, pbs
 
     # -- training hooks ----------------------------------------------------------
 
@@ -481,9 +468,6 @@ class SparseModel(AdditiveModel):
             (slice(ci, ci + 1), b[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m])
             for ci in range(self.c)
         ]
-
-    def _fresh_state(self):
-        return _model.init_state(self.specs, structure=self.state.structure, r=self.r)
 
     def _perturb_start(self, seed, restart=False):
         """Nudge B off the exact-zero saddle (the bound is even in B, so

@@ -562,6 +562,31 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--n", "-1"],
+        ["synth", "--n", "0"],
+        ["synth", "--dims", "-1"],
+        ["fit", "data.csv", "--m", "-1"],
+        ["fit", "data.csv", "--rank", "0"],
+        ["decompose", "model.addgp", "--outdir", "e", "--grid", "0"],
+        ["decompose", "model.addgp", "--outdir", "e", "--grid", "-3"],
+        ["decompose", "model.addgp", "--outdir", "e", "--grid2d", "0"],
+        ["bench", "--n-list", "-5"],
+        ["bench", "--rank", "0"],
+    ],
+)
+def test_count_flags_reject_nonpositive_values(tmp_path, capsys, argv):
+    if argv[0] in ("synth", "bench"):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "expected a positive integer" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

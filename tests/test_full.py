@@ -116,14 +116,6 @@ def test_prior_state_marginals():
     assert np.all(marg.var_sum > 0)
 
 
-def test_predict_at_training_inputs_equals_training_marginals():
-    model = _random_model(5, n=9, c=2)
-    train = model.marginals()
-    pred = model.marginals(Xq=model.data.X)
-    assert np.max(np.abs(pred.mu_sum - train.mu_sum)) < 1e-9
-    assert np.max(np.abs(pred.var_sum - train.var_sum)) < 1e-9
-
-
 def test_predict_marginals_module_function():
     model = _random_model(6, n=8, c=2)
     rng = np.random.default_rng(60)

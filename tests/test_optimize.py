@@ -10,6 +10,8 @@ import pytest
 
 from addgp.errors import NotPositiveDefinite
 from addgp.optimize import (
+    LOG_LENGTHSCALE_BOUNDS,
+    LOG_VARIANCE_BOUNDS,
     TrainConfig,
     bounds_for_names,
     maximize,
@@ -117,11 +119,10 @@ def test_maximize_reports_iteration_cap():
 
 
 def test_bounds_for_names_matches_by_substring():
-    cfg = TrainConfig()
     names = ["log_lengthscale_0", "log_variance", "alpha[3]", "B[0,1]"]
-    out = bounds_for_names(names, cfg)
-    assert out[0] == cfg.log_lengthscale_bounds
-    assert out[1] == cfg.log_variance_bounds
+    out = bounds_for_names(names)
+    assert out[0] == LOG_LENGTHSCALE_BOUNDS
+    assert out[1] == LOG_VARIANCE_BOUNDS
     assert out[2] == (None, None)
     assert out[3] == (None, None)
 

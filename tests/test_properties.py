@@ -1,12 +1,18 @@
 """Property checks over random small models of all three structures.
 
 Coupled, mean-field and dense are one posterior family read through one
-``Posterior`` and bounded by one routine; for any parameters the read paths
-must agree with each other and with the training bound, the bound must stay
+``Posterior`` and bounded by one routine; for any parameters the bound must
+equal the expected log-likelihood at the read path's marginals minus the
+KL, the effect tables must agree with those marginals, the bound must stay
 below the exact log evidence, and the KL term and the summed variances must
 stay nonnegative. The two file readers must turn any bytes into a result or
-their own format error.
+their own format error, and ``--config`` any JSON object into exit 0, 1 or
+2 with no traceback.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -23,11 +29,11 @@ from addgp import (
     load_model,
     save_model,
 )
-from addgp.cli import read_csv
+from addgp.cli import build_parser, main, read_csv
 from addgp.errors import DataError, ModelFormatError
 from addgp.io import Rescale, SavedModel
 from addgp.model import COUPLED, FULL, MEAN_FIELD, mean_field_mask
-from addgp.sparse import decompose
+from addgp.sparse import VAR_CLAMP, decompose
 from conftest import make_specs
 
 
@@ -78,10 +84,12 @@ def test_read_paths_agree_and_stay_nonnegative(model):
     ).log_evidence
     assert model.elbo() <= ev + 1e-8 * abs(ev)
 
+    # the bound reads its marginals through ``project`` and P (per block
+    # for mean-field), the read path through whole-B triangular solves
     train = model.marginals(include_components=True)
-    query = model.marginals(Xq=model.data.X)
-    assert _close(query.mu_sum, train.mu_sum)
-    assert _close(query.var_sum, train.var_sum)
+    var = np.maximum(train.var_sum, VAR_CLAMP)
+    ell = np.sum(model.likelihood.expected_loglik(model.data.Y, train.mu_sum, var))
+    assert abs(model.elbo() - (ell - model.kl())) <= 1e-9 * abs(model.elbo())
 
     if isinstance(model, FullModel):
         specs = [
@@ -199,3 +207,66 @@ def test_file_readers_raise_only_format_errors(tmp_path_factory, valid_files, cs
             read(str(path))
         except error:
             pass
+
+
+def _options():
+    """Option dest -> action over the parser and every subcommand, but
+    ``threads``: no drawn config may set an OpenBLAS thread count."""
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    actions = (a for p in [parser, *subparsers] for a in p._actions)
+    return {a.dest: a for a in actions if a.dest != "threads"}
+
+
+_OPTIONS = _options()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _typed_values(action):
+    """Values of the JSON type an option takes, in and out of its range."""
+    if action.nargs == 0:
+        return st.booleans()
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is float:
+        return st.floats()
+    if action.type is not None:  # the integer and count types
+        return st.integers(-2, 9) | st.sampled_from(["1,2", "3,,4", "0,5"])
+    return st.text(max_size=6)
+
+
+def _entry(i):
+    """A config entry: now and then a junk key, else a real option under
+    its dest or its flag spelling, with a value of its type or of any."""
+    if i == 0:
+        return st.tuples(st.text(max_size=8), _json_values)
+    return st.sampled_from(sorted(_OPTIONS)).flatmap(
+        lambda d: st.tuples(
+            st.sampled_from([d, d.replace("_", "-")]),
+            _typed_values(_OPTIONS[d]) if i > 3 else _json_values,
+        )
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config=st.lists(st.integers(0, 9).flatmap(_entry), max_size=4).map(dict))
+def test_config_files_exit_with_one_error_line(tmp_path_factory, config):
+    # the explicit flags keep the command small whatever the config says
+    tmp = tmp_path_factory.mktemp("config")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["--config", str(path), "synth", "--out", str(tmp / "out.csv"),
+            "--n", "5", "--dims", "6", "--seed", "0"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err

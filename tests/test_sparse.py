@@ -341,6 +341,21 @@ def test_train_counts_soft_failures_over_restarts(monkeypatch):
     assert np.isfinite(res.final_elbo)
 
 
+def test_restarts_write_the_given_state_in_place():
+    # each restart starts over from zero in the caller's state object,
+    # which ends at the best restart's parameters
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0, 1, size=(8, 1))
+    dense = FullModel(make_specs(rng, 2, 8, X=X), Gaussian(np.log(0.5)), Dataset(X, X[:, 0]))
+    for model in (_random_model(8, c=2, m=3, n=10), _mean_field_model(8), dense):
+        state = model.state
+        res = model.train(TrainConfig(train_hypers=False, max_iter=20, multi_start=2))
+        assert model.state is state
+        assert abs(model.elbo() - res.final_elbo) <= 1e-12 * abs(res.final_elbo)
+        if getattr(state, "structure", None) == MEAN_FIELD:
+            assert not np.any(state.B[~mean_field_mask(3, 2)])
+
+
 def test_coupled_with_full_rank_nests_mean_field():
     # same data, same kernels, same block-diagonal start: the coupled
     # family contains every mean-field candidate, so its optimum cannot
@@ -496,6 +511,50 @@ def test_blocked_reads_match_one_pass(kind, seed, rows, components):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * scale
         if _BLOCKS_BIT_EQUAL:
             assert np.array_equal(a, b)
+
+
+def test_clamped_variances_bound_and_gradients():
+    # a prior variance of 1e-14 puts every raw variance below VAR_CLAMP;
+    # alpha and B scaled by 1e7 keep the KL terms of order one
+    rng = np.random.default_rng(21)
+    c, m, n, scale = 2, 3, 8, 1e7
+    specs = make_specs(rng, c, m, d=1, grid_z=True)
+    for s in specs:
+        params = s.kernel.get_params()  # log variance first
+        params[0] = np.log(1e-14)
+        s.kernel.set_params(params)
+    model = SparseModel(
+        specs, Gaussian(np.log(0.5)), gaussian_dataset(rng, n),
+        state=random_sparse_state(rng, specs, r=2),
+    )
+    st = model.state
+    st.alpha *= scale
+    st.B *= scale
+
+    marg = model.marginals()
+    assert np.all(marg.var_sum < sparse.VAR_CLAMP)
+    clamped = np.full(n, sparse.VAR_CLAMP)
+    ell = np.sum(model.likelihood.expected_loglik(model.data.Y, marg.mu_sum, clamped))
+    assert abs(model.elbo() - (ell - model.kl())) <= 1e-12 * abs(model.elbo())
+
+    # derivatives in the scaled coordinates alpha / 1e7, B / 1e7
+    _, g = model.elbo_with_grads()
+    mc = st.alpha.size
+    base = np.concatenate([st.alpha, st.B.ravel()]) / scale
+
+    def elbo_at(vec):
+        st.alpha = vec[:mc] * scale
+        st.B = vec[mc:].reshape(st.B.shape) * scale
+        return model.elbo()
+
+    fd = central_diff(elbo_at, base)
+    elbo_at(base)
+    ana = scale * np.concatenate([g["alpha"].ravel(), g["B"].ravel()])
+    rel = np.abs(ana - fd) / np.maximum(1e-6, np.abs(fd))
+    assert np.max(rel) < 1e-5
+
+    res = model.train(TrainConfig(train_hypers=False, max_iter=3))
+    assert res.clamp_count > 0
 
 
 def test_poisson_training_improves_bound():
