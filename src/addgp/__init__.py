@@ -48,7 +48,6 @@ from .model import (
     anova_specs,
     init_full_state,
     init_state,
-    validate_model,
 )
 from .optimize import TrainConfig, TrainResult
 from .sparse import SparseModel

@@ -283,7 +283,10 @@ def _query_matrix(path, input_dim):
         raise DataError(
             f"{path}: query needs {input_dim} input columns, found {arr.shape[1]}"
         )
-    return arr[:, :input_dim]
+    arr = arr[:, :input_dim]
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{path}: query inputs contain NaN or infinite values")
+    return arr
 
 
 def cmd_predict(args):
@@ -479,12 +482,24 @@ def cmd_bench(args):
 # -- plumbing -----------------------------------------------------------------------------
 
 
-def positive_int(text):
-    """argparse type of a count flag."""
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return val
+def _ranged(convert, ok, what):
+    """argparse type that converts its text with ``convert`` and accepts
+    the value only where ``ok`` holds, else names ``what`` it expected."""
+
+    def parse(text):
+        val = convert(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return val
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
+nonnegative_int = _ranged(int, lambda v: v >= 0, "a non-negative integer")
+positive_float = _ranged(float, lambda v: 0 < v < np.inf, "a positive finite number")
+nonnegative_float = _ranged(float, lambda v: 0 <= v < np.inf, "a non-negative finite number")
 
 
 def positive_ints(text):
@@ -509,7 +524,7 @@ def build_parser():
     p.add_argument("--n", type=positive_int, default=5000)
     p.add_argument("--noise-sd", type=float, default=1.0)
     p.add_argument("--dims", type=positive_int, default=6)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="train a model on a CSV (last column = target)")
@@ -525,16 +540,16 @@ def build_parser():
     p.add_argument("--likelihood", choices=["gaussian", "poisson"], default="gaussian")
     p.add_argument("--m", type=positive_int, default=16, help="inducing points per component")
     p.add_argument("--rank", type=positive_int, default=None, help="coupling rank R (default M)")
-    p.add_argument("--lengthscale", type=float, default=0.3)
-    p.add_argument("--variance", type=float, default=None, help="default: var(y)/(D+1)")
-    p.add_argument("--sigma0", type=float, default=None, help="default: var(y)")
+    p.add_argument("--lengthscale", type=positive_float, default=0.3)
+    p.add_argument("--variance", type=positive_float, default=None, help="default: var(y)/(D+1)")
+    p.add_argument("--sigma0", type=nonnegative_float, default=None, help="default: var(y)")
     p.add_argument("--fixed-sigma0", action="store_true")
-    p.add_argument("--noise-var", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=1500)
-    p.add_argument("--phase1-iter", type=int, default=None)
+    p.add_argument("--noise-var", type=positive_float, default=1.0)
+    p.add_argument("--max-iter", type=positive_int, default=1500)
+    p.add_argument("--phase1-iter", type=positive_int, default=None)
     p.add_argument("--no-hypers", action="store_true")
-    p.add_argument("--multi-start", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--multi-start", type=nonnegative_int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="marginals of the summed predictor at query points")
@@ -566,7 +581,7 @@ def build_parser():
     p.add_argument("--n-fixed", type=positive_int, default=2000)
     p.add_argument("--c-fixed", type=positive_int, default=4)
     p.add_argument("--reps", type=positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -13,6 +13,7 @@ and ``[state]`` (alpha plus B or lambda).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,9 @@ def _vec_to_str(v):
 
 
 class _Section(dict):
-    """The ``key = value`` entries of one ``[name]`` section. A missing key
-    or a value that does not parse raises ModelFormatError naming the key
-    and the section."""
+    """The ``key = value`` entries of one ``[name]`` section. A missing key,
+    a value that does not parse or a NaN or infinite number raises
+    ModelFormatError naming the key and the section."""
 
     def __init__(self, name):
         super().__init__()
@@ -101,12 +102,14 @@ class _Section(dict):
 
     def floats(self, key, count=None):
         try:
-            vals = np.array([float.fromhex(v) for v in self[key].split()])
+            vals = [float.fromhex(v) for v in self[key].split()]
         except ValueError:
             raise self.error(key, f"bad float in {self[key]!r}") from None
+        if not all(map(math.isfinite, vals)):
+            raise self.error(key, f"non-finite value in {self[key]!r}")
         if count is not None and len(vals) != count:
             raise self.error(key, f"expected {count} values, got {len(vals)}")
-        return vals
+        return np.array(vals)
 
     def scalar(self, key):
         return float(self.floats(key, count=1)[0])
@@ -284,15 +287,10 @@ def load_model(path):
             raise kv.error("active_dims", f"expected input columns >= 0, got {kv['active_dims']!r}")
         try:
             kern = _read_kernel(kv, "kernel")
+            z = kv.matrix("z", rows=specs[0].m if specs else None, cols=len(dims))
+            specs.append(_model.ComponentSpec(kernel=kern, active_dims=dims, Z=z))
         except DimensionMismatch as exc:
-            raise ModelFormatError(f"bad kernel in [{name}]: {exc}") from None
-        if any(not 0 <= d < len(dims) for d in kern.active_dims):
-            raise ModelFormatError(
-                f"kernel in [{name}] reads local columns {kern.active_dims} "
-                f"of {len(dims)} active dims"
-            )
-        z = kv.matrix("z", rows=specs[0].m if specs else None, cols=len(dims))
-        specs.append(_model.ComponentSpec(kernel=kern, active_dims=dims, Z=z))
+            raise ModelFormatError(f"bad component in [{name}]: {exc}") from None
 
     needed = 1 + max(max(s.active_dims) for s in specs)
     input_dim = (mk.integer("input_dim") if "input_dim" in mk else 0) or needed

@@ -11,12 +11,12 @@ and the same rows of B, belong to component c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels as _kernels
-from .errors import DimensionMismatch, InvalidRank
+from .errors import DataError, DimensionMismatch, InvalidRank
 
 COUPLED = "coupled"
 MEAN_FIELD = "meanfield"
@@ -41,6 +41,8 @@ class Dataset:
             )
         if self.X.shape[0] == 0:
             raise DimensionMismatch("dataset is empty")
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
+            raise DataError("dataset contains NaN or infinite entries")
 
     @property
     def n(self):
@@ -54,7 +56,8 @@ class Dataset:
 @dataclass
 class ComponentSpec:
     """One additive component: a kernel over selected input columns plus
-    its inducing inputs (in the projected space of those columns)."""
+    its inducing inputs (in the projected space of those columns). The
+    kernel's own active dims index the projected columns."""
 
     kernel: _kernels.Kernel
     active_dims: tuple
@@ -67,6 +70,15 @@ class ComponentSpec:
             raise DimensionMismatch(
                 f"Z has {self.Z.shape[1]} columns for {len(self.active_dims)} "
                 "active dims"
+            )
+        if self.m < 1:
+            raise DimensionMismatch("component has no inducing points")
+        if not np.all(np.isfinite(self.Z)):
+            raise DataError("inducing inputs contain NaN or infinite entries")
+        if any(not 0 <= d < len(self.active_dims) for d in self.kernel.active_dims):
+            raise DimensionMismatch(
+                f"kernel reads local columns {self.kernel.active_dims} of "
+                f"{len(self.active_dims)} projected columns"
             )
 
     @property
@@ -167,92 +179,6 @@ def init_state(specs, structure=COUPLED, r=None):
 def init_full_state(n, c):
     """Prior-matching start for the dense model."""
     return FullVariationalState(alpha=np.zeros(n * c), lam=np.zeros(n))
-
-
-@dataclass
-class ValidationIssue:
-    code: str
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    issues: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.issues
-
-    def add(self, code, message):
-        self.issues.append(ValidationIssue(code, message))
-
-    def __str__(self):
-        if self.ok:
-            return "ok"
-        return "; ".join(f"{i.code}: {i.message}" for i in self.issues)
-
-
-def validate_model(specs, dataset):
-    """Cheap structural checks on a component list against a dataset.
-
-    Collects issues instead of raising, so callers can report all problems
-    at once. Codes: DimensionMismatch, SharedMViolation, DomainError,
-    NonFinite.
-    """
-    report = ValidationReport()
-    if not specs:
-        report.add("DimensionMismatch", "model has no components")
-        return report
-    d = dataset.d
-    if not np.all(np.isfinite(dataset.X)) or not np.all(np.isfinite(dataset.Y)):
-        report.add("NonFinite", "dataset contains NaN or infinite entries")
-    ms = [s.m for s in specs]
-    if len(set(ms)) > 1:
-        report.add(
-            "SharedMViolation",
-            f"components must share one inducing count, got {ms}",
-        )
-    for ci, spec in enumerate(specs):
-        bad = [j for j in spec.active_dims if j < 0 or j >= d]
-        if bad:
-            report.add(
-                "DimensionMismatch",
-                f"component {ci} references input columns {bad} "
-                f"outside 0..{d - 1}",
-            )
-            continue
-        if spec.m < 1:
-            report.add(
-                "DimensionMismatch", f"component {ci} has no inducing points"
-            )
-        if not np.all(np.isfinite(spec.Z)):
-            report.add("NonFinite", f"component {ci} has non-finite inducing inputs")
-        # zero-mean components are only defined on the unit interval
-        for leaf in spec.kernel.leaves():
-            if isinstance(leaf, _kernels.ZeroMeanSE):
-                local = leaf.active_dim
-                if local >= len(spec.active_dims):
-                    report.add(
-                        "DimensionMismatch",
-                        f"component {ci} kernel indexes local column {local} "
-                        f"but only {len(spec.active_dims)} are projected",
-                    )
-                    continue
-                col = dataset.X[:, spec.active_dims[local]]
-                if col.size and (col.min() < -1e-12 or col.max() > 1 + 1e-12):
-                    report.add(
-                        "DomainError",
-                        f"input column {spec.active_dims[local]} must lie in "
-                        f"[0, 1] for component {ci} (range "
-                        f"[{col.min():.4g}, {col.max():.4g}])",
-                    )
-                zcol = spec.Z[:, local]
-                if zcol.size and (zcol.min() < -1e-12 or zcol.max() > 1 + 1e-12):
-                    report.add(
-                        "DomainError",
-                        f"inducing inputs of component {ci} leave [0, 1]",
-                    )
-    return report
 
 
 def inducing_grid(m, active_dims):

@@ -41,7 +41,7 @@ import functools
 import numpy as np
 
 from . import model as _model
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 from .linalg import cholesky, logdet_from_chol, solve_from_chol, tri_solve
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
@@ -208,13 +208,27 @@ class AdditiveModel:
     coupling = None
 
     def __init__(self, specs, likelihood, dataset):
-        report = _model.validate_model(specs, dataset)
-        if not report.ok:
-            raise DimensionMismatch(f"invalid model: {report}")
+        if not specs:
+            raise DimensionMismatch("model has no components")
+        ms = [s.m for s in specs]
+        if len(set(ms)) > 1:
+            raise DimensionMismatch(f"components must share one inducing count, got {ms}")
+        for ci, s in enumerate(specs):
+            if not all(0 <= j < dataset.d for j in s.active_dims):
+                raise DimensionMismatch(
+                    f"component {ci} reads input columns {s.active_dims} of {dataset.d}"
+                )
         self.specs = list(specs)
         self.likelihood = likelihood
         self.data = dataset
         self._xp = [s.project(dataset.X) for s in self.specs]
+        # each kernel checks its own domain, at the data and at Z
+        for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
+            try:
+                s.kernel.diag(xp)
+                s.kernel.diag(s.Z)
+            except DomainError as exc:
+                raise DomainError(f"component {ci}: {exc}") from None
         # the specs the posterior reads Z_c from (X for the dense model)
         self.posterior_specs = self.specs
         self._cache_key = None

@@ -18,7 +18,7 @@ from addgp import Gaussian, KernelParams, SquaredExp, cli, linalg, save_model
 from addgp.cli import main, read_csv, write_csv
 from addgp.errors import DataError
 from addgp.io import Rescale, SavedModel
-from addgp.model import COUPLED, ComponentSpec
+from addgp.model import COUPLED, ComponentSpec, anova_specs
 from addgp.sparse import AdditiveModel
 
 
@@ -473,6 +473,31 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_query_exits_2(tmp_path, capsys, value):
+    rng = np.random.default_rng(7)
+    g_params = [KernelParams(0.0, np.log([0.3])) for _ in range(4)]
+    se = SquaredExp(KernelParams(0.0, np.zeros(2)), active_dims=(0, 1))
+    query = tmp_path / "q.csv"
+    query.write_text(f"x1,x2,y\n0.5,0.5,0\n0.25,{value},0\n")
+    for specs in (
+        anova_specs(g_params, 1.0, m=3, ndim=2),
+        [ComponentSpec(se, (0, 1), rng.uniform(0, 1, (3, 2)))],
+    ):
+        c = len(specs)
+        saved = SavedModel(
+            structure=COUPLED, specs=specs, likelihood=Gaussian(0.0),
+            alpha=rng.normal(size=3 * c), B=rng.normal(size=(3 * c, 3)), input_dim=2,
+        )
+        model = tmp_path / "m.addgp"
+        save_model(model, saved)
+        capsys.readouterr()
+        assert main(["predict", str(model), str(query), "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert str(query) in err and "Traceback" not in err, err
+
+
 def _set_key(text, key, value):
     """Set the first ``key = ...`` entry of a model file, or drop it when
     ``value`` is None."""
@@ -508,6 +533,12 @@ MODEL_CORRUPTIONS = [
     ("alpha", "0x1p+0", "'alpha' in [state]"),
     ("b.shape", "5 3", "'b.shape' in [state]"),
     ("b.row.0", "0x1p+0 oops 0x1p+0", "'b.row.0' in [state]"),
+    # every float is finite
+    ("alpha", "nan" + " 0x0p+0" * 5, "'alpha' in [state]"),
+    ("b.row.0", "0x1p+0 inf 0x1p+0", "'b.row.0' in [state]"),
+    ("z.row.0", "nan", "'z.row.0' in [component 0]"),
+    ("kernel.log_variance", "inf", "'kernel.log_variance' in [component 0]"),
+    ("rescale.hi", "0x1p+0 nan", "'rescale.hi' in [model]"),
 ]
 
 
@@ -562,28 +593,45 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+POSITIVE, NONNEGATIVE = "expected a positive integer", "expected a non-negative integer"
+SCALE, OFFSET = "expected a positive finite number", "expected a non-negative finite number"
+RANGE_CASES = [
+    (["synth", "--n", "-1"], POSITIVE),
+    (["synth", "--n", "0"], POSITIVE),
+    (["synth", "--dims", "-1"], POSITIVE),
+    (["fit", "data.csv", "--m", "-1"], POSITIVE),
+    (["fit", "data.csv", "--rank", "0"], POSITIVE),
+    (["decompose", "model.addgp", "--outdir", "e", "--grid", "0"], POSITIVE),
+    (["decompose", "model.addgp", "--outdir", "e", "--grid", "-3"], POSITIVE),
+    (["decompose", "model.addgp", "--outdir", "e", "--grid2d", "0"], POSITIVE),
+    (["bench", "--n-list", "-5"], POSITIVE),
+    (["bench", "--rank", "0"], POSITIVE),
+    (["synth", "--seed", "-1"], NONNEGATIVE),
+    (["bench", "--seed", "-1"], NONNEGATIVE),
+    (["fit", "data.csv", "--seed", "-1"], NONNEGATIVE),
+    (["fit", "data.csv", "--kernel", "se", "--seed", "-1"], NONNEGATIVE),
+    (["fit", "data.csv", "--multi-start", "-1"], NONNEGATIVE),
+    (["fit", "data.csv", "--max-iter", "-1"], POSITIVE),
+    (["fit", "data.csv", "--max-iter", "0"], POSITIVE),
+    (["fit", "data.csv", "--phase1-iter", "-2"], POSITIVE),
+    (["fit", "data.csv", "--noise-var", "-1"], SCALE),
+    (["fit", "data.csv", "--noise-var", "nan"], SCALE),
+    (["fit", "data.csv", "--lengthscale", "0"], SCALE),
+    (["fit", "data.csv", "--variance", "inf"], SCALE),
+    (["fit", "data.csv", "--sigma0", "-1"], OFFSET),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["synth", "--n", "-1"],
-        ["synth", "--n", "0"],
-        ["synth", "--dims", "-1"],
-        ["fit", "data.csv", "--m", "-1"],
-        ["fit", "data.csv", "--rank", "0"],
-        ["decompose", "model.addgp", "--outdir", "e", "--grid", "0"],
-        ["decompose", "model.addgp", "--outdir", "e", "--grid", "-3"],
-        ["decompose", "model.addgp", "--outdir", "e", "--grid2d", "0"],
-        ["bench", "--n-list", "-5"],
-        ["bench", "--rank", "0"],
-    ],
+    "argv,message", RANGE_CASES, ids=[f"argv{i}" for i in range(len(RANGE_CASES))]
 )
-def test_count_flags_reject_nonpositive_values(tmp_path, capsys, argv):
+def test_count_flags_reject_nonpositive_values(tmp_path, capsys, argv, message):
     if argv[0] in ("synth", "bench"):
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "expected a positive integer" in err
+    assert message in err
     assert not (tmp_path / "out.csv").exists()
 
 

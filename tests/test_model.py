@@ -1,19 +1,22 @@
-"""Data model, state initialization and structural validation."""
+"""Data model, state initialization and the checks made at construction."""
 
 import numpy as np
 import pytest
 
 from addgp import (
     ComponentSpec,
+    DataError,
     Dataset,
     DimensionMismatch,
+    DomainError,
     FullVariationalState,
+    Gaussian,
     InvalidRank,
     KernelParams,
+    SparseModel,
     SquaredExp,
     VariationalState,
     ZeroMeanSE,
-    validate_model,
 )
 from addgp.model import (
     COUPLED,
@@ -100,42 +103,41 @@ def test_mean_field_mask_layout():
             assert mask[i, j] == (i // 2 == j // 2)
 
 
-def test_validate_model_accepts_good_model():
-    ds = Dataset(np.random.default_rng(0).uniform(0, 1, (10, 2)), np.zeros(10))
-    report = validate_model([_spec(d=2), _spec(d=2)], ds)
-    assert report.ok
-    assert str(report) == "ok"
-
-
-def test_validate_model_reports_issues():
+def test_constructors_check_the_model():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.uniform(0, 1, (10, 2)), np.zeros(10))
+    SparseModel([_spec(d=2), _spec(d=2)], Gaussian(0.0), ds)
 
+    with pytest.raises(DimensionMismatch, match="no components"):
+        SparseModel([], Gaussian(0.0), ds)
     out_of_range = ComponentSpec(
         SquaredExp(KernelParams(0.0, np.zeros(1))), (5,), np.zeros((4, 1))
     )
-    rep = validate_model([out_of_range], ds)
-    assert any(i.code == "DimensionMismatch" for i in rep.issues)
+    with pytest.raises(DimensionMismatch, match="input columns"):
+        SparseModel([out_of_range], Gaussian(0.0), ds)
+    with pytest.raises(DimensionMismatch, match="inducing count"):
+        SparseModel([_spec(m=4), _spec(m=3)], Gaussian(0.0), ds)
 
-    uneven = [_spec(m=4), _spec(m=3)]
-    rep = validate_model(uneven, ds)
-    assert any(i.code == "SharedMViolation" for i in rep.issues)
+    with pytest.raises(DataError):
+        Dataset(rng.uniform(0, 1, (4, 1)), np.array([0.0, np.nan, 1.0, 2.0]))
+    with pytest.raises(DataError):
+        ComponentSpec(SquaredExp(KernelParams(0.0, np.zeros(1))), (0,), [[0.0], [np.inf]])
+    # the kernel's local columns index the projected columns
+    with pytest.raises(DimensionMismatch, match="local columns"):
+        ComponentSpec(
+            SquaredExp(KernelParams(0.0, np.zeros(1)), active_dims=(1,)), (0,), np.zeros((4, 1))
+        )
 
-    bad_y = Dataset(rng.uniform(0, 1, (4, 1)), np.array([0.0, np.nan, 1.0, 2.0]))
-    rep = validate_model([_spec()], bad_y)
-    assert any(i.code == "NonFinite" for i in rep.issues)
-
-
-def test_validate_model_checks_unit_box_for_zero_mean_kernels():
-    spec = ComponentSpec(
-        ZeroMeanSE(KernelParams(0.0, np.log([0.3]))), (0,), np.linspace(0, 1, 4)[:, None]
-    )
-    bad = Dataset(np.array([[1.7], [0.2]]), np.zeros(2))
-    rep = validate_model([spec], bad)
-    assert any(i.code == "DomainError" for i in rep.issues)
-
+    # the centered kernel is defined on [0, 1], at the data and at Z
+    centered = ZeroMeanSE(KernelParams(0.0, np.log([0.3])))
+    spec = ComponentSpec(centered, (0,), np.linspace(0, 1, 4)[:, None])
     good = Dataset(np.array([[0.7], [0.2]]), np.zeros(2))
-    assert validate_model([spec], good).ok
+    SparseModel([spec], Gaussian(0.0), good)
+    with pytest.raises(DomainError, match="component 0"):
+        SparseModel([spec], Gaussian(0.0), Dataset(np.array([[1.7], [0.2]]), np.zeros(2)))
+    wide = ComponentSpec(centered, (0,), np.linspace(0, 1.5, 4)[:, None])
+    with pytest.raises(DomainError, match="component 0"):
+        SparseModel([wide], Gaussian(0.0), good)
 
 
 def test_inducing_grid_shapes():
