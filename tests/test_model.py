@@ -103,13 +103,17 @@ def test_mean_field_mask_layout():
             assert mask[i, j] == (i // 2 == j // 2)
 
 
-def test_constructors_check_the_model():
+def test_validate_model_accepts_good_model():
+    # the model is validated when it is built: a good one builds
+    ds = Dataset(np.random.default_rng(0).uniform(0, 1, (10, 2)), np.zeros(10))
+    model = SparseModel([_spec(d=2), _spec(d=2)], Gaussian(0.0), ds)
+    assert len(model.specs) == 2
+
+
+def test_validate_model_reports_issues():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.uniform(0, 1, (10, 2)), np.zeros(10))
-    SparseModel([_spec(d=2), _spec(d=2)], Gaussian(0.0), ds)
 
-    with pytest.raises(DimensionMismatch, match="no components"):
-        SparseModel([], Gaussian(0.0), ds)
     out_of_range = ComponentSpec(
         SquaredExp(KernelParams(0.0, np.zeros(1))), (5,), np.zeros((4, 1))
     )
@@ -117,17 +121,11 @@ def test_constructors_check_the_model():
         SparseModel([out_of_range], Gaussian(0.0), ds)
     with pytest.raises(DimensionMismatch, match="inducing count"):
         SparseModel([_spec(m=4), _spec(m=3)], Gaussian(0.0), ds)
-
     with pytest.raises(DataError):
         Dataset(rng.uniform(0, 1, (4, 1)), np.array([0.0, np.nan, 1.0, 2.0]))
-    with pytest.raises(DataError):
-        ComponentSpec(SquaredExp(KernelParams(0.0, np.zeros(1))), (0,), [[0.0], [np.inf]])
-    # the kernel's local columns index the projected columns
-    with pytest.raises(DimensionMismatch, match="local columns"):
-        ComponentSpec(
-            SquaredExp(KernelParams(0.0, np.zeros(1)), active_dims=(1,)), (0,), np.zeros((4, 1))
-        )
 
+
+def test_validate_model_checks_unit_box_for_zero_mean_kernels():
     # the centered kernel is defined on [0, 1], at the data and at Z
     centered = ZeroMeanSE(KernelParams(0.0, np.log([0.3])))
     spec = ComponentSpec(centered, (0,), np.linspace(0, 1, 4)[:, None])
@@ -138,6 +136,19 @@ def test_constructors_check_the_model():
     wide = ComponentSpec(centered, (0,), np.linspace(0, 1.5, 4)[:, None])
     with pytest.raises(DomainError, match="component 0"):
         SparseModel([wide], Gaussian(0.0), good)
+
+
+def test_constructors_check_the_model():
+    ds = Dataset(np.random.default_rng(1).uniform(0, 1, (10, 2)), np.zeros(10))
+    with pytest.raises(DimensionMismatch, match="no components"):
+        SparseModel([], Gaussian(0.0), ds)
+    with pytest.raises(DataError):
+        ComponentSpec(SquaredExp(KernelParams(0.0, np.zeros(1))), (0,), [[0.0], [np.inf]])
+    # the kernel's local columns index the projected columns
+    with pytest.raises(DimensionMismatch, match="local columns"):
+        ComponentSpec(
+            SquaredExp(KernelParams(0.0, np.zeros(1)), active_dims=(1,)), (0,), np.zeros((4, 1))
+        )
 
 
 def test_inducing_grid_shapes():
