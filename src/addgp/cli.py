@@ -133,6 +133,9 @@ def _load_dataset(path):
     _, arr = read_csv(path)
     if arr.shape[1] < 2:
         raise DataError(f"{path}: need at least one feature column plus a target")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}: data row {np.argmax(bad) + 1} holds a NaN or infinite value")
     return _model.Dataset(X=arr[:, :-1], Y=arr[:, -1])
 
 

@@ -294,7 +294,8 @@ def _minus_outer(a, x, y):
 
 
 def _check_unit_interval(x, what):
-    if x.size and (x.min() < -_UNIT_BOX_TOL or x.max() > 1.0 + _UNIT_BOX_TOL):
+    # written so that NaN, which fails every comparison, fails the check
+    if x.size and not (x.min() >= -_UNIT_BOX_TOL and x.max() <= 1.0 + _UNIT_BOX_TOL):
         raise DomainError(
             f"{what} must lie in [0, 1] for zero-mean components "
             f"(observed range [{x.min():.6g}, {x.max():.6g}])"

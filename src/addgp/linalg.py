@@ -13,7 +13,7 @@ import ctypes
 import os
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
 
@@ -57,6 +57,15 @@ def tri_solve(L, rhs, transpose=False):
 def solve_from_chol(L, rhs):
     """Solve ``(L L^T) x = rhs`` with two triangular solves."""
     return tri_solve(L, tri_solve(L, rhs), transpose=True)
+
+
+def inverse_from_chol(L):
+    """``(L L^T)^{-1}`` through LAPACK ``potri``, symmetrized from the lower
+    triangle it computes."""
+    p, info = lapack.dpotri(np.asarray(L, dtype=float), lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"inverse failed on a {len(L)}x{len(L)} factor")
+    return np.tril(p) + np.tril(p, -1).T
 
 
 def logdet_from_chol(L):

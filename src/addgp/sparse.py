@@ -29,7 +29,8 @@ structures: validation, the kernel cache, the bound with analytic gradients
 (the hyperparameter part pulled back through each kernel,
 ``Kernel.eval_with_pullback``) and training. The bound sums one
 ``Posterior`` per block of q(U), so mean-field factors C capacitances of
-M x M; the read paths take its B whole, which is exact. ``SparseModel``
+M x M; the read paths split B the same way wherever it is zero off its
+diagonal M x M blocks, which is exact. ``SparseModel``
 keeps the cross-covariances as one (N, C M) block F, so mu_sum and J are
 one product F [alpha, B] and their gradients one product F^T [dmu, dJ].
 """
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import model as _model
 from .errors import DimensionMismatch, DomainError
-from .linalg import cholesky, logdet_from_chol, solve_from_chol, tri_solve
+from .linalg import cholesky, inverse_from_chol, logdet_from_chol, solve_from_chol, tri_solve
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
@@ -87,9 +88,8 @@ class Posterior:
         return np.matmul(self.ku, self.alphas[:, :, None])[:, :, 0]
 
     def inverse(self):
-        """P = A^{-1}, symmetrized."""
-        p = solve_from_chol(self.L, np.eye(len(self.L)))
-        return 0.5 * (p + p.T)
+        """P = A^{-1}, symmetric."""
+        return inverse_from_chol(self.L)
 
     def kl(self, p=None):
         """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c
@@ -155,7 +155,7 @@ class Posterior:
         return d - np.einsum("ji,ji->i", t, t)
 
     def at(self, Xq, include_components=False):
-        """Marginals of the summed predictor at the query points Xq (full
+        """Marginals of this block's sum at the query points Xq (full
         input width) and, with ``include_components``, each component's
         (mean, variance). The prior diagonals are taken over the whole
         query, so an input outside a kernel's domain fails as in one pass.
@@ -182,7 +182,8 @@ class Posterior:
                     out[3 + 2 * ci, rows] = self._var(diags[ci][rows], fb)
                 mu += fa
                 j = fb if j is None else np.add(j, fb, out=j)
-            out[1, rows] = self._var(d[rows], j)
+            lone = include_components and len(self.specs) == 1  # summed = its own
+            out[1, rows] = out[3, rows] if lone else self._var(d[rows], j)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
 
@@ -268,12 +269,10 @@ class AdditiveModel:
         ]
 
     def marginals(self, Xq=None, include_components=False):
-        """``Posterior.at`` the query points, by default the training
-        inputs, with the cached prior Grams."""
-        ku, ksum = self._kmats()[:2]
-        coupling = getattr(self.state, self.coupling)
-        post = Posterior(self.posterior_specs, self.state.alpha, coupling, ku, ksum)
-        return post.at(self.data.X if Xq is None else Xq, include_components)
+        """Marginals at the query points, by default the training inputs,
+        summed over the blocks of q(U) with the cached prior Grams."""
+        posts = self._posteriors(*self._kmats()[:2])
+        return _marginals(posts, self.data.X if Xq is None else Xq, include_components)
 
     def kl(self):
         """KL from q(U) to the prior p(U); exactly zero at the
@@ -477,11 +476,7 @@ class SparseModel(AdditiveModel):
         blocks = super()._blocks(coupling)
         if self.state.structure != _model.MEAN_FIELD:
             return blocks
-        b, m = blocks[0][1], self.m
-        return [
-            (slice(ci, ci + 1), b[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m])
-            for ci in range(self.c)
-        ]
+        return _diagonal_blocks(blocks[0][1], self.m)
 
     def _perturb_start(self, seed, restart=False):
         """Nudge B off the exact-zero saddle (the bound is even in B, so
@@ -493,12 +488,44 @@ class SparseModel(AdditiveModel):
             _scatter(blocks, rng.normal(0.0, sd, sum(b.size for b in blocks)))
 
 
+def _diagonal_blocks(b, m):
+    """(component slice, view) for every diagonal M x M block of a square B."""
+    rows = [slice(i * m, (i + 1) * m) for i in range(len(b) // m)]
+    return [(slice(i, i + 1), b[r, r]) for i, r in enumerate(rows)]
+
+
+def _read_posteriors(specs, alpha, coupling):
+    """(component slice, ``Posterior``) for every block of q(U) that the
+    coupling shows: one per component when B is square (R = M C) and zero
+    off its diagonal M x M blocks, as mean-field guarantees, which makes the
+    split exact; else one block over all components."""
+    coupling, m, c = np.asarray(coupling, dtype=float), specs[0].m, len(specs)
+    blocks = [(slice(0, c), coupling)]
+    if coupling.shape == (m * c, m * c) and not coupling[~_model.mean_field_mask(m, c)].any():
+        blocks = _diagonal_blocks(coupling, m)
+    alphas = np.asarray(alpha, dtype=float).reshape(c, m)
+    return [(comps, Posterior(specs[comps], alphas[comps], b)) for comps, b in blocks]
+
+
+def _marginals(posteriors, Xq, include_components):
+    """``Posterior.at`` every block: block means and variances add, and the
+    components come in block order."""
+    parts = (post.at(Xq, include_components) for _, post in posteriors)
+    total = next(parts)
+    for part in parts:
+        total.mu_sum += part.mu_sum
+        total.var_sum += part.var_sum
+        if include_components:
+            total.per_component += part.per_component
+    return total
+
+
 def predict_marginals(specs, alpha, coupling, Xq, include_components=False):
     """Predictive marginals at query points, given only the specs and the
     posterior parameters (no dataset needed). ``coupling`` is B, or lambda
     for the dense model, whose specs carry the projected training inputs as
     Z."""
-    return Posterior(specs, alpha, coupling).at(Xq, include_components)
+    return _marginals(_read_posteriors(specs, alpha, coupling), Xq, include_components)
 
 
 def decompose(specs, alpha, coupling, grids, coupled_check=False):
@@ -508,24 +535,33 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
     space); ``coupling`` is B or lambda, as for ``predict_marginals``.
     Returns a list of (grid, mean, variance) triples. The marginal variance
     of component c only involves the (c, c) block of the coupled posterior
-    covariance; with ``coupled_check`` the cross term is recomputed through
-    a densely assembled capacitance, I + [B_1^T K_1, ..., B_C^T K_C] [B_1;
-    ...; B_C], and generic LU solves, bypassing the Cholesky path, and the
+    covariance, read per block of q(U) as in ``predict_marginals``; with
+    ``coupled_check`` the cross term is recomputed through the whole
+    capacitance, I + [B_1^T K_1, ..., B_C^T K_C] [B_1; ...; B_C], assembled
+    densely, and generic LU solves, bypassing the Cholesky path; the
     maximum discrepancy is returned as a fourth element.
     """
-    post = Posterior(specs, alpha, coupling)
+    posts = _read_posteriors(specs, alpha, coupling)
+    # (block posterior, index within the block) for every component
+    owners = [(post, k) for comps, post in posts for k in range(comps.stop - comps.start)]
     if coupled_check:
-        bk = np.hstack([post.times_b(ci, k.T).T for ci, k in enumerate(post.ku)])
-        bs = np.vstack([post.times_b(ci, np.eye(len(k))) for ci, k in enumerate(post.ku)])
-        a_dense = np.eye(len(post.L)) + bk @ bs
+        # x B_c for the whole coupling: its rows of B, or the tied diag(lambda)
+        whole, m = np.asarray(coupling, dtype=float), specs[0].m
+
+        def times_b(ci, x):
+            return x * whole if whole.ndim == 1 else x @ whole[ci * m : (ci + 1) * m]
+
+        bk = np.hstack([times_b(ci, post.ku[k].T).T for ci, (post, k) in enumerate(owners)])
+        bs = np.vstack([times_b(ci, np.eye(m)) for ci in range(len(specs))])
+        a_dense = np.eye(len(bk)) + bk @ bs
     out = []
-    for ci, s in enumerate(specs):
+    for ci, (s, (post, k)) in enumerate(zip(specs, owners)):
         g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
         kq = s.kernel.eval(g, s.Z)
         dg = s.kernel.diag(g)
-        mean, var = post.component(ci, kq, dg)
+        mean, var = post.component(k, kq, dg)
         if coupled_check:
-            jc = post.times_b(ci, kq)
+            jc = times_b(ci, kq)
             var_dense = dg - np.einsum("ij,ji->i", jc, np.linalg.solve(a_dense, jc.T))
             out.append((g, mean, var, float(np.max(np.abs(var - var_dense)))))
         else:

@@ -498,6 +498,16 @@ def test_non_finite_query_exits_2(tmp_path, capsys, value):
         assert str(query) in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_training_data_exits_2_naming_the_row(tmp_path, capsys, value):
+    data = tmp_path / "d.csv"
+    data.write_text(f"# three rows\nx1,x2,y\n0.1,0.2,1.0\n0.3,0.4,{value}\n0.5,{value},2.0\n")
+    assert main(["fit", str(data), "--out", str(tmp_path / "m.addgp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"{data}: data row 2 " in err and "Traceback" not in err, err
+
+
 def _set_key(text, key, value):
     """Set the first ``key = ...`` entry of a model file, or drop it when
     ``value`` is None."""

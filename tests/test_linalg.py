@@ -6,6 +6,7 @@ import pytest
 from addgp import NotPositiveDefinite
 from addgp.linalg import (
     cholesky,
+    inverse_from_chol,
     logdet_from_chol,
     solve_from_chol,
     tri_solve,
@@ -66,3 +67,18 @@ def test_logdet_from_chol_matches_slogdet():
     sign, ref = np.linalg.slogdet(a)
     assert sign == 1.0
     assert abs(logdet_from_chol(L) - ref) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 16, 112, 500])
+def test_inverse_from_chol_matches_solves(n):
+    rng = np.random.default_rng(n)
+    L = cholesky(_spd(rng, n, cond=1e3))
+    p = inverse_from_chol(L)
+    ref = solve_from_chol(L, np.eye(n))
+    assert np.array_equal(p, p.T)
+    assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inverse_from_chol_rejects_singular_factor():
+    with pytest.raises(NotPositiveDefinite):
+        inverse_from_chol(np.diag([1.0, 0.0, 2.0]))

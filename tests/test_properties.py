@@ -13,6 +13,7 @@ their own format error, and ``--config`` any JSON object into exit 0, 1 or
 import contextlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,12 +30,13 @@ from addgp import (
     load_model,
     save_model,
 )
+from addgp import sparse
 from addgp.cli import build_parser, main, read_csv
 from addgp.errors import DataError, ModelFormatError
 from addgp.io import Rescale, SavedModel
-from addgp.model import COUPLED, FULL, MEAN_FIELD, mean_field_mask
-from addgp.sparse import VAR_CLAMP, decompose
-from conftest import make_specs
+from addgp.model import COUPLED, FULL, MEAN_FIELD, VariationalState, mean_field_mask
+from addgp.sparse import VAR_CLAMP, decompose, predict_marginals
+from conftest import dense_blocks, make_specs, woodbury_cov
 
 
 def _model(structure, seed, c, m, n, d):
@@ -84,8 +86,8 @@ def test_read_paths_agree_and_stay_nonnegative(model):
     ).log_evidence
     assert model.elbo() <= ev + 1e-8 * abs(ev)
 
-    # the bound reads its marginals through ``project`` and P (per block
-    # for mean-field), the read path through whole-B triangular solves
+    # the bound reads its marginals through ``project`` and P, the read path
+    # through triangular solves, both per block of q(U) for mean-field
     train = model.marginals(include_components=True)
     var = np.maximum(train.var_sum, VAR_CLAMP)
     ell = np.sum(model.likelihood.expected_loglik(model.data.Y, train.mu_sum, var))
@@ -141,6 +143,67 @@ def test_mean_field_blocks_match_full_rank_coupled(seed, c, m, n, d):
     assert np.all(g_mf["B"][~mask] == 0.0)
     assert rel_close(np.concatenate(g_mf["kernels"]), np.concatenate(g_cp["kernels"]))
     assert rel_close(g_mf["lik"], g_cp["lik"])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    coupled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(2, 3),
+    m=st.integers(1, 5),
+    n=st.integers(2, 9),
+    d=st.integers(1, 2),
+)
+def test_block_reads_match_dense_posterior(coupled, seed, c, m, n, d):
+    # mean-field reads split B into its C diagonal blocks and factor C
+    # capacitances of M x M; one nonzero entry off those blocks makes B a
+    # coupled R = M C posterior, read whole through one R x R factor. Both
+    # must match the dense Sigma_U = (K^{-1} + B B^T)^{-1}, through which
+    # q(f_c(x)) has variance k_c(x, x) - F_c K_c^{-1} (K_c - Sigma_cc) K_c^{-1} F_c^T
+    model = _model(MEAN_FIELD, seed, c, m, n, d)
+    rng = np.random.default_rng(seed)
+    if coupled:
+        b = model.state.B.copy()
+        off = np.argwhere(~mean_field_mask(m, c))
+        b[tuple(off[rng.integers(len(off))])] = rng.normal()
+        state = VariationalState(model.state.alpha, b, COUPLED)
+        model = SparseModel(model.specs, model.likelihood, model.data, state=state)
+    alpha, B = model.state.alpha, model.state.B
+    Xq = rng.uniform(0.0, 1.0, size=(6, d))
+    K, F = dense_blocks(model.specs, Xq)
+    W = np.linalg.solve(K, F.T)
+    D = K - woodbury_cov(K, B)
+    kdiag = [s.kernel.diag(s.project(Xq)) for s in model.specs]
+    per = [
+        (F[:, blk] @ alpha[blk], kd - np.sum(W[blk] * (D[blk, blk] @ W[blk]), axis=0))
+        for kd, blk in zip(kdiag, (slice(ci * m, (ci + 1) * m) for ci in range(c)))
+    ]
+
+    shapes = []
+    factor = sparse.cholesky
+
+    def recording(a):
+        shapes.append(a.shape)
+        return factor(a)
+
+    grids = [s.project(Xq) for s in model.specs]
+    with mock.patch.object(sparse, "cholesky", recording):
+        reads = [
+            model.marginals(Xq, include_components=True),
+            predict_marginals(model.specs, alpha, B, Xq, include_components=True),
+        ]
+        effects = decompose(model.specs, alpha, B, grids, coupled_check=True)
+    assert shapes == ([(m * c, m * c)] if coupled else [(m, m)] * c) * 3
+    for marg in reads:
+        assert _close(marg.mu_sum, F @ alpha)
+        assert _close(marg.var_sum, sum(kdiag) - np.sum(W * (D @ W), axis=0))
+        for (mean, var), (mean_ref, var_ref) in zip(marg.per_component, per, strict=True):
+            assert _close(mean, mean_ref)
+            assert _close(var, var_ref)
+    for (_, mean, var, disc), (mean_ref, var_ref) in zip(effects, per, strict=True):
+        assert _close(mean, mean_ref)
+        assert _close(var, var_ref)
+        assert disc <= 1e-9 * (1.0 + np.max(np.abs(var_ref)))
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ from addgp import (
     exact_sum_posterior,
 )
 from addgp import linalg, sparse
-from addgp.errors import NotPositiveDefinite
+from addgp.errors import DomainError, NotPositiveDefinite
 from addgp.model import MEAN_FIELD, VariationalState, anova_specs, init_state, mean_field_mask
 from addgp.optimize import TrainConfig
 from addgp.sparse import decompose, predict_marginals
@@ -411,6 +411,21 @@ def test_decompose_coupled_check_agrees():
     out = decompose(specs, rng.normal(size=16), lam, [X, X], coupled_check=True)
     for _, _, _, disc in out:
         assert disc < 1e-7
+
+
+def test_nan_query_raises_domain_error():
+    # NaN fails every comparison, so the unit-box check must be written to
+    # fail on it rather than pass it on to scipy's bare ValueError
+    rng = np.random.default_rng(140)
+    g = [KernelParams(0.0, np.log([0.3])) for _ in range(4)]
+    specs = anova_specs(g, 1.0, m=3, ndim=2)
+    xq = np.array([[0.5, np.nan]])
+    grids = [np.array([[0.5]]), np.array([[np.nan]]), np.array([[0.5, 0.5]])]
+    for B in (rng.normal(size=(9, 3)), np.where(mean_field_mask(3, 3), rng.normal(size=(9, 9)), 0.0)):
+        with pytest.raises(DomainError):
+            predict_marginals(specs, rng.normal(size=9), B, xq)
+        with pytest.raises(DomainError):
+            decompose(specs, rng.normal(size=9), B, grids)
 
 
 def test_predict_marginals_matches_method():
