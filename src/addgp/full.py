@@ -74,18 +74,23 @@ class FullModel(_sparse.AdditiveModel):
         ]
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, N, N) Grams at the training inputs, their sum Ksum, the summed
-        prior diagonal and no cross block: with Z_c = X the Grams are the
-        cross blocks, so one kernel evaluation serves every use and each
-        pullback is one call on the summed weights."""
+        """(C, N, N) Grams at the training inputs, their sum Ksum, and rows
+        that give no cross block and the summed prior diagonal: with
+        Z_c = X the Grams are the cross blocks, so one kernel evaluation
+        serves every use and each pullback is one call on the summed
+        weights."""
         karr = np.empty((self.c, self.n, self.n))
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
             karr[ci], pb = s.kernel.eval_with_pullback(xp)
-            if pullbacks:
+            if pullbacks:  # a pullback keeps its kernel's blocks alive
                 pbs.append(lambda gk, gf, gs, pb=pb: pb(_plus_diag(gk + gf, gs)))
         d0 = np.diagonal(karr, axis1=1, axis2=2).sum(axis=0)
-        return karr, sum(karr), d0, None, pbs
+        return karr, sum(karr), lambda rows: (None, d0[rows], pbs)
+
+    def _row_slices(self):
+        """All N rows in one block: Gram and row weights meet in one pullback."""
+        return [slice(0, self.n)]
 
     # -- training hooks ------------------------------------------------------
 

@@ -12,13 +12,15 @@ available in closed form through the error function. Sums and products of
 such components give main effects and interactions whose posterior means
 are directly interpretable as sensitivity-analysis effects.
 
-All hyperparameters are carried in log space. Each kernel implements two
+All hyperparameters are carried in log space. Each kernel has three
 methods: ``eval_with_pullback`` returns the Gram matrix K together with a
 function that maps a weight matrix G of K's shape to the vector
 ``sum(G * dK/dtheta_p)`` over the trainable log-parameters theta_p, in the
 order reported by ``param_names``; ``diag_with_pullback`` does the same for
-the diagonal. ``eval`` and ``diag`` are their value halves, defined once on
-``Kernel``, so work that only the gradient needs (the derivatives of the
+the diagonal, and ``cross_with_pullback`` for a cross block and the
+diagonal at its rows together (composed on ``Kernel``; the zero-mean kernel
+shares their mean embedding). ``eval`` and ``diag`` are the value halves,
+defined once on ``Kernel``, so work that only the gradient needs (the derivatives of the
 zero-mean kernel's integrals, a product's leave-one-out factors) is done
 inside the pullback: a caller that needs only values pays for no
 derivative. A model passes in dBound/dK and gets dBound/dtheta back, so no
@@ -29,6 +31,7 @@ zero-mean kernel reduce to matrix-vector products.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +96,13 @@ class Kernel:
     def diag_with_pullback(self, X):
         """Diagonal d and its pullback ``g -> [g @ dd/dtheta_p]_p``."""
         raise NotImplementedError
+
+    def cross_with_pullback(self, X, X2):
+        """Cross block K(X, X2), the diagonal d at the rows of X and one
+        pullback ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p``."""
+        K, pull_k = self.eval_with_pullback(X, X2)
+        d, pull_d = self.diag_with_pullback(X)
+        return K, d, lambda G, g: pull_k(G) + pull_d(g)
 
     def get_params(self):
         raise NotImplementedError
@@ -229,19 +239,20 @@ def se_mean_embedding(params, x):
 
     Closed form: ``v * l * sqrt(pi/2) * (erf((1-x)/(sqrt(2) l)) + erf(x/(sqrt(2) l)))``.
     """
-    return _se_mean_embedding(*_scalars(params), np.asarray(x, dtype=float))
+    return _se_embedding(*_scalars(params), np.asarray(x, dtype=float))[0]
 
 
-def _se_mean_embedding(v, ell, x):
+def _se_embedding(v, ell, x):
+    """(m, u, w): the mean embedding at x and the scaled columns
+    u = (1 - x)/(sqrt(2) l), w = x/(sqrt(2) l) that its derivative reuses."""
     u = (1.0 - x) / (np.sqrt(2.0) * ell)
     w = x / (np.sqrt(2.0) * ell)
-    return v * ell * _SQRT_HALF_PI * (erf(u) + erf(w))
+    return v * ell * _SQRT_HALF_PI * (erf(u) + erf(w)), u, w
 
 
-def _se_mean_embedding_dlogl(v, ell, x, m):
-    """Derivative w.r.t. log-lengthscale of the mean embedding ``m`` at x."""
-    u = (1.0 - x) / (np.sqrt(2.0) * ell)
-    w = x / (np.sqrt(2.0) * ell)
+def _se_mean_embedding_dlogl(v, ell, m, u, w):
+    """Derivative w.r.t. log-lengthscale of the mean embedding ``m``, from
+    the scaled columns of ``_se_embedding``."""
     # d/d log l of erf terms: each erf(a/l) contributes -(2/sqrt(pi)) a/l e^{-(a/l)^2}
     return m - v * np.sqrt(2.0) * ell * (u * np.exp(-u * u) + w * np.exp(-w * w))
 
@@ -326,56 +337,66 @@ class ZeroMeanSE(Kernel):
         return x
 
     def eval_with_pullback(self, X, X2=None):
-        x = self._column(X, "inputs")
-        y = x if X2 is None else self._column(X2, "inputs")
-        v, ell = _scalars(self.params)
-        mx = _se_mean_embedding(v, ell, x)
-        my = mx if y is x else _se_mean_embedding(v, ell, y)
-        q = _se_double_integral(v, ell)
-        c = np.sqrt(0.5) / ell
-        xs, ys = x * c, y * c
-        # v exp(-t) - mx my^T / q with t the block of halved squared scaled
-        # distances, built in place on one (n, m) array
-        K = _sqdist(xs, ys)
-        np.subtract(self.params.log_variance, K, out=K)
-        np.exp(K, out=K)
-        K = _minus_outer(K, mx, my / q)
-
-        def pullback(G):
-            # dK/dlog v = K (every term is linear in v);
-            # dK/dlog l = 2 g t - (dmx my' + mx dmy')/q + mx my' dq/q^2 with
-            # the SE part g = K + mx my'/q. Only K is kept between the calls:
-            # t is rebuilt here, so sum(G g t) = sum(G t K) + mx'(G t)my/q.
-            dmx = _se_mean_embedding_dlogl(v, ell, x, mx)
-            dmy = dmx if y is x else _se_mean_embedding_dlogl(v, ell, y, my)
-            dq = _se_double_integral_dlogl(v, ell)
-            gm = G @ np.column_stack((my, dmy))
-            gt = _sqdist(xs, ys)
-            gt *= G
-            sum_gtg = np.einsum("ij,ij->", gt, K) + mx @ (gt @ my) / q
-            dl = (
-                2.0 * sum_gtg
-                - (dmx @ gm[:, 0] + mx @ gm[:, 1]) / q
-                + (mx @ gm[:, 0]) * (dq / (q * q))
-            )
-            return np.array([np.einsum("ij,ij->", G, K), dl])
-
-        return K, pullback
+        K, _, pullback = self._blocks(X, X2)
+        return K, lambda G: pullback(G, None)
 
     def diag_with_pullback(self, X):
-        x = self._column(X, "inputs")
+        _, d, pullback = self._blocks(X, None, cross=False)
+        return d, lambda g: pullback(None, g)
+
+    def cross_with_pullback(self, X, X2):
+        return self._blocks(X, X2)
+
+    def _blocks(self, X, X2, cross=True):
+        """The block K(X, X2) (the Gram of X for X2 None; None unless
+        ``cross``) and the diagonal at X from one mean embedding of X, and
+        one pullback ``(G, g)`` that takes None for a weight left out."""
         v, ell = _scalars(self.params)
-        m = _se_mean_embedding(v, ell, x)
+        x = self._column(X, "inputs")
+        ex = _se_embedding(v, ell, x)
+        mx = ex[0]
         q = _se_double_integral(v, ell)
-        d = v - m * m / q
+        d, K = v - mx * mx / q, None
+        if cross:
+            y = x if X2 is None else self._column(X2, "inputs")
+            ey = ex if y is x else _se_embedding(v, ell, y)
+            my = ey[0]
+            c = np.sqrt(0.5) / ell
+            xs, ys = x * c, y * c
+            # v exp(-t) - mx my^T / q with t the block of halved squared
+            # scaled distances, built in place on one (n, m) array
+            K = _sqdist(xs, ys)
+            np.subtract(self.params.log_variance, K, out=K)
+            np.exp(K, out=K)
+            K = _minus_outer(K, mx, my / q)
 
-        def pullback(g):
-            dm = _se_mean_embedding_dlogl(v, ell, x, m)
+        def pullback(G, g):
+            # every term is linear in v, so d/dlog v of each part is the part
+            dmx = _se_mean_embedding_dlogl(v, ell, *ex)
             dq = _se_double_integral_dlogl(v, ell)
-            dl = -2.0 * m * dm / q + m * m * (dq / (q * q))
-            return np.array([g @ d, g @ dl])
+            out = np.zeros(2)
+            if G is not None:
+                # dK/dlog l = 2 g t - (dmx my' + mx dmy')/q + mx my' dq/q^2
+                # with the SE part g = K + mx my'/q. Only K is kept between
+                # the calls: t is rebuilt here, so
+                # sum(G g t) = sum(G t K) + mx'(G t)my/q.
+                dmy = dmx if ey is ex else _se_mean_embedding_dlogl(v, ell, *ey)
+                gm = G @ np.column_stack((my, dmy))
+                gt = _sqdist(xs, ys)
+                gt *= G
+                sum_gtg = np.einsum("ij,ij->", gt, K) + mx @ (gt @ my) / q
+                dl = (
+                    2.0 * sum_gtg
+                    - (dmx @ gm[:, 0] + mx @ gm[:, 1]) / q
+                    + (mx @ gm[:, 0]) * (dq / (q * q))
+                )
+                out += [np.einsum("ij,ij->", G, K), dl]
+            if g is not None:
+                dl = -2.0 * mx * dmx / q + mx * mx * (dq / (q * q))
+                out += [g @ d, g @ dl]
+            return out
 
-        return d, pullback
+        return K, d, pullback
 
     def get_params(self):
         return np.array(
@@ -437,6 +458,9 @@ class Sum(_Composite):
     def diag_with_pullback(self, X):
         return _sum_with_pullback([p.diag_with_pullback(X) for p in self.parts])
 
+    def cross_with_pullback(self, X, X2):
+        return _sum_with_pullback([p.cross_with_pullback(X, X2) for p in self.parts])
+
 
 class Product(_Composite):
     """Elementwise product of kernels."""
@@ -449,18 +473,20 @@ class Product(_Composite):
     def diag_with_pullback(self, X):
         return _product_with_pullback([p.diag_with_pullback(X) for p in self.parts])
 
+    def cross_with_pullback(self, X, X2):
+        return _product_with_pullback([p.cross_with_pullback(X, X2) for p in self.parts])
+
 
 def _sum_with_pullback(parts):
-    """Sum of (value, pullback) pairs: every part sees the same weights."""
-    value = parts[0][0]
-    for v, _ in parts[1:]:
-        value = value + v
-    pullbacks = [pb for _, pb in parts]
+    """Sum of (value, ..., pullback) tuples, value by value: every part sees
+    the same weights."""
+    values = [sum(vs[1:], vs[0]) for vs in zip(*(p[:-1] for p in parts))]
+    pullbacks = [p[-1] for p in parts]
 
-    def pullback(G):
-        return np.concatenate([pb(G) for pb in pullbacks])
+    def pullback(*weights):
+        return np.concatenate([pb(*weights) for pb in pullbacks])
 
-    return value, pullback
+    return (*values, pullback)
 
 
 def _mul(a, b):
@@ -471,29 +497,26 @@ def _mul(a, b):
 
 
 def _product_with_pullback(parts):
-    """Elementwise product of (value, pullback) pairs. Part i sees the
-    weights times the product of the other parts, formed from the prefix
-    products the value is built from and, in the pullback, the suffix
-    products, so that no entry is ever divided out."""
-    values = [v for v, _ in parts]
-    n = len(values)
-    prefix = [None] * n
-    for i in range(1, n):
-        prefix[i] = _mul(prefix[i - 1], values[i - 1])
-    value = _mul(prefix[-1], values[-1])
-    pullbacks = [pb for _, pb in parts]
+    """Elementwise product of (value, ..., pullback) tuples, value by value.
+    Part i sees each weight times the product of the other parts' values,
+    formed from the prefix products the value is built from and, in the
+    pullback, the suffix products, so that no entry is ever divided out."""
+    n = len(parts)
+    values = list(zip(*(p[:-1] for p in parts)))  # per output, every part's
+    prefixes = [[None, *itertools.accumulate(vals[:-1], _mul)] for vals in values]
+    pullbacks = [p[-1] for p in parts]
 
-    def pullback(G):
+    def pullback(*weights):
         out = [None] * n
-        suffix = None
+        suffixes = [None] * len(values)
         for i in range(n - 1, -1, -1):
-            rest = _mul(prefix[i], suffix)
-            out[i] = pullbacks[i](G if rest is None else G * rest)
+            rests = [_mul(pre[i], suf) for pre, suf in zip(prefixes, suffixes)]
+            out[i] = pullbacks[i](*(w if r is None else w * r for w, r in zip(weights, rests)))
             if i:
-                suffix = _mul(values[i], suffix)
+                suffixes = [_mul(vals[i], suf) for vals, suf in zip(values, suffixes)]
         return np.concatenate(out)
 
-    return value, pullback
+    return (*(_mul(pre[-1], vals[-1]) for pre, vals in zip(prefixes, values)), pullback)
 
 
 def build_anova_kernel(g_params, sigma0, ndim=6, learn_sigma0=True):

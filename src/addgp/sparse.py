@@ -26,13 +26,16 @@ rows, with no N x N matrix. ``Posterior`` factors A once and is the only
 place the coupling enters: it serves every read and pulls the gradients
 back to B or Lambda. ``AdditiveModel`` holds the rest for all three
 structures: validation, the kernel cache, the bound with analytic gradients
-(the hyperparameter part pulled back through each kernel,
-``Kernel.eval_with_pullback``) and training. The bound sums one
-``Posterior`` per block of q(U), so mean-field factors C capacitances of
-M x M; the read paths split B the same way wherever it is zero off its
-diagonal M x M blocks, which is exact. ``SparseModel``
-keeps the cross-covariances as one (N, C M) block F, so mu_sum and J are
-one product F [alpha, B] and their gradients one product F^T [dmu, dJ].
+(the hyperparameter part pulled back through each kernel) and training.
+The bound sums one ``Posterior`` per block of q(U), so mean-field factors C
+capacitances of M x M; the read paths split B the same way wherever it is
+zero off its diagonal M x M blocks, which is exact. The bound walks the
+training rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``): a
+block's cross-covariances are one (rows, C M) block F, so its mu_sum and J
+are one product F [alpha, B] and its gradients one product F^T [dmu, dJ].
+With fixed hyperparameters F is a row slice of one cached (N, C M) block;
+with their gradients each component evaluates and pulls back its F columns
+and prior diagonal in one joint call (``Kernel.cross_with_pullback``).
 """
 
 from __future__ import annotations
@@ -47,8 +50,17 @@ from .linalg import cholesky, inverse_from_chol, logdet_from_chol, solve_from_ch
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
-# query rows per block of Posterior.at
+# rows per block of Posterior.at and of the bound; multiples of 8, the row
+# unroll of the BLAS kernels, so blocked reads keep the bits of one pass
 _ROWS = 4096
+_BOUND_ROWS = 1536
+
+
+def _row_blocks(n, size):
+    """Slices of ``size`` rows over n rows; a lone last row joins the block
+    before it, as a one-column triangular solve rounds differently."""
+    edges = [*range(0, max(n - 1, 1), size), n]
+    return list(map(slice, edges, edges[1:]))
 
 
 class Posterior:
@@ -59,7 +71,8 @@ class Posterior:
     model). ``ku`` holds the prior Grams K_c(Z_c, Z_c) when the caller
     already has them, and ``ksum`` their sum for lambda. Reads take cross
     blocks F_c = K_c(X*, Z_c) and prior diagonals k_c(x, x); the bound
-    takes its pieces from ``kl``, ``project`` and the two pullbacks.
+    takes its pieces from ``kl``, ``project``, ``pullback`` per row block,
+    ``coupling_grad`` and the kernel weights.
     """
 
     def __init__(self, specs, alpha, coupling, ku=None, ksum=None):
@@ -109,40 +122,46 @@ class Posterior:
         """F_c B_c for a block F_c with the M_c columns of component ci."""
         return fc * self._lam if self._b is None else fc @ self._b[ci]
 
-    def project(self, f):
+    def project(self, f, rows):
         """mu = sum_c F_c alpha_c and J = sum_c F_c B_c at the training
-        inputs. For B, ``f`` is the (N, C M) block [F_1 ... F_C] and both
-        come from one product; lambda reads its Grams, which are its cross
-        blocks."""
+        rows ``rows``. For B, ``f`` is their (rows, C M) block
+        [F_1 ... F_C] and both come from one product; lambda reads its
+        Grams, which are its cross blocks."""
         if self._b is None:
-            return self.ka.sum(axis=0), self._kb
+            return self.ka.sum(axis=0)[rows], self._kb[rows]
         mj = f @ np.column_stack((self.alphas.ravel(), self._bmat))
         return mj[:, 0], mj[:, 1:]
 
-    def pullback(self, f, u, w):
-        """(F_c^T dE/dmu for every component, dBound/dcoupling) from
-        u = [dE/dmu, U] with U = Gs J P and W = 2 Psi - Omega:
+    def pullback(self, f, u, rows):
+        """One row block's share of (F_c^T dE/dmu for every component,
+        -2 F^T U) from its u = [dE/dmu, U], U = Gs J P; for lambda the second
+        is -2 diag(Ksum U)."""
+        if self._b is None:
+            ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
+            return np.matmul(self.ku[:, :, rows], u[:, 0]), -2.0 * ksum_u
+        ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
+        return ftu[:, :, 0], -2.0 * ftu[:, :, 1:]
+
+    def coupling_grad(self, ftu, w):
+        """dBound/dcoupling from the summed -2 F^T U and W = 2 Psi - Omega:
         dB = -2 F^T U + K B W, dlambda = -2 diag(Ksum U) + diag(J W)."""
         if self._b is None:
-            glam = -2.0 * np.einsum("ij,ij->j", self._ksum, u[:, 1:])
-            glam += np.einsum("ij,ij->i", self._kb, w)
-            return np.matmul(self.ku, u[:, 0]), glam
-        ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
-        return ftu[:, :, 0], -2.0 * ftu[:, :, 1:] + np.matmul(self._kb, w)
+            return ftu + np.einsum("ij,ij->i", self._kb, w)
+        return ftu + np.matmul(self._kb, w)
 
-    def kernel_weights(self, ci, u, v):
-        """dBound/dK_c = B_c V B_c^T - alpha_c alpha_c^T / 2 and dBound/dF_c =
-        dE/dmu alpha_c^T - 2 U B_c^T for V = Psi - Omega / 2."""
+    def cross_weights(self, ci, u):
+        """dBound/dF_c = dE/dmu alpha_c^T - 2 U B_c^T at a row block."""
         al = self.alphas[ci]
         if self._b is None:
-            lam = self._lam
-            gk = (lam[:, None] * v) * lam
-            gf = np.outer(u[:, 0], al) - 2.0 * (u[:, 1:] * lam)
-        else:
-            b = self._b[ci]
-            gk = b @ v @ b.T
-            gf = u @ np.vstack((al, -2.0 * b.T))
-        return gk - 0.5 * np.outer(al, al), gf
+            return np.outer(u[:, 0], al) - 2.0 * (u[:, 1:] * self._lam)
+        return u @ np.vstack((al, -2.0 * self._b[ci].T))
+
+    def gram_weights(self, ci, v):
+        """dBound/dK_c = B_c V B_c^T - alpha_c alpha_c^T / 2 for
+        V = Psi - Omega / 2."""
+        al, lam, b = self.alphas[ci], self._lam, self._b
+        bvb = (lam[:, None] * v) * lam if b is None else b[ci] @ v @ b[ci].T
+        return bvb - 0.5 * np.outer(al, al)
 
     def component(self, ci, fc, dc):
         """(mean, variance) of component ci from its cross block and prior
@@ -168,10 +187,7 @@ class Posterior:
         d = sum(diags)
         # rows: summed mean and variance, then each component's pair
         out = np.empty((2 + 2 * len(self.specs) * include_components, len(d)))
-        # a one-column triangular solve takes another BLAS path with other
-        # rounding, so a lone last row joins the block before it
-        edges = [*range(0, max(len(d) - 1, 1), _ROWS), len(d)]
-        for rows in map(slice, edges, edges[1:]):
+        for rows in _row_blocks(len(d), _ROWS):
             mu, j = out[0, rows], None
             mu[...] = 0.0
             for ci, (s, xp) in enumerate(zip(self.specs, xps)):
@@ -195,15 +211,16 @@ class AdditiveModel:
     training with restarts.
 
     A subclass names its coupling field in the state (``coupling``, "B" or
-    "lam") and supplies ``_prior_blocks`` and ``_perturb_start``, and
-    splits ``_blocks`` where q(U) factorizes: the bound and the optimizer
-    see only those views into the coupling. ``_prior_blocks(pullbacks)``
-    returns ``(ku, ksum, d0, f, pullbacks)``: the prior Grams, their sum
-    for lambda (else None), the summed prior diagonal at the training
-    inputs, the cross block ``Posterior.project`` reads (None for lambda),
-    and with ``pullbacks`` one function per component that maps the weights
-    on its Gram, cross block and diagonal to its log-hyperparameter
-    gradient.
+    "lam"), supplies ``_prior_blocks`` and ``_perturb_start``, may override
+    ``_row_slices`` and splits ``_blocks`` where q(U) factorizes: the bound
+    and the optimizer see only those views into the coupling.
+    ``_prior_blocks(pullbacks)`` returns ``(ku, ksum, rows)``: the prior
+    Grams, their sum for lambda (else None) and a function of a slice of
+    training rows that gives ``(f, d0, pullbacks)``: the cross block
+    ``Posterior.project`` reads (None for lambda), the summed prior
+    diagonal and, with ``pullbacks``, one function per component that maps
+    the weights on its Gram (None but in the last row block), cross block
+    and diagonal to its log-hyperparameter gradient.
     """
 
     coupling = None
@@ -289,59 +306,77 @@ class AdditiveModel:
         'kernels' (one array per component) and 'lik'."""
         return self._bound(train_hypers)
 
+    def _row_slices(self):
+        """The blocks of training rows the bound walks."""
+        return _row_blocks(self.n, _BOUND_ROWS)
+
     def _bound(self, train_hypers=False, grads=True):
-        """The bound from one factorization of A per block, with P = A^{-1}:
+        """The bound from one factorization of A per block of q(U), with
+        P = A^{-1}, summed over blocks of training rows:
 
             var_sum = d0 - sum_blocks diag(J P J^T),  KL summed over blocks.
 
         With U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the
         variance weights of the expected log-likelihood), every gradient is
-        a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``)."""
-        blocks = self._prior_blocks(pullbacks=True) if train_hypers else self._kmats()
-        ku, ksum, d0, f, pullbacks = blocks
+        a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``). A row
+        block adds its share of each sum and pulls its own cross-block and
+        diagonal weights back; the last, with Psi complete, the Gram's too.
+        No array is N rows long beyond the cached prior blocks."""
+        hyper = grads and train_hypers
+        ku, ksum, cross = self._prior_blocks(pullbacks=True) if hyper else self._kmats()
         m = len(self.state.alpha) // self.c
-        mu, down, kl, parts = 0.0, 0.0, 0.0, []
-        for comps, post in self._posteriors(ku, ksum):
-            p = post.inverse()
-            fb = None if f is None else f[:, comps.start * m : comps.stop * m]
-            mu_b, j = post.project(fb)
-            jp = j @ p
-            mu = mu + mu_b
-            down = down + np.einsum("nr,nr->n", jp, j)
-            kl = kl + post.kl(p)
-            parts.append((comps, post, p, fb, jp))
-        s_raw = d0 - down
-        clamped = s_raw < VAR_CLAMP
-        s = np.where(clamped, VAR_CLAMP, s_raw)
-        y = self.data.Y
-        bound = float(np.sum(self.likelihood.expected_loglik(y, mu, s))) - kl
+        parts = [(comps, post, post.inverse()) for comps, post in self._posteriors(ku, ksum)]
+        kl = sum(post.kl(p) for _, post, p in parts)
+        omegas = [p - p @ p for _, _, p in parts] if grads else None
+        # per block of q(U): the running F^T dE/dmu, -2 F^T U and Psi
+        sums = [[0.0, 0.0, 0.0] for _ in parts]
+        y, ell, glik, gkernels = self.data.Y, 0.0, 0.0, [0.0] * self.c
+        for rows in self._row_slices():
+            f, d0, pbs = cross(rows)
+            mu, down, jps = 0.0, 0.0, []
+            for comps, post, p in parts:
+                fb = None if f is None else f[:, comps.start * m : comps.stop * m]
+                mu_b, j = post.project(fb, rows)
+                jp = j @ p
+                mu = mu + mu_b
+                down = down + np.einsum("nr,nr->n", jp, j)
+                jps.append((fb, jp))
+            s = d0 - down
+            clamped = s < VAR_CLAMP
+            s[clamped] = VAR_CLAMP
+            ell += float(np.sum(self.likelihood.expected_loglik(y[rows], mu, s)))
+            if not grads:
+                continue
+            self._clamp_total += int(np.sum(clamped))
+            gmu, gs = self.likelihood.expected_loglik_grads(y[rows], mu, s)
+            gs = np.where(clamped, 0.0, gs)
+            if hyper:
+                glik += self.likelihood.expected_loglik_param_grads(y[rows], mu, s).sum(axis=1)
+            for (comps, post, p), (fb, jp), acc, omega in zip(parts, jps, sums, omegas):
+                u = np.column_stack((gmu, gs[:, None] * jp))
+                fg, ftu = post.pullback(fb, u, rows)
+                acc[:] = acc[0] + fg, acc[1] + ftu, acc[2] + jp.T @ u[:, 1:]
+                if hyper:
+                    v = acc[2] - 0.5 * omega if rows.stop == self.n else None
+                    for k, ci in enumerate(range(self.c)[comps]):
+                        gk = None if v is None else post.gram_weights(k, v)
+                        gkernels[ci] += pbs[ci](gk, post.cross_weights(k, u), gs)
+            del f, pbs, jps, u  # before the next block allocates its own
         if not grads:
-            return bound
+            return ell - kl
 
-        self._clamp_total += int(np.sum(clamped))
-        gmu, gs = self.likelihood.expected_loglik_grads(y, mu, s)
-        gs = np.where(clamped, 0.0, gs)
         galpha = np.empty((self.c, m))
         gcoupling = np.zeros_like(getattr(self.state, self.coupling))
-        gkernels = [None] * self.c
-        for (comps, post, p, fb, jp), (_, gview) in zip(parts, self._blocks(gcoupling)):
-            u = np.empty((len(y), 1 + len(p)))
-            u[:, 0] = gmu
-            np.multiply(gs[:, None], jp, out=u[:, 1:])
-            psi = jp.T @ u[:, 1:]
-            omega = p - p @ p
-            fg, gb = post.pullback(fb, u, 2.0 * psi - omega)
+        for (comps, post, _), (fg, ftu, psi), omega, (_, gview) in zip(
+            parts, sums, omegas, self._blocks(gcoupling)
+        ):
             galpha[comps] = fg - post.ka
-            gview[...] = gb.reshape(gview.shape)
-            if train_hypers:
-                v = psi - 0.5 * omega
-                for k, ci in enumerate(range(self.c)[comps]):
-                    gkernels[ci] = pullbacks[ci](*post.kernel_weights(k, u, v), gs)
+            gview[...] = post.coupling_grad(ftu, 2.0 * psi - omega).reshape(gview.shape)
         grads = {"alpha": galpha, self.coupling: gcoupling}
-        if train_hypers:
+        if hyper:
             grads["kernels"] = gkernels
-            grads["lik"] = self.likelihood.expected_loglik_param_grads(y, mu, s).sum(axis=1)
-        return bound, grads
+            grads["lik"] = glik
+        return ell - kl, grads
 
     # -- training --------------------------------------------------------------
 
@@ -448,25 +483,30 @@ class SparseModel(AdditiveModel):
         return self.state.r
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, M, M) inducing Grams, no Gram sum, the summed prior diagonal
-        at the data, the (N, C M) cross block with K_c(X, Z_c) in columns
-        c M .. (c + 1) M, and the pullbacks (empty unless asked for)."""
+        """(C, M, M) inducing Grams, no Gram sum, and ``_cross_rows`` of a row
+        slice: with ``pullbacks`` evaluated per slice, else sliced from one
+        evaluation at all N rows."""
+        grams = [s.kernel.eval_with_pullback(s.Z) for s in self.specs]
+        ku, pks = np.array([k for k, _ in grams]), [pk for _, pk in grams]
+        if pullbacks:
+            return ku, None, functools.partial(self._cross_rows, pks)
+        f, d0, _ = self._cross_rows(pks, slice(0, self.n))
+        return ku, None, lambda rows: (f[rows], d0[rows], None)
+
+    def _cross_rows(self, pks, rows):
+        """At the training rows ``rows``, from one kernel call per component:
+        the cross block with K_c(X, Z_c) in columns c M .. (c + 1) M, the
+        summed prior diagonal and the pullbacks, ``pks`` for the Grams."""
         m = self.m
-        ku = np.empty((self.c, m, m))
-        f = np.empty((self.n, self.c * m))
-        d0 = np.zeros(self.n)
+        f = np.empty((rows.stop - rows.start, self.c * m))
+        d0 = np.zeros(len(f))
         pbs = []
-        for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
-            cols = slice(ci * m, (ci + 1) * m)
-            ku[ci], pb_k = s.kernel.eval_with_pullback(s.Z)
-            f[:, cols], pb_f = s.kernel.eval_with_pullback(xp, s.Z)
-            dc, pb_d = s.kernel.diag_with_pullback(xp)
+        for ci, (s, xp, pk) in enumerate(zip(self.specs, self._xp, pks)):
+            f[:, ci * m : (ci + 1) * m], dc, pb = s.kernel.cross_with_pullback(xp[rows], s.Z)
             d0 += dc
-            if pullbacks:
-                pbs.append(
-                    lambda gk, gf, gs, pk=pb_k, pf=pb_f, pd=pb_d: pk(gk) + pf(gf) + pd(gs)
-                )
-        return ku, None, d0, f, pbs
+            pbs.append(lambda gk, gf, gs, pk=pk, pb=pb:
+                       pb(gf, gs) + (0.0 if gk is None else pk(gk)))
+        return f, d0, pbs
 
     # -- training hooks ----------------------------------------------------------
 

@@ -312,6 +312,13 @@ def test_random_kernel_trees(tmp_path_factory, kern):
     _fd_kernel_grads(kern, X)
     _fd_kernel_grads(kern, X, X2)
 
+    # the joint call: the values of eval and diag and the sum of their pullbacks
+    K, d, pullback = kern.cross_with_pullback(X, X2)
+    assert np.array_equal(K, kern.eval(X, X2)) and np.array_equal(d, kern.diag(X))
+    G, g = rng.normal(size=K.shape), rng.normal(size=d.shape)
+    ref = kern.eval_with_pullback(X, X2)[1](G) + kern.diag_with_pullback(X)[1](g)
+    assert np.allclose(pullback(G, g), ref, rtol=1e-13, atol=1e-13)
+
 
 def test_param_packing_round_trip():
     k = Product(

@@ -12,6 +12,7 @@ predictions must match the collapsed posterior.
 """
 
 import ctypes
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -526,6 +527,102 @@ def test_blocked_reads_match_one_pass(kind, seed, rows, components):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * scale
         if _BLOCKS_BIT_EQUAL:
             assert np.array_equal(a, b)
+
+
+_BOUND_MODELS = {
+    "coupled": lambda seed, n: _random_model(seed, c=3, m=4, n=n, d=2),
+    "anova": lambda seed, n: _anova_model(seed, n=n),
+    "meanfield": lambda seed, n: _mean_field_model(seed, n=n),
+    "dense": lambda seed, n: _dense_model(seed, n=n),
+}
+
+
+def _bound_and_grads(model, hyper):
+    """The bound and every gradient array of one evaluation, in a fixed order."""
+    value, g = model.elbo_with_grads(train_hypers=hyper)
+    return value, [g["alpha"], g[model.coupling]] + (g["kernels"] + [g["lik"]] if hyper else [])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_BOUND_MODELS)),
+    seed=st.integers(0, 2**16),
+    n=st.sampled_from([9, 11, 17, 19, 25]),
+    hyper=st.booleans(),
+)
+def test_bound_does_not_depend_on_row_blocks(kind, seed, n, hyper):
+    # the bound in blocks of 8 training rows against one block: n = 8k + 1
+    # puts a lone last row into the block before it, n = 8k + 3 leaves a
+    # short last block (the dense model always walks one block). elbo()
+    # runs the same loop without gradients, so it is the value of
+    # elbo_with_grads in either phase.
+    assert sparse._BOUND_ROWS % 8 == 0
+    model = _BOUND_MODELS[kind](seed, n)
+
+    def same(a, b):
+        # the cached cross block is evaluated once for all rows, a hyper
+        # evaluation's per row block: the same bits on the kernels checked
+        return a == b if _BLOCKS_BIT_EQUAL else abs(a - b) <= 1e-14 * abs(b)
+
+    with mock.patch.object(sparse, "_BOUND_ROWS", 8):
+        value, grads = _bound_and_grads(model, hyper)
+        assert same(model.elbo(), value)
+    with mock.patch.object(sparse, "_BOUND_ROWS", n + 8):
+        whole, whole_grads = _bound_and_grads(model, hyper)
+        assert same(model.elbo(), whole)
+    assert abs(value - whole) <= 1e-12 * abs(whole)
+    assert len(grads) == len(whole_grads) == (3 + model.c if hyper else 2)
+    for a, b in zip(grads, whole_grads):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0)
+
+
+def test_bound_memory_does_not_grow_with_n():
+    # apart from the cached prior blocks no array of an evaluation is N rows
+    # long, so the transient peak of a warm evaluation, fixed or with
+    # hyperparameter gradients, is the same at N = 4,000 and N = 16,000
+    peaks = {}
+    for n in (4000, 16000):
+        rng = np.random.default_rng(5)
+        specs = make_specs(rng, 3, 8, d=2)
+        model = SparseModel(
+            specs, Gaussian(np.log(0.5)), gaussian_dataset(rng, n, d=2),
+            state=random_sparse_state(rng, specs),
+        )
+        for hyper in (False, True):
+            model.elbo_with_grads(train_hypers=hyper)  # fills the kernel cache
+            tracemalloc.start()
+            try:
+                model.elbo_with_grads(train_hypers=hyper)
+                peaks[n, hyper] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for hyper in (False, True):
+        assert peaks[16000, hyper] <= 1.25 * peaks[4000, hyper], peaks
+
+
+def test_near_duplicate_inducing_inputs_keep_the_bound_finite():
+    # two inducing inputs 1e-13 apart in every component leave each K_U
+    # numerically singular; nothing factors K_U, so the bound, every
+    # gradient and a short training run stay finite
+    rng = np.random.default_rng(17)
+    g = [KernelParams(np.log(0.5), np.log([0.3])) for _ in range(4)]
+    specs = anova_specs(g, sigma0=1.0, m=6, ndim=2)
+    for s in specs:
+        s.Z[1] = s.Z[0] + 1e-13
+        assert np.linalg.cond(s.kernel.eval(s.Z)) > 1e15
+    model = SparseModel(
+        specs, Gaussian(np.log(0.3)), gaussian_dataset(rng, 60, d=2),
+        state=random_sparse_state(rng, specs),
+    )
+    e0 = model.elbo()
+    for hyper in (False, True):
+        value, grads = _bound_and_grads(model, hyper)
+        assert np.isfinite(value)
+        assert all(np.all(np.isfinite(a)) for a in grads)
+    res = model.train(TrainConfig(phase1_max_iter=20, max_iter=10, seed=0))
+    assert res.failures == 0
+    assert np.isfinite(res.final_elbo) and res.final_elbo > e0
 
 
 def test_clamped_variances_bound_and_gradients():
