@@ -36,22 +36,22 @@ def _check_cap(n):
         raise CapExceeded(f"exact oracle is dense and capped at N={N_CAP}, got {n}")
 
 
-def _noisy_chol(specs, dataset, noise_variance):
+def _conjugate_solve(specs, dataset, noise_variance):
+    """The Cholesky factor L of Ksum + s2 I at the training inputs,
+    a = (Ksum + s2 I)^{-1} y and the log evidence."""
+    _check_cap(dataset.n)
     ksum = sum(s.kernel.eval(s.project(dataset.X)) for s in specs)
-    kn = ksum + noise_variance * np.eye(dataset.n)
-    return cholesky(kn)
+    L = cholesky(ksum + noise_variance * np.eye(dataset.n))
+    y = dataset.Y
+    a = tri_solve(L, tri_solve(L, y), transpose=True)
+    log_ev = -0.5 * float(y @ a) - 0.5 * logdet_from_chol(L) - 0.5 * dataset.n * _LOG_2PI
+    return L, a, log_ev
 
 
 def exact_sum_posterior(specs, dataset, noise_variance, Xq=None):
     """Posterior over the summed predictor at Xq (training inputs by
     default), with the exact log evidence."""
-    _check_cap(dataset.n)
-    L = _noisy_chol(specs, dataset, noise_variance)
-    y = dataset.Y
-    w = tri_solve(L, y)
-    a = tri_solve(L, w, transpose=True)  # (Ksum + s2 I)^{-1} y
-    log_ev = -0.5 * float(y @ a) - 0.5 * logdet_from_chol(L) - 0.5 * dataset.n * _LOG_2PI
-
+    L, a, log_ev = _conjugate_solve(specs, dataset, noise_variance)
     Xq = dataset.X if Xq is None else np.atleast_2d(np.asarray(Xq, dtype=float))
     ks = sum(s.kernel.eval(s.project(Xq), s.project(dataset.X)) for s in specs)
     kss = sum(s.kernel.eval(s.project(Xq)) for s in specs)
@@ -68,15 +68,10 @@ def exact_component_posterior(specs, dataset, noise_variance, component, Xq=None
         E[f_c | y]   = K_c (Ksum + s2 I)^{-1} y
         Cov[f_c | y] = K_c(q, q) - K_c(q, X)(Ksum + s2 I)^{-1} K_c(X, q).
     """
-    _check_cap(dataset.n)
-    L = _noisy_chol(specs, dataset, noise_variance)
-    y = dataset.Y
-    a = tri_solve(L, tri_solve(L, y), transpose=True)
-    log_ev = -0.5 * float(y @ a) - 0.5 * logdet_from_chol(L) - 0.5 * dataset.n * _LOG_2PI
+    L, a, log_ev = _conjugate_solve(specs, dataset, noise_variance)
     spec = specs[component]
-    xp = spec.project(dataset.X)
     Xq = dataset.X if Xq is None else np.atleast_2d(np.asarray(Xq, dtype=float))
-    kq = spec.kernel.eval(spec.project(Xq), xp)
+    kq = spec.kernel.eval(spec.project(Xq), spec.project(dataset.X))
     mean = kq @ a
     v = tri_solve(L, kq.T)
     cov = spec.kernel.eval(spec.project(Xq)) - v.T @ v

@@ -77,14 +77,14 @@ class FullModel(_sparse.AdditiveModel):
         """(C, N, N) Grams at the training inputs, their sum Ksum, and rows
         that give no cross block and the summed prior diagonal: with
         Z_c = X the Grams are the cross blocks, so one kernel evaluation
-        serves every use and each pullback is one call on the summed
-        weights."""
+        serves every use and each pullback is one joint call: the summed
+        Gram weights, with the row weights as the diagonal's."""
         karr = np.empty((self.c, self.n, self.n))
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
-            karr[ci], pb = s.kernel.eval_with_pullback(xp)
+            karr[ci], _, pb = s.kernel.cross_with_pullback(xp)
             if pullbacks:  # a pullback keeps its kernel's blocks alive
-                pbs.append(lambda gk, gf, gs, pb=pb: pb(_plus_diag(gk + gf, gs)))
+                pbs.append(lambda gk, gf, gs, pb=pb: pb(gk + gf, gs))
         d0 = np.diagonal(karr, axis1=1, axis2=2).sum(axis=0)
         return karr, sum(karr), lambda rows: (None, d0[rows], pbs)
 
@@ -104,11 +104,6 @@ class FullModel(_sparse.AdditiveModel):
                 self.state.lam[...] = rng.normal(0.0, 1.0 / np.sqrt(self.n), self.n)
             else:
                 self.state.lam[...] = 1e-2
-
-
-def _plus_diag(g, d):
-    g[np.diag_indices_from(g)] += d
-    return g
 
 
 def predict_marginals(specs, alpha, lam, Xq, include_components=False):

@@ -312,6 +312,11 @@ def load_model(path):
         lam = sk.floats("lambda", count=m)
     else:
         B = sk.matrix("b", rows=len(alpha))
+        if structure == _model.MEAN_FIELD:
+            try:
+                _model.check_mean_field(B, m, n_comp)
+            except ValueError as exc:
+                raise sk.error("b", str(exc)) from None
     return SavedModel(
         structure=structure,
         specs=specs,

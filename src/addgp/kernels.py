@@ -12,17 +12,18 @@ available in closed form through the error function. Sums and products of
 such components give main effects and interactions whose posterior means
 are directly interpretable as sensitivity-analysis effects.
 
-All hyperparameters are carried in log space. Each kernel has three
-methods: ``eval_with_pullback`` returns the Gram matrix K together with a
-function that maps a weight matrix G of K's shape to the vector
-``sum(G * dK/dtheta_p)`` over the trainable log-parameters theta_p, in the
-order reported by ``param_names``; ``diag_with_pullback`` does the same for
-the diagonal, and ``cross_with_pullback`` for a cross block and the
-diagonal at its rows together (composed on ``Kernel``; the zero-mean kernel
-shares their mean embedding). ``eval`` and ``diag`` are the value halves,
-defined once on ``Kernel``, so work that only the gradient needs (the derivatives of the
+All hyperparameters are carried in log space. A kernel implements one
+method, ``_values_with_pullback(X, X2=None, cross=True)``: the block
+K(X, X2) (the Gram of X when X2 is None; None unless ``cross``), the
+diagonal d at the rows of X, and one pullback
+``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` over the
+trainable log-parameters theta_p, in ``param_names`` order, which takes
+None for a weight left out. ``Kernel`` derives everything else from it:
+``eval`` and ``diag`` are its values, and ``eval_with_pullback``,
+``diag_with_pullback`` and ``cross_with_pullback`` its pullback on one
+weight or both. Work that only the gradient needs (the derivatives of the
 zero-mean kernel's integrals, a product's leave-one-out factors) is done
-inside the pullback: a caller that needs only values pays for no
+inside the pullback, so a caller that needs only values pays for no
 derivative. A model passes in dBound/dK and gets dBound/dtheta back, so no
 derivative matrix is ever stored: the SE family contracts G against K and
 against the squared distances, and the mean-embedding terms of the
@@ -73,36 +74,41 @@ class Kernel:
     on the columns of its inputs selected by the subclass's active
     dimensions (indices into the arrays it is handed, not into any wider
     dataset). Composite kernels concatenate the parameter vectors of their
-    parts. A subclass implements ``eval_with_pullback`` and
-    ``diag_with_pullback``; the pullbacks hold every step that only the
-    gradient needs and capture the parameter values they were made with.
+    parts. A subclass implements ``_values_with_pullback`` and nothing else
+    of the evaluation; its pullback holds every step that only the gradient
+    needs and captures the parameter values it was made with.
     """
+
+    def _values_with_pullback(self, X, X2=None, cross=True):
+        """The block K(X, X2) (the Gram of X for X2 None; None unless
+        ``cross``), the diagonal d at the rows of X and one pullback
+        ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` that
+        takes None for a weight left out. The pullback may read K and the
+        inputs, so neither may be modified in place before it is called."""
+        raise NotImplementedError
 
     def eval(self, X, X2=None):
         """Cross-covariance K(X, X2), or the Gram matrix of X."""
-        return self.eval_with_pullback(X, X2)[0]
+        return self._values_with_pullback(X, X2)[0]
 
     def diag(self, X):
         """Prior variances k(x, x) at the rows of X."""
-        return self.diag_with_pullback(X)[0]
+        return self._values_with_pullback(X, cross=False)[1]
 
     def eval_with_pullback(self, X, X2=None):
-        """Gram matrix K and its pullback ``G -> [sum(G * dK/dtheta_p)]_p``
-        over the trainable log-parameters, in ``param_names`` order. The
-        pullback may read K and the inputs, so neither may be modified in
-        place before it is called."""
-        raise NotImplementedError
+        """K(X, X2) and its pullback ``G -> [sum(G * dK/dtheta_p)]_p``."""
+        K, _, pullback = self._values_with_pullback(X, X2)
+        return K, lambda G: pullback(G, None)
 
     def diag_with_pullback(self, X):
         """Diagonal d and its pullback ``g -> [g @ dd/dtheta_p]_p``."""
-        raise NotImplementedError
+        _, d, pullback = self._values_with_pullback(X, cross=False)
+        return d, lambda g: pullback(None, g)
 
-    def cross_with_pullback(self, X, X2):
-        """Cross block K(X, X2), the diagonal d at the rows of X and one
-        pullback ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p``."""
-        K, pull_k = self.eval_with_pullback(X, X2)
-        d, pull_d = self.diag_with_pullback(X)
-        return K, d, lambda G, g: pull_k(G) + pull_d(g)
+    def cross_with_pullback(self, X, X2=None):
+        """K(X, X2), the diagonal d at the rows of X and the joint pullback
+        ``(G, g)``."""
+        return self._values_with_pullback(X, X2)
 
     def get_params(self):
         raise NotImplementedError
@@ -144,31 +150,31 @@ class SquaredExp(Kernel):
                 f"({len(self.params.log_lengthscales)} vs {len(self.active_dims)})"
             )
 
-    def eval_with_pullback(self, X, X2=None):
-        X = _as_2d(X)
-        X2 = X if X2 is None else _as_2d(X2)
-        dims = list(self.active_dims)
-        # (n, m, d) array of per-dimension scaled differences
-        d = (X[:, None, dims] - X2[None, :, dims]) / self.params.lengthscales
-        sq = d * d
-        K = self.params.variance * np.exp(-0.5 * np.sum(sq, axis=2))
-
-        def pullback(G):
-            # dK/dlog v = K, dK/dlog l_j = K * sq_j
-            w = G * K
-            return np.concatenate(([w.sum()], np.einsum("nm,nmd->d", w, sq)))
-
-        return K, pullback
-
-    def diag_with_pullback(self, X):
+    def _values_with_pullback(self, X, X2=None, cross=True):
         X = _as_2d(X)
         v = self.params.variance
+        K = None
+        if cross:
+            X2 = X if X2 is None else _as_2d(X2)
+            dims = list(self.active_dims)
+            # (n, m, d) array of per-dimension scaled differences
+            diff = (X[:, None, dims] - X2[None, :, dims]) / self.params.lengthscales
+            sq = diff * diff
+            K = v * np.exp(-0.5 * np.sum(sq, axis=2))
         nd = len(self.active_dims)
 
-        def pullback(g):
-            return np.concatenate(([v * np.sum(g)], np.zeros(nd)))
+        def pullback(G, g):
+            # dK/dlog v = K, dK/dlog l_j = K * sq_j; the diagonal is v
+            out = np.zeros(1 + nd)
+            if G is not None:
+                w = G * K
+                out[0] += w.sum()
+                out[1:] += np.einsum("nm,nmd->d", w, sq)
+            if g is not None:
+                out[0] += v * np.sum(g)
+            return out
 
-        return np.full(X.shape[0], v), pullback
+        return K, np.full(X.shape[0], v), pullback
 
     def get_params(self):
         return np.concatenate(
@@ -198,23 +204,24 @@ class Constant(Kernel):
     def variance(self):
         return np.exp(self.log_variance)
 
-    def _pullback(self):
+    def _values_with_pullback(self, X, X2=None, cross=True):
+        X = _as_2d(X)
         v, trainable = self.variance, self.trainable
+        n2 = X.shape[0] if X2 is None else _as_2d(X2).shape[0]
+        K = np.full((X.shape[0], n2), v) if cross else None
 
-        def pullback(G):
-            # dK/dlog v = K, the constant v everywhere
-            return np.array([v * np.sum(G)]) if trainable else np.zeros(0)
+        def pullback(G, g):
+            if not trainable:
+                return np.zeros(0)
+            # dK/dlog v = K and dd/dlog v = d, the constant v everywhere; one
+            # term per weight, as v * (sum(G) + sum(g)) rounds differently
+            out = np.zeros(1)
+            for w in (G, g):
+                if w is not None:
+                    out += v * np.sum(w)
+            return out
 
-        return pullback
-
-    def eval_with_pullback(self, X, X2=None):
-        X = _as_2d(X)
-        X2 = X if X2 is None else _as_2d(X2)
-        return np.full((X.shape[0], X2.shape[0]), self.variance), self._pullback()
-
-    def diag_with_pullback(self, X):
-        X = _as_2d(X)
-        return np.full(X.shape[0], self.variance), self._pullback()
+        return K, np.full(X.shape[0], v), pullback
 
     def get_params(self):
         return np.array([self.log_variance]) if self.trainable else np.zeros(0)
@@ -304,15 +311,6 @@ def _minus_outer(a, x, y):
     return dger(-1.0, y, x, a=a.T, overwrite_a=True).T
 
 
-def _check_unit_interval(x, what):
-    # written so that NaN, which fails every comparison, fails the check
-    if x.size and not (x.min() >= -_UNIT_BOX_TOL and x.max() <= 1.0 + _UNIT_BOX_TOL):
-        raise DomainError(
-            f"{what} must lie in [0, 1] for zero-mean components "
-            f"(observed range [{x.min():.6g}, {x.max():.6g}])"
-        )
-
-
 class ZeroMeanSE(Kernel):
     """Univariate squared-exponential kernel recentred to zero mean on [0, 1].
 
@@ -330,35 +328,26 @@ class ZeroMeanSE(Kernel):
         self.active_dim = int(active_dim)
         self.active_dims = (self.active_dim,)
 
-    def _column(self, X, what):
-        X = _as_2d(X)
-        x = X[:, self.active_dim]
-        _check_unit_interval(x, what)
+    def _column(self, X):
+        x = _as_2d(X)[:, self.active_dim]
+        # written so that NaN, which fails every comparison, fails the check
+        if x.size and not (x.min() >= -_UNIT_BOX_TOL and x.max() <= 1.0 + _UNIT_BOX_TOL):
+            raise DomainError(
+                "inputs must lie in [0, 1] for zero-mean components "
+                f"(observed range [{x.min():.6g}, {x.max():.6g}])"
+            )
         return x
 
-    def eval_with_pullback(self, X, X2=None):
-        K, _, pullback = self._blocks(X, X2)
-        return K, lambda G: pullback(G, None)
-
-    def diag_with_pullback(self, X):
-        _, d, pullback = self._blocks(X, None, cross=False)
-        return d, lambda g: pullback(None, g)
-
-    def cross_with_pullback(self, X, X2):
-        return self._blocks(X, X2)
-
-    def _blocks(self, X, X2, cross=True):
-        """The block K(X, X2) (the Gram of X for X2 None; None unless
-        ``cross``) and the diagonal at X from one mean embedding of X, and
-        one pullback ``(G, g)`` that takes None for a weight left out."""
+    def _values_with_pullback(self, X, X2=None, cross=True):
+        # K and the diagonal share one mean embedding of X
         v, ell = _scalars(self.params)
-        x = self._column(X, "inputs")
+        x = self._column(X)
         ex = _se_embedding(v, ell, x)
         mx = ex[0]
         q = _se_double_integral(v, ell)
         d, K = v - mx * mx / q, None
         if cross:
-            y = x if X2 is None else self._column(X2, "inputs")
+            y = x if X2 is None else self._column(X2)
             ey = ex if y is x else _se_embedding(v, ell, y)
             my = ey[0]
             c = np.sqrt(0.5) / ell
@@ -450,43 +439,16 @@ class _Composite(Kernel):
 
 
 class Sum(_Composite):
-    """Sum of kernels; parameter vector is the concatenation of the parts'."""
+    """Sum of kernels; parameter vector is the concatenation of the parts'.
+    Every part sees the same weights."""
 
-    def eval_with_pullback(self, X, X2=None):
-        return _sum_with_pullback([p.eval_with_pullback(X, X2) for p in self.parts])
+    def _values_with_pullback(self, X, X2=None, cross=True):
+        Ks, ds, pbs = zip(*(p._values_with_pullback(X, X2, cross) for p in self.parts))
 
-    def diag_with_pullback(self, X):
-        return _sum_with_pullback([p.diag_with_pullback(X) for p in self.parts])
+        def pullback(G, g):
+            return np.concatenate([pb(G, g) for pb in pbs])
 
-    def cross_with_pullback(self, X, X2):
-        return _sum_with_pullback([p.cross_with_pullback(X, X2) for p in self.parts])
-
-
-class Product(_Composite):
-    """Elementwise product of kernels."""
-
-    def eval_with_pullback(self, X, X2=None):
-        return _product_with_pullback(
-            [p.eval_with_pullback(X, X2) for p in self.parts]
-        )
-
-    def diag_with_pullback(self, X):
-        return _product_with_pullback([p.diag_with_pullback(X) for p in self.parts])
-
-    def cross_with_pullback(self, X, X2):
-        return _product_with_pullback([p.cross_with_pullback(X, X2) for p in self.parts])
-
-
-def _sum_with_pullback(parts):
-    """Sum of (value, ..., pullback) tuples, value by value: every part sees
-    the same weights."""
-    values = [sum(vs[1:], vs[0]) for vs in zip(*(p[:-1] for p in parts))]
-    pullbacks = [p[-1] for p in parts]
-
-    def pullback(*weights):
-        return np.concatenate([pb(*weights) for pb in pullbacks])
-
-    return (*values, pullback)
+        return sum(Ks[1:], Ks[0]) if cross else None, sum(ds[1:], ds[0]), pullback
 
 
 def _mul(a, b):
@@ -496,27 +458,30 @@ def _mul(a, b):
     return a if b is None else a * b
 
 
-def _product_with_pullback(parts):
-    """Elementwise product of (value, ..., pullback) tuples, value by value.
-    Part i sees each weight times the product of the other parts' values,
-    formed from the prefix products the value is built from and, in the
-    pullback, the suffix products, so that no entry is ever divided out."""
-    n = len(parts)
-    values = list(zip(*(p[:-1] for p in parts)))  # per output, every part's
-    prefixes = [[None, *itertools.accumulate(vals[:-1], _mul)] for vals in values]
-    pullbacks = [p[-1] for p in parts]
+class Product(_Composite):
+    """Elementwise product of kernels. Part i sees each weight times the
+    product of the other parts' values, formed from the prefix products the
+    value is built from and, in the pullback, the suffix products, so that
+    no entry is ever divided out."""
 
-    def pullback(*weights):
-        out = [None] * n
-        suffixes = [None] * len(values)
-        for i in range(n - 1, -1, -1):
-            rests = [_mul(pre[i], suf) for pre, suf in zip(prefixes, suffixes)]
-            out[i] = pullbacks[i](*(w if r is None else w * r for w, r in zip(weights, rests)))
-            if i:
-                suffixes = [_mul(vals[i], suf) for vals, suf in zip(values, suffixes)]
-        return np.concatenate(out)
+    def _values_with_pullback(self, X, X2=None, cross=True):
+        Ks, ds, pbs = zip(*(p._values_with_pullback(X, X2, cross) for p in self.parts))
+        values = (Ks, ds)  # every part's K (None unless cross) and d
+        prefixes = [[None, *itertools.accumulate(vals[:-1], _mul)] for vals in values]
 
-    return (*(_mul(pre[-1], vals[-1]) for pre, vals in zip(prefixes, values)), pullback)
+        def pullback(G, g):
+            out = [None] * len(pbs)
+            suffixes = [None, None]
+            for i in range(len(pbs) - 1, -1, -1):
+                rests = [_mul(pre[i], suf) for pre, suf in zip(prefixes, suffixes)]
+                out[i] = pbs[i](*(w if w is None or r is None else w * r
+                                  for w, r in zip((G, g), rests)))
+                if i:
+                    suffixes = [_mul(vals[i], suf) for vals, suf in zip(values, suffixes)]
+            return np.concatenate(out)
+
+        K, d = (_mul(pre[-1], vals[-1]) for pre, vals in zip(prefixes, values))
+        return K, d, pullback
 
 
 def build_anova_kernel(g_params, sigma0, ndim=6, learn_sigma0=True):

@@ -155,6 +155,19 @@ def mean_field_mask(m, c):
     return np.kron(np.eye(c, dtype=bool), np.ones((m, m), dtype=bool))
 
 
+def check_mean_field(B, m, c):
+    """Raise unless B has the mean-field layout: (M*C, M*C) and zero off its
+    diagonal M x M blocks, which are all that the bound, its gradients and
+    the marginals read."""
+    B = np.asarray(B)
+    if B.shape != (m * c, m * c):
+        raise InvalidRank(f"mean-field B must be ({m * c}, {m * c}), got {B.shape}")
+    if B[~mean_field_mask(m, c)].any():
+        raise DimensionMismatch(
+            f"mean-field B has nonzero entries off its diagonal {m} x {m} blocks"
+        )
+
+
 def init_state(specs, structure=COUPLED, r=None):
     """Prior-matching start for the sparse model: alpha = 0, B = 0, so the
     posterior equals the prior and the KL term is exactly zero.

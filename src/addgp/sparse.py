@@ -473,6 +473,8 @@ class SparseModel(AdditiveModel):
             raise DimensionMismatch(
                 f"alpha has length {len(state.alpha)}, expected M*C = {m * c}"
             )
+        if state.structure == _model.MEAN_FIELD:
+            _model.check_mean_field(state.B, m, c)
 
     @property
     def m(self):

@@ -22,6 +22,7 @@ from addgp import (
     load_model,
     save_model,
 )
+from addgp.cli import main
 from addgp.errors import ModelFormatError
 from addgp.io import Rescale, SavedModel, _write_kernel
 from addgp.model import COUPLED, FULL, MEAN_FIELD
@@ -145,6 +146,28 @@ def test_round_trip_kernel_tree(tmp_path):
     assert np.array_equal(_kernel_params(k1), _kernel_params(tree))
     X = rng.uniform(0, 1, size=(5, 2))
     assert np.array_equal(k1.eval(X), tree.eval(X))
+
+
+@pytest.mark.parametrize("cut", ["off_block", "shape"])
+def test_rejects_mean_field_coupling_outside_its_blocks(tmp_path, capsys, cut):
+    # a mean-field file is read block by block, so a B with entries off its
+    # diagonal M x M blocks, or not (M C, M C), is not that model
+    rng = np.random.default_rng(7)
+    specs = _se_specs(rng, c=2, m=3)
+    b = np.kron(np.eye(2), np.ones((3, 3))) * rng.normal(size=(6, 6))
+    if cut == "off_block":
+        b[0, 5] = 0.25
+    else:
+        b = b[:, :3]
+    path = tmp_path / "mf.addgp"
+    save_model(path, SavedModel(MEAN_FIELD, specs, Gaussian(0.0), rng.normal(size=6), b,
+                                input_dim=2))
+    with pytest.raises(ModelFormatError, match=r"'b' in \[state\]"):
+        load_model(path)
+    query = tmp_path / "q.csv"
+    query.write_text("x1,x2\n0.5,0.5\n")
+    assert main(["predict", str(path), str(query), "--out", str(tmp_path / "p.csv")]) == 2
+    assert "'b' in [state]" in capsys.readouterr().err
 
 
 def test_round_trip_dense_structure(tmp_path):

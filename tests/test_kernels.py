@@ -2,7 +2,7 @@
 
 The closed-form unit-interval integrals are checked against Gauss-Legendre
 quadrature (400 nodes resolves every lengthscale used here to well below
-1e-12), and every eval_with_pullback implementation is checked against
+1e-12), and every kernel's pullback is checked against
 central finite differences in log-parameter space: pulling back the unit
 matrix E_ij yields entry (i, j) of every derivative matrix, so the full
 dK/dtheta_p is rebuilt and compared entry by entry.
@@ -37,6 +37,7 @@ from addgp import (
     sparse,
 )
 from addgp.model import COUPLED, anova_specs
+from conftest import central_diff
 
 # 400-point Gauss-Legendre rule mapped to [0, 1]
 _GL_X, _GL_W = leggauss(400)
@@ -252,21 +253,97 @@ def test_diag_pullback_consistent(monkeypatch):
 
 
 def test_kernels_implement_only_the_pullback_methods():
-    # eval and diag are the value halves of the pullback methods, written
-    # once on Kernel: a subclass with its own copy would be a second value
-    # path to keep in step
+    # a kernel writes its values and their pullback once, in
+    # _values_with_pullback; Kernel derives eval, diag and the three pullback
+    # calls from it, so a subclass with its own copy would be a second path
+    # to keep in step
+    derived = {"eval", "diag", "eval_with_pullback", "diag_with_pullback",
+               "cross_with_pullback"}
+    assert derived <= set(vars(kernels.Kernel))
     classes = [
         c for c in vars(kernels).values()
         if isinstance(c, type) and issubclass(c, kernels.Kernel) and c is not kernels.Kernel
     ]
     for cls in classes:
-        assert not {"eval", "diag"} & set(vars(cls)), cls.__name__
+        assert not derived & set(vars(cls)), cls.__name__
     concrete = [c for c in classes if not c.__name__.startswith("_")]
     assert {c.__name__ for c in concrete} >= {
         "Constant", "SquaredExp", "ZeroMeanSE", "Sum", "Product"
     }
     for cls in concrete:
-        assert {"eval_with_pullback", "diag_with_pullback"} <= set(vars(cls)), cls.__name__
+        own = [n for n in vars(cls) if "pullback" in n or "blocks" in n]
+        assert own == ["_values_with_pullback"], cls.__name__
+
+
+class _Linear(kernels.Kernel):
+    """``k(x, y) = v x^T y`` on its active dims, written as the one method."""
+
+    def __init__(self, log_variance, active_dims=(0,)):
+        self.log_variance = float(log_variance)
+        self.active_dims = tuple(active_dims)
+
+    def _values_with_pullback(self, X, X2=None, cross=True):
+        dims = list(self.active_dims)
+        x = np.atleast_2d(X)[:, dims]
+        v = np.exp(self.log_variance)
+        d = v * np.einsum("nd,nd->n", x, x)
+        K = v * (x @ (x if X2 is None else np.atleast_2d(X2)[:, dims]).T) if cross else None
+
+        def pullback(G, g):
+            # every value is linear in v
+            out = np.zeros(1)
+            if G is not None:
+                out += np.sum(G * K)
+            if g is not None:
+                out += g @ d
+            return out
+
+        return K, d, pullback
+
+    def get_params(self):
+        return np.array([self.log_variance])
+
+    def set_params(self, values):
+        self.log_variance = float(np.asarray(values, dtype=float)[0])
+
+    def param_names(self):
+        return ["log_variance"]
+
+
+def test_a_kernel_with_only_the_one_method_works_everywhere():
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0, 1, size=(6, 2))
+    X2 = rng.uniform(0, 1, size=(4, 2))
+    lin = _Linear(np.log(1.3), active_dims=(0, 1))
+    _fd_kernel_grads(lin, X)
+    _fd_kernel_grads(lin, X, X2)
+    K, d, _ = lin.cross_with_pullback(X, X2)
+    assert np.array_equal(K, lin.eval(X, X2)) and np.array_equal(d, lin.diag(X))
+
+    # as a component, alone and inside a product, its hyper-gradient is the
+    # bound's central difference
+    specs = [
+        ComponentSpec(lin, (0, 1), rng.uniform(0, 1, size=(4, 2))),
+        ComponentSpec(
+            Product([_Linear(-0.2), SquaredExp(KernelParams(0.1, np.log([0.4])), (1,))]),
+            (0, 1), rng.uniform(0, 1, size=(4, 2)),
+        ),
+    ]
+    model = SparseModel(specs, Gaussian(np.log(0.5)),
+                        Dataset(rng.uniform(0, 1, size=(9, 2)), rng.normal(size=9)))
+    model.state.alpha = rng.normal(size=model.state.alpha.shape)
+    model.state.B = 0.7 * rng.normal(size=model.state.B.shape)
+    ana = np.concatenate(model.elbo_with_grads(train_hypers=True)[1]["kernels"])
+    base = np.concatenate([s.kernel.get_params() for s in specs])
+
+    def elbo_at(theta):
+        for s, t in zip(specs, np.split(theta, [lin.n_params])):
+            s.kernel.set_params(t)
+        return model.elbo()
+
+    fd = central_diff(elbo_at, base)
+    elbo_at(base)
+    assert np.max(np.abs(ana - fd) / np.maximum(1e-6, np.abs(fd))) < 1e-5
 
 
 # Kernel trees of depth <= 3 on two input columns. The magnitudes are kept

@@ -33,7 +33,7 @@ from addgp import (
     exact_sum_posterior,
 )
 from addgp import linalg, sparse
-from addgp.errors import DomainError, NotPositiveDefinite
+from addgp.errors import DimensionMismatch, DomainError, InvalidRank, NotPositiveDefinite
 from addgp.model import MEAN_FIELD, VariationalState, anova_specs, init_state, mean_field_mask
 from addgp.optimize import TrainConfig
 from addgp.sparse import decompose, predict_marginals
@@ -318,6 +318,26 @@ def test_mean_field_factors_c_blocks_of_m(monkeypatch):
     assert set(shapes) == {(m, m)}
 
 
+def test_mean_field_coupling_is_checked_where_it_enters():
+    # the bound and the marginals read only B's diagonal M x M blocks, so a
+    # mean-field B must be (M C, M C) and zero elsewhere when a model is built
+    rng = np.random.default_rng(16)
+    g = [KernelParams(0.1 * i, np.log([0.3 + 0.05 * i])) for i in range(4)]
+    specs = anova_specs(g, sigma0=1.2, m=4, ndim=2)  # C = 3
+    ds = Dataset(rng.uniform(0, 1, size=(50, 2)), rng.normal(size=50))
+    alpha = rng.normal(size=12)
+    b = np.where(mean_field_mask(4, 3), rng.normal(size=(12, 12)), 0.0)
+    model = SparseModel(specs, Gaussian(-1.0), ds, state=VariationalState(alpha, b, MEAN_FIELD))
+    assert np.isfinite(model.elbo())
+    off = b.copy()
+    off[0, 11] = 0.5
+    with pytest.raises(DimensionMismatch, match="off its diagonal 4 x 4 blocks"):
+        SparseModel(specs, Gaussian(-1.0), ds, state=VariationalState(alpha, off, MEAN_FIELD))
+    with pytest.raises(InvalidRank, match=r"\(12, 12\), got \(12, 4\)"):
+        SparseModel(specs, Gaussian(-1.0), ds,
+                    state=VariationalState(alpha, b[:, :4], MEAN_FIELD))
+
+
 def test_train_counts_soft_failures_over_restarts(monkeypatch):
     # the second evaluation after every start fails; the result counts
     # each failure, whichever restart wins
@@ -527,6 +547,22 @@ def test_blocked_reads_match_one_pass(kind, seed, rows, components):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * scale
         if _BLOCKS_BIT_EQUAL:
             assert np.array_equal(a, b)
+
+
+def test_dense_blocked_reads_agree_with_one_pass_to_rounding():
+    # from about N = 500 training rows the triangular solve against a dense
+    # model's N x N factor rounds a row by its place in the block, so its
+    # blocked reads are held to rounding, not to the bit: the largest
+    # difference seen, on a fitted 500-row model at one BLAS thread, was
+    # 5.7e-14 of max(1, |value|)
+    model = _dense_model(0, n=500)
+    Xq = np.random.default_rng(1).uniform(0, 1, size=(2000, 2))
+    with mock.patch.object(sparse, "_ROWS", 8):
+        blocked = _reads(model, Xq, True)
+    with mock.patch.object(sparse, "_ROWS", len(Xq) + 8):
+        whole = _reads(model, Xq, True)
+    for a, b in zip(blocked, whole):
+        assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-12
 
 
 _BOUND_MODELS = {
