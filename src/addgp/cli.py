@@ -570,7 +570,7 @@ def build_parser():
     p.add_argument(
         "--coupled-check",
         action="store_true",
-        help="cross-check variances against the dense coupled covariance",
+        help="cross-check variances against the whole capacitance, LU-factored once",
     )
     p.set_defaults(func=cmd_decompose)
 

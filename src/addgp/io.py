@@ -200,6 +200,8 @@ def _read_likelihood(kv):
 
 def save_model(path, saved):
     """Write a SavedModel to ``path`` in the addgp-v1 format."""
+    if saved.structure == _model.MEAN_FIELD:
+        _model.check_mean_field(saved.B, saved.specs[0].m, len(saved.specs))
     lines = [FORMAT_ID, "[model]"]
     lines.append(f"structure = {saved.structure}")
     lines.append(f"n_components = {len(saved.specs)}")

@@ -22,20 +22,23 @@ Every term reduces to the R x R capacitance A = I_R + sum_c B_c^T K_{U_c} B_c:
                  J = sum_c K_{f_c U_c} B_c,
 
 so a sparse bound evaluation costs O(C M^3 + N C M R) after the kernel
-rows, with no N x N matrix. ``Posterior`` factors A once and is the only
-place the coupling enters: it serves every read and pulls the gradients
-back to B or Lambda. ``AdditiveModel`` holds the rest for all three
-structures: validation, the kernel cache, the bound with analytic gradients
-(the hyperparameter part pulled back through each kernel) and training.
-The bound sums one ``Posterior`` per block of q(U), so mean-field factors C
-capacitances of M x M; the read paths split B the same way wherever it is
-zero off its diagonal M x M blocks, which is exact. The bound walks the
-training rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``): a
-block's cross-covariances are one (rows, C M) block F, so its mu_sum and J
-are one product F [alpha, B] and its gradients one product F^T [dmu, dJ].
-With fixed hyperparameters F is a row slice of one cached (N, C M) block;
-with their gradients each component evaluates and pulls back its F columns
-and prior diagonal in one joint call (``Kernel.cross_with_pullback``).
+rows, with no N x N matrix. ``Posterior`` factors A = L L^T once and is the
+only place the coupling enters: it serves every read and pulls the
+gradients back to B or Lambda. The bound takes diag(J A^{-1} J^T) as
+diag(J P J^T), P = A^{-1}, as its gradients need J P; a read, at the same
+cost, as row sums of squares of J L^{-T}, which do not cancel.
+``AdditiveModel`` holds the rest for all three structures: validation, the
+kernel cache, the bound with analytic gradients (the hyperparameter part
+pulled back through each kernel) and training. The bound sums one
+``Posterior`` per block of q(U), so mean-field factors C capacitances of
+M x M; the read paths split B the same way wherever it is zero off its
+diagonal M x M blocks, which is exact. The bound walks the training rows in
+blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``): a block's
+cross-covariances are one (rows, C M) block F, so its mu_sum and J are one
+product F [alpha, B] and its gradients one product F^T [dmu, dJ]. With
+fixed hyperparameters F is a row slice of one cached (N, C M) block; with
+their gradients each component evaluates and pulls back its F columns and
+prior diagonal in one joint call (``Kernel.cross_with_pullback``).
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ _BOUND_ROWS = 1536
 
 def _row_blocks(n, size):
     """Slices of ``size`` rows over n rows; a lone last row joins the block
-    before it, as a one-column triangular solve rounds differently."""
+    before it, as a one-row product takes BLAS's vector path and rounds
+    differently."""
     edges = [*range(0, max(n - 1, 1), size), n]
     return list(map(slice, edges, edges[1:]))
 
@@ -103,6 +107,11 @@ class Posterior:
     def inverse(self):
         """P = A^{-1}, symmetric."""
         return inverse_from_chol(self.L)
+
+    @functools.cached_property
+    def _lt_inv(self):
+        """L^{-T}, formed once for the reads (``_var``)."""
+        return tri_solve(self.L, np.eye(len(self.L)), transpose=True)
 
     def kl(self, p=None):
         """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c
@@ -169,37 +178,40 @@ class Posterior:
         return fc @ self.alphas[ci], self._var(dc, self.times_b(ci, fc))
 
     def _var(self, d, fb):
-        """d - diag(J A^{-1} J^T) for the rows J = F B (or F_c B_c)."""
-        t = tri_solve(self.L, fb.T)
-        return d - np.einsum("ji,ji->i", t, t)
+        """d - diag(J A^{-1} J^T) for the rows J = F B (or F_c B_c), as the
+        row sums of squares of J L^{-T}."""
+        t = fb @ self._lt_inv
+        return d - np.einsum("nr,nr->n", t, t)
 
     def at(self, Xq, include_components=False):
         """Marginals of this block's sum at the query points Xq (full
         input width) and, with ``include_components``, each component's
-        (mean, variance). The prior diagonals are taken over the whole
-        query, so an input outside a kernel's domain fails as in one pass.
-        Then, ``_ROWS`` rows at a time, each component's cross block F_c
-        adds F_c alpha_c to the mean and F_c B_c to J in turn, and J gives
-        the variance: to the bits of one pass, with one F_c and one F_c B_c
-        besides J alive at a time."""
+        (mean, variance). Each kernel checks its domain at the query's
+        column-wise min and max, all its box check reads, so a bad input
+        fails as in one pass. Then, ``_ROWS`` rows at a time, one kernel
+        call per component gives F_c and its prior diagonal; F_c alpha_c
+        adds to the mean and F_c B_c to J, and J gives the variance: to the
+        bits of one pass, with one F_c and F_c B_c besides J alive."""
         xps = [s.project(Xq) for s in self.specs]
-        diags = [s.kernel.diag(xp) for s, xp in zip(self.specs, xps)]
-        d = sum(diags)
+        n = len(xps[0])
+        for s, xp in zip(self.specs, xps if n else ()):
+            s.kernel.diag(np.stack((xp.min(axis=0), xp.max(axis=0))))
         # rows: summed mean and variance, then each component's pair
-        out = np.empty((2 + 2 * len(self.specs) * include_components, len(d)))
-        for rows in _row_blocks(len(d), _ROWS):
-            mu, j = out[0, rows], None
+        out = np.empty((2 + 2 * len(self.specs) * include_components, n))
+        for rows in _row_blocks(n, _ROWS):
+            mu, d, j = out[0, rows], 0.0, None
             mu[...] = 0.0
             for ci, (s, xp) in enumerate(zip(self.specs, xps)):
-                fc = s.kernel.eval(xp[rows], s.Z)
+                fc, dc = s.kernel.cross_with_pullback(xp[rows], s.Z)[:2]
                 fa, fb = fc @ self.alphas[ci], self.times_b(ci, fc)
                 if include_components:
                     out[2 + 2 * ci, rows] = fa
-                    out[3 + 2 * ci, rows] = self._var(diags[ci][rows], fb)
+                    out[3 + 2 * ci, rows] = self._var(dc, fb)
                 mu += fa
+                d = d + dc
                 j = fb if j is None else np.add(j, fb, out=j)
             lone = include_components and len(self.specs) == 1  # summed = its own
-            out[1, rows] = out[3, rows] if lone else self._var(d[rows], j)
+            out[1, rows] = out[3, rows] if lone else self._var(d, j)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
 
@@ -578,33 +590,34 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
     Returns a list of (grid, mean, variance) triples. The marginal variance
     of component c only involves the (c, c) block of the coupled posterior
     covariance, read per block of q(U) as in ``predict_marginals``; with
-    ``coupled_check`` the cross term is recomputed through the whole
-    capacitance, I + [B_1^T K_1, ..., B_C^T K_C] [B_1; ...; B_C], assembled
-    densely, and generic LU solves, bypassing the Cholesky path; the
-    maximum discrepancy is returned as a fourth element.
+    ``coupled_check`` it is recomputed through the whole capacitance,
+    I + [B_1^T K_1, ..., B_C^T K_C] [B_1; ...; B_C], assembled densely and
+    LU-factored once, bypassing the Cholesky path, as W_c = B_c A^{-1} B_c^T
+    (one W for lambda); the maximum discrepancy is a fourth element.
     """
     posts = _read_posteriors(specs, alpha, coupling)
     # (block posterior, index within the block) for every component
     owners = [(post, k) for comps, post in posts for k in range(comps.stop - comps.start)]
     if coupled_check:
         # x B_c for the whole coupling: its rows of B, or the tied diag(lambda)
-        whole, m = np.asarray(coupling, dtype=float), specs[0].m
+        whole, m, c = np.asarray(coupling, dtype=float), specs[0].m, len(specs)
 
         def times_b(ci, x):
             return x * whole if whole.ndim == 1 else x @ whole[ci * m : (ci + 1) * m]
 
         bk = np.hstack([times_b(ci, post.ku[k].T).T for ci, (post, k) in enumerate(owners)])
-        bs = np.vstack([times_b(ci, np.eye(m)) for ci in range(len(specs))])
-        a_dense = np.eye(len(bk)) + bk @ bs
+        bs = np.vstack([times_b(ci, np.eye(m)) for ci in range(c)])
+        # A^{-1} B_c^T side by side from one LU; lambda's B_c are all equal
+        n_w = 1 if whole.ndim == 1 else c
+        ainv_bt = np.linalg.solve(np.eye(len(bk)) + bk @ bs, bs[: n_w * m].T)
+        ws = [bs[i * m : (i + 1) * m] @ ainv_bt[:, i * m : (i + 1) * m] for i in range(n_w)]
     out = []
     for ci, (s, (post, k)) in enumerate(zip(specs, owners)):
         g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
-        kq = s.kernel.eval(g, s.Z)
-        dg = s.kernel.diag(g)
+        kq, dg = s.kernel.cross_with_pullback(g, s.Z)[:2]
         mean, var = post.component(k, kq, dg)
         if coupled_check:
-            jc = times_b(ci, kq)
-            var_dense = dg - np.einsum("ij,ji->i", jc, np.linalg.solve(a_dense, jc.T))
+            var_dense = dg - np.einsum("ij,ij->i", kq @ ws[ci % n_w], kq)
             out.append((g, mean, var, float(np.max(np.abs(var - var_dense)))))
         else:
             out.append((g, mean, var))

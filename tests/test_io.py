@@ -23,7 +23,7 @@ from addgp import (
     save_model,
 )
 from addgp.cli import main
-from addgp.errors import ModelFormatError
+from addgp.errors import DimensionMismatch, InvalidRank, ModelFormatError
 from addgp.io import Rescale, SavedModel, _write_kernel
 from addgp.model import COUPLED, FULL, MEAN_FIELD
 
@@ -148,26 +148,51 @@ def test_round_trip_kernel_tree(tmp_path):
     assert np.array_equal(k1.eval(X), tree.eval(X))
 
 
-@pytest.mark.parametrize("cut", ["off_block", "shape"])
-def test_rejects_mean_field_coupling_outside_its_blocks(tmp_path, capsys, cut):
-    # a mean-field file is read block by block, so a B with entries off its
-    # diagonal M x M blocks, or not (M C, M C), is not that model
-    rng = np.random.default_rng(7)
-    specs = _se_specs(rng, c=2, m=3)
+def _mean_field_b(rng, cut=None):
+    """A mean-field B for C = 2, M = 3, or with ``cut`` one load refuses: an
+    entry off its diagonal M x M blocks, or a (M C, M) shape."""
     b = np.kron(np.eye(2), np.ones((3, 3))) * rng.normal(size=(6, 6))
     if cut == "off_block":
         b[0, 5] = 0.25
-    else:
+    elif cut == "shape":
         b = b[:, :3]
+    return b
+
+
+@pytest.mark.parametrize("cut", ["off_block", "shape"])
+def test_rejects_mean_field_coupling_outside_its_blocks(tmp_path, capsys, cut):
+    # a mean-field file is read block by block, so a B with entries off its
+    # diagonal M x M blocks, or not (M C, M C), is not that model; save_model
+    # refuses to write one, so the bad file is a valid one with its b edited
+    rng = np.random.default_rng(7)
+    specs = _se_specs(rng, c=2, m=3)
     path = tmp_path / "mf.addgp"
-    save_model(path, SavedModel(MEAN_FIELD, specs, Gaussian(0.0), rng.normal(size=6), b,
-                                input_dim=2))
+    save_model(path, SavedModel(MEAN_FIELD, specs, Gaussian(0.0), rng.normal(size=6),
+                                _mean_field_b(rng), input_dim=2))
+    text = path.read_text()
+    b = _mean_field_b(rng, cut)
+    path.write_text(
+        text[: text.index("b.shape")]
+        + f"b.shape = {b.shape[0]} {b.shape[1]}\n"
+        + "".join(f"b.row.{i} = {' '.join(map(float.hex, row))}\n" for i, row in enumerate(b))
+    )
     with pytest.raises(ModelFormatError, match=r"'b' in \[state\]"):
         load_model(path)
     query = tmp_path / "q.csv"
     query.write_text("x1,x2\n0.5,0.5\n")
     assert main(["predict", str(path), str(query), "--out", str(tmp_path / "p.csv")]) == 2
     assert "'b' in [state]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", ["off_block", "shape"])
+def test_save_refuses_mean_field_coupling_outside_its_blocks(tmp_path, cut):
+    rng = np.random.default_rng(8)
+    saved = SavedModel(MEAN_FIELD, _se_specs(rng, c=2, m=3), Gaussian(0.0),
+                       rng.normal(size=6), _mean_field_b(rng, cut), input_dim=2)
+    path = tmp_path / "mf.addgp"
+    with pytest.raises((DimensionMismatch, InvalidRank)):
+        save_model(path, saved)
+    assert not path.exists()
 
 
 def test_round_trip_dense_structure(tmp_path):

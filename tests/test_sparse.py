@@ -12,9 +12,11 @@ predictions must match the collapsed posterior.
 """
 
 import ctypes
+import re
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,29 +111,43 @@ def test_kl_matches_dense_oracle():
         assert abs(model.kl() - ref) < 1e-9, f"instance {t}"
 
 
+def _stacked_coupling(model):
+    """The model's B; lambda stands for B_c = diag(lambda) stacked over c."""
+    coupling = getattr(model.state, model.coupling)
+    return np.vstack([np.diag(coupling)] * model.c) if coupling.ndim == 1 else coupling
+
+
 def test_marginals_match_dense_construction():
     rng = np.random.default_rng(1)
+    models = []
     for t in range(10):
         c = int(rng.integers(1, 4))
         m = int(rng.integers(2, 5))
-        model = _random_model(200 + t, c=c, m=m, n=7)
-        K, F = dense_blocks(model.specs, model.data.X)
-        B = model.state.B
-        A = np.eye(model.state.r) + B.T @ K @ B
+        models.append(_random_model(200 + t, c=c, m=m, n=7))
+    # a block-diagonal B (R = M C, read block by block) and lambda
+    models += [_mean_field_model(210 + t, c=t + 1) for t in range(3)]
+    models += [_dense_model(220 + t, c=t + 1) for t in range(3)]
+    for model in models:
+        specs, X = model.posterior_specs, model.data.X
+        m = specs[0].m
+        K, F = dense_blocks(specs, X)
+        B = _stacked_coupling(model)
+        A = np.eye(B.shape[1]) + B.T @ K @ B
         J = F @ B
-        d0 = sum(s.kernel.diag(s.project(model.data.X)) for s in model.specs)
+        d0 = sum(s.kernel.diag(s.project(X)) for s in specs)
         var_ref = d0 - np.einsum("ij,ji->i", J, np.linalg.solve(A, J.T))
-        marg = model.marginals(include_components=True)
-        assert np.max(np.abs(marg.mu_sum - F @ model.state.alpha)) < 1e-10
-        assert np.max(np.abs(marg.var_sum - var_ref)) < 1e-10
-        n = model.data.n
-        for ci in range(c):
-            Fc = F[:, ci * m : (ci + 1) * m]
-            Jc = Fc @ B[ci * m : (ci + 1) * m]
-            vc = model.specs[ci].kernel.diag(
-                model.specs[ci].project(model.data.X)
-            ) - np.einsum("ij,ji->i", Jc, np.linalg.solve(A, Jc.T))
-            assert np.max(np.abs(marg.per_component[ci][1] - vc)) < 1e-10
+        for components in (False, True):
+            marg = model.marginals(include_components=components)
+            assert np.max(np.abs(marg.mu_sum - F @ model.state.alpha)) < 1e-10
+            assert np.max(np.abs(marg.var_sum - var_ref)) < 1e-10
+        for ci, (mean, var) in enumerate(marg.per_component):
+            cols = slice(ci * m, (ci + 1) * m)
+            Jc = F[:, cols] @ B[cols]
+            vc = specs[ci].kernel.diag(specs[ci].project(X)) - np.einsum(
+                "ij,ji->i", Jc, np.linalg.solve(A, Jc.T)
+            )
+            assert np.max(np.abs(mean - F[:, cols] @ model.state.alpha[cols])) < 1e-10
+            assert np.max(np.abs(var - vc)) < 1e-10
 
 
 def test_zero_state_is_prior():
@@ -415,23 +431,35 @@ def test_decompose_consistency():
         assert np.max(np.abs(var - marg.per_component[ci][1])) < 1e-10
 
 
-def test_decompose_coupled_check_agrees():
-    model = _random_model(12, c=2, m=4, n=8)
-    grids = [model.specs[ci].project(model.data.X) for ci in range(2)]
-    out = decompose(
-        model.specs, model.state.alpha, model.state.B, grids, coupled_check=True
-    )
-    for _, _, _, disc in out:
-        assert disc < 1e-7
-
-    # the dense model: lambda stands for B_c = diag(lambda) with Z_c = X
+def _check_cases():
+    """(specs, alpha, coupling, grids) for a coupled B, a mean-field B and
+    lambda (B_c = diag(lambda) with Z_c = X)."""
+    cases = []
+    for model in (_random_model(12, c=2, m=4, n=8), _mean_field_model(12, c=2, m=4, n=8)):
+        grids = [s.project(model.data.X) for s in model.specs]
+        cases.append((model.specs, model.state.alpha, model.state.B, grids))
     rng = np.random.default_rng(120)
     X = rng.uniform(0, 1, size=(8, 1))
-    specs = make_specs(rng, 2, 8, X=X)
-    lam = rng.normal(size=8)
-    out = decompose(specs, rng.normal(size=16), lam, [X, X], coupled_check=True)
-    for _, _, _, disc in out:
-        assert disc < 1e-7
+    cases.append((make_specs(rng, 2, 8, X=X), rng.normal(size=16), rng.normal(size=8), [X, X]))
+    return cases
+
+
+def test_decompose_coupled_check_agrees():
+    for specs, alpha, coupling, grids in _check_cases():
+        out = decompose(specs, alpha, coupling, grids, coupled_check=True)
+        for _, _, _, disc in out:
+            assert disc < 1e-7
+
+
+def test_decompose_coupled_check_catches_a_wrong_read(monkeypatch):
+    # scale the reads' factor L^{-T} by sqrt(1 + 1e-3), so every read
+    # downdate diag(J A^{-1} J^T) is 1e-3 too large: the check, which
+    # bypasses that factor, must see it
+    scale = np.sqrt(1.0 + 1e-3)
+    monkeypatch.setattr(sparse, "tri_solve", lambda *a, **k: scale * linalg.tri_solve(*a, **k))
+    for specs, alpha, coupling, grids in _check_cases():
+        out = decompose(specs, alpha, coupling, grids, coupled_check=True)
+        assert max(disc for _, _, _, disc in out) > 1e-6
 
 
 def test_nan_query_raises_domain_error():
@@ -447,6 +475,58 @@ def test_nan_query_raises_domain_error():
             predict_marginals(specs, rng.normal(size=9), B, xq)
         with pytest.raises(DomainError):
             decompose(specs, rng.normal(size=9), B, grids)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_query_domain_error_names_the_whole_query(bad):
+    # the box check runs over the whole query before any row block is read,
+    # so a bad value in the third block reports the range of every row
+    rng = np.random.default_rng(150)
+    g = [KernelParams(0.0, np.log([0.3])) for _ in range(4)]
+    specs = anova_specs(g, 1.0, m=3, ndim=2)
+    xq = rng.uniform(0, 1, size=(30, 2))
+    xq[19, 1] = bad
+    col = xq[:, 1]
+    text = re.escape(f"(observed range [{col.min():.6g}, {col.max():.6g}])")
+    for B in (rng.normal(size=(9, 3)), np.where(mean_field_mask(3, 3), rng.normal(size=(9, 9)), 0.0)):
+        with mock.patch.object(sparse, "_ROWS", 8), pytest.raises(DomainError, match=text):
+            predict_marginals(specs, rng.normal(size=9), B, xq, include_components=True)
+
+
+def test_read_variances_keep_their_digits_under_a_large_prior_variance():
+    # near the Gaussian optimum with noise 1e-4, the anova constant makes a
+    # prior variance d of about 31 where the posterior keeps about 6e-4, so
+    # d - diag(J A^{-1} J^T) cancels five digits. Against A^{-1} in 40
+    # digits, the reads (row sums of squares of J L^{-T}) erred by at most
+    # 4.4e-13 over seeds 0-3; diag(J P J^T) with P = A^{-1} erred by 7.7e-9
+    # to 1.5e-8, as A's condition number is about 1e7
+    rng = np.random.default_rng(0)
+    g = [KernelParams(0.0, np.log([0.3])) for _ in range(4)]
+    specs = anova_specs(g, 30.0, m=6, ndim=2)
+    c, m = len(specs), specs[0].m
+    X, Xq = rng.uniform(0, 1, size=(40, 2)), rng.uniform(0, 1, size=(20, 2))
+    F = np.hstack([s.kernel.eval(s.project(X), s.Z) for s in specs])
+    ku = [s.kernel.eval(s.Z) + 1e-8 * np.eye(m) for s in specs]
+    # B B^T = K^{-1} F^T F K^{-1} / 1e-4
+    B = np.vstack([np.linalg.solve(k, F[:, ci * m : (ci + 1) * m].T) for ci, k in enumerate(ku)])
+    B /= 1e-2
+    got = predict_marginals(specs, rng.normal(size=c * m), B, Xq, include_components=True)
+
+    mpmath.mp.dps = 40
+    a = mpmath.eye(B.shape[1])
+    for ci, s in enumerate(specs):
+        bc = mpmath.matrix(B[ci * m : (ci + 1) * m])
+        a += bc.T * mpmath.matrix(s.kernel.eval(s.Z)) * bc
+    a_inv = a**-1
+    fs = [s.kernel.eval(s.project(Xq), s.Z) for s in specs]
+    jc = fs[0] @ B[:m]
+    j = sum(f @ B[ci * m : (ci + 1) * m] for ci, f in enumerate(fs))
+    d0 = specs[0].kernel.diag(specs[0].project(Xq))
+    d = sum(s.kernel.diag(s.project(Xq)) for s in specs)
+    for var, dr, jr in ((got.per_component[0][1], d0, jc), (got.var_sum, d, j)):
+        ref = [float(mpmath.mpf(x) - (mpmath.matrix(r).T * a_inv * mpmath.matrix(r))[0])
+               for x, r in zip(dr, jr)]
+        assert np.max(np.abs(var - ref)) < 1e-11
 
 
 def test_predict_marginals_matches_method():
@@ -550,11 +630,11 @@ def test_blocked_reads_match_one_pass(kind, seed, rows, components):
 
 
 def test_dense_blocked_reads_agree_with_one_pass_to_rounding():
-    # from about N = 500 training rows the triangular solve against a dense
-    # model's N x N factor rounds a row by its place in the block, so its
-    # blocked reads are held to rounding, not to the bit: the largest
-    # difference seen, on a fitted 500-row model at one BLAS thread, was
-    # 5.7e-14 of max(1, |value|)
+    # from about N = 500 training rows the product of a block with a dense
+    # model's N x N factor L^{-T} rounds a row by its place in the block, so
+    # its blocked variances are held to rounding, not to the bit: the
+    # largest difference seen, on a fitted 500-row model at one BLAS thread,
+    # was 7.1e-15 of max(1, |value|) (1.1e-14 with a triangular solve)
     model = _dense_model(0, n=500)
     Xq = np.random.default_rng(1).uniform(0, 1, size=(2000, 2))
     with mock.patch.object(sparse, "_ROWS", 8):
