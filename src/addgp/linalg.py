@@ -19,10 +19,7 @@ from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
 
 
 def cholesky(m):
-    """Lower Cholesky factor of ``m``.
-
-    Raises NotPositiveDefinite if LAPACK rejects the matrix.
-    """
+    """Lower Cholesky factor of ``m``; NotPositiveDefinite if LAPACK rejects it."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -32,12 +29,12 @@ def cholesky(m):
         raise NotPositiveDefinite(
             f"matrix of shape {m.shape} contains non-finite entries"
         )
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"Cholesky failed on a {m.shape[0]}x{m.shape[0]} matrix"
-        ) from exc
+    # LAPACK's column-major upper factor U of the symmetric m transposes to
+    # a row-major L without a copy, and ``tri_inverse`` inverts L^T = U
+    U, info = lapack.dpotrf(m, lower=0)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky failed on a {m.shape[0]}x{m.shape[0]} matrix")
+    return U.T
 
 
 def tri_solve(L, rhs, transpose=False):
@@ -59,13 +56,20 @@ def solve_from_chol(L, rhs):
     return tri_solve(L, tri_solve(L, rhs), transpose=True)
 
 
-def inverse_from_chol(L):
-    """``(L L^T)^{-1}`` through LAPACK ``potri``, symmetrized from the lower
-    triangle it computes."""
-    p, info = lapack.dpotri(np.asarray(L, dtype=float), lower=1)
+def tri_inverse(L):
+    """``L^{-1}`` of a lower-triangular ``L`` through LAPACK ``trtri``."""
+    uinv, info = lapack.dtrtri(np.asarray(L, dtype=float).T, lower=0)
     if info != 0:
         raise NotPositiveDefinite(f"inverse failed on a {len(L)}x{len(L)} factor")
-    return np.tril(p) + np.tril(p, -1).T
+    return uinv.T
+
+
+def inverse_from_tri_inverse(linv):
+    """``(L L^T)^{-1} = L^{-T} L^{-1}`` from a lower-triangular ``L^{-1}``
+    through LAPACK ``lauum``, which writes the upper triangle of its copy of
+    ``L^{-T}`` and leaves its zeros below: symmetrized by one transpose."""
+    p, _ = lapack.dlauum(np.asarray(linv, dtype=float).T, lower=0)
+    return p + np.triu(p, 1).T
 
 
 def logdet_from_chol(L):

@@ -22,23 +22,19 @@ Every term reduces to the R x R capacitance A = I_R + sum_c B_c^T K_{U_c} B_c:
                  J = sum_c K_{f_c U_c} B_c,
 
 so a sparse bound evaluation costs O(C M^3 + N C M R) after the kernel
-rows, with no N x N matrix. ``Posterior`` factors A = L L^T once and is the
-only place the coupling enters: it serves every read and pulls the
-gradients back to B or Lambda. The bound takes diag(J A^{-1} J^T) as
-diag(J P J^T), P = A^{-1}, as its gradients need J P; a read, at the same
-cost, as row sums of squares of J L^{-T}, which do not cancel.
-``AdditiveModel`` holds the rest for all three structures: validation, the
-kernel cache, the bound with analytic gradients (the hyperparameter part
-pulled back through each kernel) and training. The bound sums one
-``Posterior`` per block of q(U), so mean-field factors C capacitances of
-M x M; the read paths split B the same way wherever it is zero off its
-diagonal M x M blocks, which is exact. The bound walks the training rows in
-blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``): a block's
-cross-covariances are one (rows, C M) block F, so its mu_sum and J are one
-product F [alpha, B] and its gradients one product F^T [dmu, dJ]. With
-fixed hyperparameters F is a row slice of one cached (N, C M) block; with
-their gradients each component evaluates and pulls back its F columns and
-prior diagonal in one joint call (``Kernel.cross_with_pullback``).
+rows, with no N x N matrix. ``Posterior``, the only place the coupling
+enters, factors A = L L^T and whitens B~ = B L^{-T} once: at any rows one
+routine gives mu_sum and t = J L^{-T}, and diag(J A^{-1} J^T) = rowsum(t^2)
+for the bound and every read alike, which does not cancel as forms in
+A^{-1} do. ``AdditiveModel`` holds the rest for all three structures. The
+bound sums one ``Posterior`` per block of q(U), so mean-field factors C
+capacitances of M x M; the reads split B the same way wherever it is zero
+off its diagonal M x M blocks, which is exact. The bound walks the training
+rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``). With fixed
+hyperparameters a block's cross-covariances F are a row slice of one
+cached (N, C M) block; with their gradients each component evaluates and
+pulls back its F columns and prior diagonal in one joint call
+(``Kernel.cross_with_pullback``).
 """
 
 from __future__ import annotations
@@ -49,7 +45,9 @@ import numpy as np
 
 from . import model as _model
 from .errors import DimensionMismatch, DomainError
-from .linalg import cholesky, inverse_from_chol, logdet_from_chol, solve_from_chol, tri_solve
+from .linalg import cholesky, inverse_from_tri_inverse, logdet_from_chol, tri_inverse, tri_solve
+# importable by name for instrumentation that wraps the linear algebra per module
+from .linalg import solve_from_chol  # noqa: F401
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
@@ -68,15 +66,14 @@ def _row_blocks(n, size):
 
 
 class Posterior:
-    """The posterior over the inducing variables, factored once.
+    """The posterior over the inducing variables, factored and whitened once.
 
     ``coupling`` is either B (M C x R) or the vector lambda, which stands for
     B_c = diag(lambda) for every c with Z_c the training inputs (the dense
     model). ``ku`` holds the prior Grams K_c(Z_c, Z_c) when the caller
-    already has them, and ``ksum`` their sum for lambda. Reads take cross
-    blocks F_c = K_c(X*, Z_c) and prior diagonals k_c(x, x); the bound
-    takes its pieces from ``kl``, ``project``, ``pullback`` per row block,
-    ``coupling_grad`` and the kernel weights.
+    already has them, and ``ksum`` their sum for lambda. ``mu_t`` serves
+    the reads and the bound, which takes the rest from ``kl``, ``pullback``
+    per row block, ``unwhiten``, ``coupling_grad`` and the kernel weights.
     """
 
     def __init__(self, specs, alpha, coupling, ku=None, ksum=None):
@@ -92,64 +89,68 @@ class Posterior:
             self._kb = self._ksum * coupling
             a = coupling[:, None] * self._kb
         else:
-            self._lam, self._bmat = None, coupling
+            self._lam = None
             self._b = coupling.reshape(c, m, -1)
             self._kb = np.matmul(self.ku, self._b)  # K_c B_c, (C, M, R)
-            a = np.tensordot(self._b, self._kb, axes=([0, 1], [0, 1]))
-        a[np.diag_indices_from(a)] += 1.0
+            a = coupling.T @ self._kb.reshape(len(coupling), -1)
+        a.reshape(-1)[:: len(a) + 1] += 1.0
         self.L = cholesky(a)
+        # B~_c = B_c L^{-T}, (C, M, R); lambda's are C views of one (N, N) block
+        if self._b is None:
+            self._bt = np.broadcast_to((self.linv * coupling).T, (c, *a.shape))
+        else:
+            self._bt = tri_solve(self.L, coupling.T).T.reshape(self._b.shape)
+
+    @functools.cached_property
+    def linv(self):
+        """L^{-1}: lambda's B~, and the bound's unwhitening and P."""
+        return tri_inverse(self.L)
 
     @functools.cached_property
     def ka(self):
         """K_c alpha_c for every component, (C, M)."""
         return np.matmul(self.ku, self.alphas[:, :, None])[:, :, 0]
 
-    def inverse(self):
-        """P = A^{-1}, symmetric."""
-        return inverse_from_chol(self.L)
-
-    @functools.cached_property
-    def _lt_inv(self):
-        """L^{-T}, formed once for the reads (``_var``)."""
-        return tri_solve(self.L, np.eye(len(self.L)), transpose=True)
-
-    def kl(self, p=None):
-        """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c
-        - tr(A^{-1} (A - I))), where tr(A^{-1} (A - I)) = R - tr(P). Without
-        P at hand, B takes the trace as sum_c tr(B_c A^{-1} B_c^T K_c) from
-        one solve against B^T, so a KL alone stays linear in C."""
-        if p is None and self._b is not None:
-            ba = solve_from_chol(self.L, self._bmat.T).T.reshape(self._kb.shape)
-            trace = float(np.sum(ba * self._kb))
+    def kl(self):
+        """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c - T), with
+        T = tr(A^{-1} (A - I)) = sum_c <B~_c, K_c B~_c> (lambda: R - ||L^{-1}||_F^2)."""
+        if self._b is None:
+            trace = len(self.L) - float(np.vdot(self.linv, self.linv))
         else:
-            p = self.inverse() if p is None else p
-            trace = len(p) - float(np.trace(p))
+            trace = float(np.vdot(self._bt, np.matmul(self.ku, self._bt)))
         quad = float(np.sum(self.alphas * self.ka))
         return 0.5 * (logdet_from_chol(self.L) + quad - trace)
 
-    def times_b(self, ci, fc):
-        """F_c B_c for a block F_c with the M_c columns of component ci."""
-        return fc * self._lam if self._b is None else fc @ self._b[ci]
-
-    def project(self, f, rows):
-        """mu = sum_c F_c alpha_c and J = sum_c F_c B_c at the training
-        rows ``rows``. For B, ``f`` is their (rows, C M) block
-        [F_1 ... F_C] and both come from one product; lambda reads its
-        Grams, which are its cross blocks."""
+    def mu_t(self, f, ci=None):
+        """(mu, t) = (F alpha, F B~) at a block of rows from its cross block:
+        F_ci with ``ci``, else [F_1 ... F_C]; lambda's B~_c are all one, so
+        there it takes the pair (mu, sum_c F_c) and t is one product."""
+        if ci is not None:
+            return f @ self.alphas[ci], f @ self._bt[ci]
         if self._b is None:
-            return self.ka.sum(axis=0)[rows], self._kb[rows]
-        mj = f @ np.column_stack((self.alphas.ravel(), self._bmat))
-        return mj[:, 0], mj[:, 1:]
+            return f[0], f[1] @ self._bt[0]
+        return f @ self.alphas.ravel(), f @ self._bt.reshape(-1, self._bt.shape[-1])
 
-    def pullback(self, f, u, rows):
-        """One row block's share of (F_c^T dE/dmu for every component,
-        -2 F^T U) from its u = [dE/dmu, U], U = Gs J P; for lambda the second
-        is -2 diag(Ksum U)."""
+    def pullback(self, f, gmu, gs, t, rows):
+        """A row block's u = [dE/dmu, Gs z] and shares of (F_c^T dE/dmu, -2 F^T U,
+        Psi), U = Gs t L^{-1}: for B, z = t and the last two stay whitened until
+        ``unwhiten``; lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P."""
+        z = t if self._b is not None else t @ self.linv
+        u = np.column_stack((gmu, gs[:, None] * z))
         if self._b is None:
             ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
-            return np.matmul(self.ku[:, :, rows], u[:, 0]), -2.0 * ksum_u
-        ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
-        return ftu[:, :, 0], -2.0 * ftu[:, :, 1:]
+            fg, ftu = np.matmul(self.ku[:, :, rows], gmu), -2.0 * ksum_u
+        else:
+            ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
+            fg, ftu = ftu[:, :, 0], ftu[:, :, 1:]
+        return u, fg, ftu, z.T @ u[:, 1:]
+
+    def unwhiten(self, ftu, psi):
+        """(-2 F^T U, Psi) from the summed last two shares of ``pullback``:
+        for B, -2 (F^T Gs t) L^{-1} and L^{-T} (t^T Gs t) L^{-1}."""
+        if self._b is None:
+            return ftu, psi
+        return -2.0 * (ftu @ self.linv), self.linv.T @ psi @ self.linv
 
     def coupling_grad(self, ftu, w):
         """dBound/dcoupling from the summed -2 F^T U and W = 2 Psi - Omega:
@@ -159,11 +160,12 @@ class Posterior:
         return ftu + np.matmul(self._kb, w)
 
     def cross_weights(self, ci, u):
-        """dBound/dF_c = dE/dmu alpha_c^T - 2 U B_c^T at a row block."""
+        """dBound/dF_c = dE/dmu alpha_c^T - 2 U B_c^T at a row block, from its
+        ``pullback`` u: for B, U B_c^T = (Gs t) B~_c^T."""
         al = self.alphas[ci]
         if self._b is None:
             return np.outer(u[:, 0], al) - 2.0 * (u[:, 1:] * self._lam)
-        return u @ np.vstack((al, -2.0 * self._b[ci].T))
+        return u @ np.vstack((al, -2.0 * self._bt[ci].T))
 
     def gram_weights(self, ci, v):
         """dBound/dK_c = B_c V B_c^T - alpha_c alpha_c^T / 2 for
@@ -172,48 +174,41 @@ class Posterior:
         bvb = (lam[:, None] * v) * lam if b is None else b[ci] @ v @ b[ci].T
         return bvb - 0.5 * np.outer(al, al)
 
-    def component(self, ci, fc, dc):
-        """(mean, variance) of component ci from its cross block and prior
-        diagonal; only the (c, c) block of the posterior covariance enters."""
-        return fc @ self.alphas[ci], self._var(dc, self.times_b(ci, fc))
-
-    def _var(self, d, fb):
-        """d - diag(J A^{-1} J^T) for the rows J = F B (or F_c B_c), as the
-        row sums of squares of J L^{-T}."""
-        t = fb @ self._lt_inv
-        return d - np.einsum("nr,nr->n", t, t)
-
     def at(self, Xq, include_components=False):
-        """Marginals of this block's sum at the query points Xq (full
-        input width) and, with ``include_components``, each component's
-        (mean, variance). Each kernel checks its domain at the query's
-        column-wise min and max, all its box check reads, so a bad input
-        fails as in one pass. Then, ``_ROWS`` rows at a time, one kernel
-        call per component gives F_c and its prior diagonal; F_c alpha_c
-        adds to the mean and F_c B_c to J, and J gives the variance: to the
-        bits of one pass, with one F_c and F_c B_c besides J alive."""
+        """Marginals of this block's sum at the query points Xq (full input
+        width) and, with ``include_components``, each component's (mean,
+        variance). Each kernel checks its domain at the query's column-wise
+        min and max, so a bad input fails as in one pass. Then, ``_ROWS``
+        rows at a time, one kernel call per component gives F_c and its prior
+        diagonal and ``mu_t`` (mu_c, t_c), which add up to the bits of one
+        pass; lambda without components whitens sum_c F_c once."""
         xps = [s.project(Xq) for s in self.specs]
         n = len(xps[0])
         for s, xp in zip(self.specs, xps if n else ()):
             s.kernel.diag(np.stack((xp.min(axis=0), xp.max(axis=0))))
+        summed = self._b is None and not include_components
         # rows: summed mean and variance, then each component's pair
         out = np.empty((2 + 2 * len(self.specs) * include_components, n))
         for rows in _row_blocks(n, _ROWS):
-            mu, d, j = out[0, rows], 0.0, None
+            mu, d, t = out[0, rows], 0.0, None
             mu[...] = 0.0
             for ci, (s, xp) in enumerate(zip(self.specs, xps)):
                 fc, dc = s.kernel.cross_with_pullback(xp[rows], s.Z)[:2]
-                fa, fb = fc @ self.alphas[ci], self.times_b(ci, fc)
+                mc, tc = (fc @ self.alphas[ci], fc) if summed else self.mu_t(fc, ci)
                 if include_components:
-                    out[2 + 2 * ci, rows] = fa
-                    out[3 + 2 * ci, rows] = self._var(dc, fb)
-                mu += fa
+                    out[2 + 2 * ci, rows], out[3 + 2 * ci, rows] = mc, dc - _rowsq(tc)
+                mu += mc
                 d = d + dc
-                j = fb if j is None else np.add(j, fb, out=j)
-            lone = include_components and len(self.specs) == 1  # summed = its own
-            out[1, rows] = out[3, rows] if lone else self._var(d, j)
+                t = tc if t is None else np.add(t, tc, out=t)
+            t = self.mu_t((mu, t))[1] if summed else t
+            out[1, rows] = d - _rowsq(t)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
+
+
+def _rowsq(t):
+    """rowsum(t^2): the variance downdate diag(J A^{-1} J^T) for t = J L^{-T}."""
+    return np.einsum("nr,nr->n", t, t)
 
 
 class AdditiveModel:
@@ -228,11 +223,10 @@ class AdditiveModel:
     and the optimizer see only those views into the coupling.
     ``_prior_blocks(pullbacks)`` returns ``(ku, ksum, rows)``: the prior
     Grams, their sum for lambda (else None) and a function of a slice of
-    training rows that gives ``(f, d0, pullbacks)``: the cross block
-    ``Posterior.project`` reads (None for lambda), the summed prior
-    diagonal and, with ``pullbacks``, one function per component that maps
-    the weights on its Gram (None but in the last row block), cross block
-    and diagonal to its log-hyperparameter gradient.
+    training rows that gives ``(f, d0, pullbacks)``: the cross block (None
+    for lambda), the summed prior diagonal and, with ``pullbacks``, one
+    function per component that maps the weights on its Gram (None but in
+    the last row block), cross block and diagonal to its gradient.
     """
 
     coupling = None
@@ -304,8 +298,7 @@ class AdditiveModel:
         return _marginals(posts, self.data.X if Xq is None else Xq, include_components)
 
     def kl(self):
-        """KL from q(U) to the prior p(U); exactly zero at the
-        prior-matching state."""
+        """KL from q(U) to the prior p(U), exactly zero at the prior-matching state."""
         return sum(post.kl() for _, post in self._posteriors(*self._kmats()[:2]))
 
     def elbo(self):
@@ -323,36 +316,36 @@ class AdditiveModel:
         return _row_blocks(self.n, _BOUND_ROWS)
 
     def _bound(self, train_hypers=False, grads=True):
-        """The bound from one factorization of A per block of q(U), with
-        P = A^{-1}, summed over blocks of training rows:
-
-            var_sum = d0 - sum_blocks diag(J P J^T),  KL summed over blocks.
-
-        With U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the
-        variance weights of the expected log-likelihood), every gradient is
-        a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``). A row
-        block adds its share of each sum and pulls its own cross-block and
-        diagonal weights back; the last, with Psi complete, the Gram's too.
-        No array is N rows long beyond the cached prior blocks."""
+        """The bound from one factorization of A per block of q(U), summed
+        over blocks of training rows, each read by ``Posterior.mu_t``:
+        var_sum = d0 - sum_blocks rowsum(t^2), KL summed over blocks. With
+        U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the variance
+        weights of the expected log-likelihood, P = A^{-1}), every gradient
+        is a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``). A row
+        block adds its share of each sum, whitened, and pulls its own
+        cross-block and diagonal weights back; the last unwhitens the sums
+        and, with Psi whole, pulls the Gram's back too. No array is N rows
+        long beyond the cached prior blocks."""
         hyper = grads and train_hypers
         ku, ksum, cross = self._prior_blocks(pullbacks=True) if hyper else self._kmats()
         m = len(self.state.alpha) // self.c
-        parts = [(comps, post, post.inverse()) for comps, post in self._posteriors(ku, ksum)]
-        kl = sum(post.kl(p) for _, post, p in parts)
-        omegas = [p - p @ p for _, _, p in parts] if grads else None
+        parts = self._posteriors(ku, ksum)
+        kl = sum(post.kl() for _, post in parts)
+        ps = [inverse_from_tri_inverse(post.linv) for _, post in parts] if grads else []
+        omegas = [p - p @ p for p in ps]  # P = A^{-1}
         # per block of q(U): the running F^T dE/dmu, -2 F^T U and Psi
         sums = [[0.0, 0.0, 0.0] for _ in parts]
         y, ell, glik, gkernels = self.data.Y, 0.0, 0.0, [0.0] * self.c
         for rows in self._row_slices():
             f, d0, pbs = cross(rows)
-            mu, down, jps = 0.0, 0.0, []
-            for comps, post, p in parts:
-                fb = None if f is None else f[:, comps.start * m : comps.stop * m]
-                mu_b, j = post.project(fb, rows)
-                jp = j @ p
+            mu, down, ts = 0.0, 0.0, []
+            for comps, post in parts:
+                cols = slice(comps.start * m, comps.stop * m)  # lambda's F_c are its Grams
+                fb = (post.ka.sum(axis=0)[rows], ksum[rows]) if f is None else f[:, cols]
+                mu_b, t = post.mu_t(fb)
                 mu = mu + mu_b
-                down = down + np.einsum("nr,nr->n", jp, j)
-                jps.append((fb, jp))
+                down = down + _rowsq(t)
+                ts.append((fb, t))
             s = d0 - down
             clamped = s < VAR_CLAMP
             s[clamped] = VAR_CLAMP
@@ -364,22 +357,24 @@ class AdditiveModel:
             gs = np.where(clamped, 0.0, gs)
             if hyper:
                 glik += self.likelihood.expected_loglik_param_grads(y[rows], mu, s).sum(axis=1)
-            for (comps, post, p), (fb, jp), acc, omega in zip(parts, jps, sums, omegas):
-                u = np.column_stack((gmu, gs[:, None] * jp))
-                fg, ftu = post.pullback(fb, u, rows)
-                acc[:] = acc[0] + fg, acc[1] + ftu, acc[2] + jp.T @ u[:, 1:]
+            last = rows.stop == self.n
+            for (comps, post), (fb, t), acc, omega in zip(parts, ts, sums, omegas):
+                u, *share = post.pullback(fb, gmu, gs, t, rows)
+                acc[:] = [a + b for a, b in zip(acc, share)]
+                if last:
+                    acc[1:] = post.unwhiten(*acc[1:])
                 if hyper:
-                    v = acc[2] - 0.5 * omega if rows.stop == self.n else None
+                    v = acc[2] - 0.5 * omega if last else None
                     for k, ci in enumerate(range(self.c)[comps]):
                         gk = None if v is None else post.gram_weights(k, v)
                         gkernels[ci] += pbs[ci](gk, post.cross_weights(k, u), gs)
-            del f, pbs, jps, u  # before the next block allocates its own
+            del f, pbs, ts, u  # before the next block allocates its own
         if not grads:
             return ell - kl
 
         galpha = np.empty((self.c, m))
         gcoupling = np.zeros_like(getattr(self.state, self.coupling))
-        for (comps, post, _), (fg, ftu, psi), omega, (_, gview) in zip(
+        for (comps, post), (fg, ftu, psi), omega, (_, gview) in zip(
             parts, sums, omegas, self._blocks(gcoupling)
         ):
             galpha[comps] = fg - post.ka
@@ -615,7 +610,8 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
     for ci, (s, (post, k)) in enumerate(zip(specs, owners)):
         g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
         kq, dg = s.kernel.cross_with_pullback(g, s.Z)[:2]
-        mean, var = post.component(k, kq, dg)
+        mean, t = post.mu_t(kq, k)  # only the (c, c) block of the covariance
+        var = dg - _rowsq(t)
         if coupled_check:
             var_dense = dg - np.einsum("ij,ij->i", kq @ ws[ci % n_w], kq)
             out.append((g, mean, var, float(np.max(np.abs(var - var_dense)))))

@@ -6,9 +6,10 @@ import pytest
 from addgp import NotPositiveDefinite
 from addgp.linalg import (
     cholesky,
-    inverse_from_chol,
+    inverse_from_tri_inverse,
     logdet_from_chol,
     solve_from_chol,
+    tri_inverse,
     tri_solve,
 )
 
@@ -70,15 +71,19 @@ def test_logdet_from_chol_matches_slogdet():
 
 
 @pytest.mark.parametrize("n", [1, 16, 112, 500])
-def test_inverse_from_chol_matches_solves(n):
+def test_tri_inverse_matches_solves(n):
     rng = np.random.default_rng(n)
     L = cholesky(_spd(rng, n, cond=1e3))
-    p = inverse_from_chol(L)
+    linv = tri_inverse(L)
+    ref = tri_solve(L, np.eye(n))
+    assert np.array_equal(linv, np.tril(linv))
+    assert np.max(np.abs(linv - ref)) <= 1e-12 * np.max(np.abs(ref))
+    p = inverse_from_tri_inverse(linv)
     ref = solve_from_chol(L, np.eye(n))
     assert np.array_equal(p, p.T)
     assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_inverse_from_chol_rejects_singular_factor():
+def test_tri_inverse_rejects_singular_factor():
     with pytest.raises(NotPositiveDefinite):
-        inverse_from_chol(np.diag([1.0, 0.0, 2.0]))
+        tri_inverse(np.diag([1.0, 0.0, 2.0]))

@@ -86,8 +86,8 @@ def test_read_paths_agree_and_stay_nonnegative(model):
     ).log_evidence
     assert model.elbo() <= ev + 1e-8 * abs(ev)
 
-    # the bound reads its marginals through ``project`` and P, the read path
-    # through triangular solves, both per block of q(U) for mean-field
+    # the bound and the read path both take their marginals from
+    # ``Posterior.mu_t``, per block of q(U) for mean-field
     train = model.marginals(include_components=True)
     var = np.maximum(train.var_sum, VAR_CLAMP)
     ell = np.sum(model.likelihood.expected_loglik(model.data.Y, train.mu_sum, var))

@@ -452,11 +452,14 @@ def test_decompose_coupled_check_agrees():
 
 
 def test_decompose_coupled_check_catches_a_wrong_read(monkeypatch):
-    # scale the reads' factor L^{-T} by sqrt(1 + 1e-3), so every read
-    # downdate diag(J A^{-1} J^T) is 1e-3 too large: the check, which
-    # bypasses that factor, must see it
+    # scale the reads' whitening by sqrt(1 + 1e-3), B L^{-T} from a
+    # triangular solve and, for lambda, L^{-1}, so every read downdate
+    # rowsum(t^2), t = J L^{-T}, is 1e-3 too large: the check, which
+    # bypasses both, must see it
     scale = np.sqrt(1.0 + 1e-3)
-    monkeypatch.setattr(sparse, "tri_solve", lambda *a, **k: scale * linalg.tri_solve(*a, **k))
+    for name in ("tri_solve", "tri_inverse"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(sparse, name, lambda *a, real=real, **k: scale * real(*a, **k))
     for specs, alpha, coupling, grids in _check_cases():
         out = decompose(specs, alpha, coupling, grids, coupled_check=True)
         assert max(disc for _, _, _, disc in out) > 1e-6
@@ -493,40 +496,73 @@ def test_query_domain_error_names_the_whole_query(bad):
             predict_marginals(specs, rng.normal(size=9), B, xq, include_components=True)
 
 
-def test_read_variances_keep_their_digits_under_a_large_prior_variance():
-    # near the Gaussian optimum with noise 1e-4, the anova constant makes a
-    # prior variance d of about 31 where the posterior keeps about 6e-4, so
-    # d - diag(J A^{-1} J^T) cancels five digits. Against A^{-1} in 40
-    # digits, the reads (row sums of squares of J L^{-T}) erred by at most
-    # 4.4e-13 over seeds 0-3; diag(J P J^T) with P = A^{-1} erred by 7.7e-9
-    # to 1.5e-8, as A's condition number is about 1e7
-    rng = np.random.default_rng(0)
+def _near_conjugate_anova(rng):
+    """Anova specs on two inputs, 40 rows X, 20 query rows and the B of the
+    Gaussian optimum at X with noise 1e-4: B B^T = K^{-1} F^T F K^{-1} / 1e-4.
+    The anova constant makes a prior variance d of about 31 where the
+    posterior keeps about 6e-4, so d - diag(J A^{-1} J^T) cancels five
+    digits, and A's condition number is about 1e7."""
     g = [KernelParams(0.0, np.log([0.3])) for _ in range(4)]
     specs = anova_specs(g, 30.0, m=6, ndim=2)
-    c, m = len(specs), specs[0].m
+    m = specs[0].m
     X, Xq = rng.uniform(0, 1, size=(40, 2)), rng.uniform(0, 1, size=(20, 2))
     F = np.hstack([s.kernel.eval(s.project(X), s.Z) for s in specs])
     ku = [s.kernel.eval(s.Z) + 1e-8 * np.eye(m) for s in specs]
-    # B B^T = K^{-1} F^T F K^{-1} / 1e-4
     B = np.vstack([np.linalg.solve(k, F[:, ci * m : (ci + 1) * m].T) for ci, k in enumerate(ku)])
-    B /= 1e-2
-    got = predict_marginals(specs, rng.normal(size=c * m), B, Xq, include_components=True)
+    return specs, X, Xq, B / 1e-2
 
+
+def _downdate_in_40_digits(specs, B, d, j):
+    """d - diag(J A^{-1} J^T) row by row, with A^{-1} in 40 digits."""
+    m = specs[0].m
     mpmath.mp.dps = 40
     a = mpmath.eye(B.shape[1])
     for ci, s in enumerate(specs):
         bc = mpmath.matrix(B[ci * m : (ci + 1) * m])
         a += bc.T * mpmath.matrix(s.kernel.eval(s.Z)) * bc
     a_inv = a**-1
+    return np.array([float(mpmath.mpf(x) - (mpmath.matrix(r).T * a_inv * mpmath.matrix(r))[0])
+                     for x, r in zip(d, j)])
+
+
+def test_read_variances_keep_their_digits_under_a_large_prior_variance():
+    # against A^{-1} in 40 digits, the reads (row sums of squares of
+    # J L^{-T}) erred by at most 4.4e-13 over seeds 0-3; diag(J P J^T) with
+    # P = A^{-1} erred by 7.7e-9 to 1.5e-8
+    rng = np.random.default_rng(0)
+    specs, _, Xq, B = _near_conjugate_anova(rng)
+    c, m = len(specs), specs[0].m
+    got = predict_marginals(specs, rng.normal(size=c * m), B, Xq, include_components=True)
+
     fs = [s.kernel.eval(s.project(Xq), s.Z) for s in specs]
     jc = fs[0] @ B[:m]
     j = sum(f @ B[ci * m : (ci + 1) * m] for ci, f in enumerate(fs))
     d0 = specs[0].kernel.diag(specs[0].project(Xq))
     d = sum(s.kernel.diag(s.project(Xq)) for s in specs)
     for var, dr, jr in ((got.per_component[0][1], d0, jc), (got.var_sum, d, j)):
-        ref = [float(mpmath.mpf(x) - (mpmath.matrix(r).T * a_inv * mpmath.matrix(r))[0])
-               for x, r in zip(dr, jr)]
-        assert np.max(np.abs(var - ref)) < 1e-11
+        assert np.max(np.abs(var - _downdate_in_40_digits(specs, B, dr, jr))) < 1e-11
+
+
+def test_bound_variances_keep_their_digits_under_a_large_prior_variance():
+    # the read test's twin at its 40 rows as training data: against A^{-1}
+    # in 40 digits, the s the bound passes to the expected log-likelihood
+    # erred by 1.4e-8 to 1.8e-8 (seeds 0-3) as diag(J P J^T) with
+    # P = A^{-1}, and by at most 4.9e-14 as the reads' rowsum(t^2),
+    # t = J L^{-T}
+    rng = np.random.default_rng(0)
+    specs, X, _, B = _near_conjugate_anova(rng)
+    c, m = len(specs), specs[0].m
+    state = VariationalState(rng.normal(size=c * m), B)
+    model = SparseModel(specs, Gaussian(np.log(1e-4)), Dataset(X, rng.normal(size=40)), state=state)
+    seen, ell = [], model.likelihood.expected_loglik
+    with mock.patch.object(model.likelihood, "expected_loglik",
+                           lambda y, mu, s: seen.append(s.copy()) or ell(y, mu, s)):
+        model.elbo()
+
+    F = np.hstack([s.kernel.eval(s.project(X), s.Z) for s in specs])
+    d = sum(s.kernel.diag(s.project(X)) for s in specs)
+    ref = _downdate_in_40_digits(specs, B, d, F @ B)
+    assert np.max(np.abs(np.concatenate(seen) - ref)) < 1e-11
 
 
 def test_predict_marginals_matches_method():
