@@ -409,23 +409,30 @@ def _bench_model(n, c, m, r, seed):
     return mdl
 
 
-def _median_time(fn, reps):
-    fn()  # warm
-    k = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(k):
-            fn()
-        if time.perf_counter() - t0 > 0.01 or k >= 1024:
-            break
-        k *= 2
-    times = []
+def _median_times(fns, reps):
+    """Median seconds per call of each function. Each runs untimed until a
+    loop of k calls lasts 10 ms; then ``reps`` rounds time every loop in
+    turn, so a change in the host's speed moves all of their samples alike."""
+    ks = []
+    for fn in fns:
+        fn()  # warm
+        k = 1
+        while True:
+            t0 = time.perf_counter()
+            for _ in range(k):
+                fn()
+            if time.perf_counter() - t0 > 0.01 or k >= 1024:
+                break
+            k *= 2
+        ks.append(k)
+    times = [[] for _ in fns]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        for _ in range(k):
-            fn()
-        times.append((time.perf_counter() - t0) / k)
-    return float(np.median(times))
+        for fn, k, ts in zip(fns, ks, times):
+            t0 = time.perf_counter()
+            for _ in range(k):
+                fn()
+            ts.append((time.perf_counter() - t0) / k)
+    return [float(np.median(ts)) for ts in times]
 
 
 def cmd_bench(args):
@@ -434,12 +441,14 @@ def cmd_bench(args):
     print(f"timing kl/elbo at m={m}, r={r} (median of {args.reps})")
     sweeps = [("c", c, args.n_fixed) for c in args.c_list]
     sweeps += [("n", args.c_fixed, n) for n in args.n_list]
-    for axis, c, n in sweeps:
-        mdl = _bench_model(n, c, m, r, args.seed)
-        t_kl = _median_time(mdl.kl, args.reps)
-        t_elbo = _median_time(mdl.elbo, args.reps)
-        rows.append(("kl", axis, c, n, t_kl))
-        rows.append(("elbo", axis, c, n, t_elbo))
+    models = [_bench_model(n, c, m, r, args.seed) for _, c, n in sweeps]
+    # 0.5 s of untimed calls first outlast any BLAS thread left spinning by earlier calls
+    stop = time.perf_counter() + 0.5
+    while time.perf_counter() < stop:
+        models[0].kl()
+    times = _median_times([f for mdl in models for f in (mdl.kl, mdl.elbo)], args.reps)
+    for (axis, c, n), t_kl, t_elbo in zip(sweeps, times[::2], times[1::2]):
+        rows += [("kl", axis, c, n, t_kl), ("elbo", axis, c, n, t_elbo)]
         print(f"  C={c:<3d} N={n:<6d} kl {t_kl * 1e3:8.3f} ms   elbo {t_elbo * 1e3:8.3f} ms")
 
     meta = [
@@ -450,23 +459,15 @@ def cmd_bench(args):
         + (",".join(str(t) for t in _linalg.openblas_threads()) or "unknown"),
     ]
     fits = {}
-    kl_c = [(c, t) for q, ax, c, n, t in rows if q == "kl" and ax == "c"]
+    kl_c = np.array([(c, t) for q, ax, c, n, t in rows if (q, ax) == ("kl", "c")])
     if len(kl_c) >= 2:
-        cs = np.array([v for v, _ in kl_c], dtype=float)
-        ts = np.array([t for _, t in kl_c])
-        fits["kl_growth_exponent_c"] = float(
-            np.polyfit(np.log(cs), np.log(ts), 1)[0]
-        )
-    elbo_n = [(n, t) for q, ax, c, n, t in rows if q == "elbo" and ax == "n"]
+        fits["kl_growth_exponent_c"] = float(np.polyfit(*np.log(kl_c).T, 1)[0])
+    elbo_n = np.array([(n, t) for q, ax, c, n, t in rows if (q, ax) == ("elbo", "n")])
     if len(elbo_n) >= 2:
-        ns = np.array([v for v, _ in elbo_n], dtype=float)
-        ts = np.array([t for _, t in elbo_n])
-        coef = np.polyfit(ns, ts, 1)
-        resid = ts - np.polyval(coef, ns)
+        ns, ts = elbo_n.T
+        resid = ts - np.polyval(np.polyfit(ns, ts, 1), ns)
         ss_tot = float(np.sum((ts - ts.mean()) ** 2))
-        fits["elbo_affine_r2_n"] = (
-            1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-        )
+        fits["elbo_affine_r2_n"] = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     for key, val in fits.items():
         meta.append(f"{key} = {val:.4f}")
         print(f"{key} = {val:.4f}")

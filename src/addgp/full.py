@@ -15,12 +15,12 @@ that coupling the capacitance is the N x N matrix
 
     A = I + Lambda (sum_c K_c) Lambda,
 
-so one O(N^3) factorization per evaluation covers any number of
-components. What stays here is the dense model's data: the Grams at the
-training inputs (which are also its cross blocks, so the hyperparameter
-gradient needs one kernel evaluation per component), the size cap
-(N <= 5000) and the starting state. This is the reference implementation:
-cubic in N by design.
+so one O(N^3) factorization per evaluation covers any number of components.
+What stays here is the dense model's data: the Grams at the training inputs,
+one cached stack rewritten in place (they are also its cross blocks, so the
+hyperparameter gradient needs one kernel evaluation per component), the size
+cap (N <= 5000) and the starting state. This is the reference
+implementation: cubic in N by design.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class FullModel(_sparse.AdditiveModel):
             )
         super().__init__(specs, likelihood, dataset)
         self.state = state or _model.init_full_state(dataset.n, len(specs))
+        self._cache = np.empty((self.c, self.n, self.n)), np.empty((self.n, self.n))
         if len(self.state.lam) != dataset.n or len(self.state.alpha) != (
             dataset.n * len(specs)
         ):
@@ -74,19 +75,22 @@ class FullModel(_sparse.AdditiveModel):
         ]
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, N, N) Grams at the training inputs, their sum Ksum, and rows
-        that give no cross block and the summed prior diagonal: with
-        Z_c = X the Grams are the cross blocks, so one kernel evaluation
-        serves every use and each pullback is one joint call: the summed
-        Gram weights, with the row weights as the diagonal's."""
-        karr = np.empty((self.c, self.n, self.n))
+        """(C, N, N) Grams at the training inputs, written over the cached ones
+        and re-keyed, their sum Ksum, and rows that give the summed prior
+        diagonal (no cross block): the Grams are the cross blocks, so one kernel
+        evaluation serves all and a pullback takes their one weight and the
+        diagonal's (``Posterior.kernel_weights``)."""
+        key, self._cache_key = self._hyper_key(), None  # stale while written
+        karr, ksum = self._cache[:2]
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
             karr[ci], _, pb = s.kernel.cross_with_pullback(xp)
             if pullbacks:  # a pullback keeps its kernel's blocks alive
-                pbs.append(lambda gk, gf, gs, pb=pb: pb(gk + gf, gs))
+                pbs.append(lambda gk, gf, gs, pb=pb: pb(gf, gs))
+        np.sum(karr, axis=0, out=ksum)
         d0 = np.diagonal(karr, axis1=1, axis2=2).sum(axis=0)
-        return karr, sum(karr), lambda rows: (None, d0[rows], pbs)
+        self._cache, self._cache_key = (karr, ksum, lambda rows: (None, d0[rows], [])), key
+        return karr, ksum, lambda rows: (None, d0[rows], pbs)
 
     def _row_slices(self):
         """All N rows in one block: Gram and row weights meet in one pullback."""

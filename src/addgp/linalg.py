@@ -13,7 +13,7 @@ import ctypes
 import os
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
 
@@ -62,6 +62,27 @@ def tri_inverse(L):
     if info != 0:
         raise NotPositiveDefinite(f"inverse failed on a {len(L)}x{len(L)} factor")
     return uinv.T
+
+
+def tri_mul(x, tri, lower=True):
+    """``x @ tri`` through BLAS ``trmm`` (half a general product's flops),
+    reading only the lower (or upper) triangle of ``tri``; C-ordered operands
+    go in as Fortran-ordered transposes, so the wrapper copies neither."""
+    x, tri = np.asarray(x, dtype=float), np.asarray(tri, dtype=float)
+    if x.ndim != 2 or tri.ndim != 2 or not x.shape[1] == tri.shape[0] == tri.shape[1]:
+        raise DimensionMismatch(f"cannot multiply {x.shape} by a square factor {tri.shape}")
+    a, trans, low = (tri, 1, lower) if tri.flags.f_contiguous else (tri.T, 0, not lower)
+    return blas.dtrmm(1.0, a, x.T, lower=low, trans_a=trans).T
+
+
+def sym_square(a):
+    """``a a^T`` through BLAS ``syrk``, which writes one triangle at half a
+    general product's flops: symmetrized by one transpose."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or not a.size:  # the BLAS wrapper rejects empty operands
+        raise DimensionMismatch(f"expected a nonempty matrix, got shape {a.shape}")
+    c = blas.dsyrk(1.0, a) if a.flags.f_contiguous else blas.dsyrk(1.0, a.T, trans=1)
+    return np.add(c, np.triu(c, 1).T, out=c)
 
 
 def inverse_from_tri_inverse(linv):

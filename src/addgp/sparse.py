@@ -21,19 +21,20 @@ Every term reduces to the R x R capacitance A = I_R + sum_c B_c^T K_{U_c} B_c:
     var_sum    = sum_c k_c(x, x) - diag(J A^{-1} J^T),
                  J = sum_c K_{f_c U_c} B_c,
 
-so a sparse bound evaluation costs O(C M^3 + N C M R) after the kernel
-rows, with no N x N matrix. ``Posterior``, the only place the coupling
-enters, factors A = L L^T and whitens B~ = B L^{-T} once: at any rows one
-routine gives mu_sum and t = J L^{-T}, and diag(J A^{-1} J^T) = rowsum(t^2)
-for the bound and every read alike, which does not cancel as forms in
-A^{-1} do. ``AdditiveModel`` holds the rest for all three structures. The
-bound sums one ``Posterior`` per block of q(U), so mean-field factors C
-capacitances of M x M; the reads split B the same way wherever it is zero
-off its diagonal M x M blocks, which is exact. The bound walks the training
-rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``). With fixed
-hyperparameters a block's cross-covariances F are a row slice of one
-cached (N, C M) block; with their gradients each component evaluates and
-pulls back its F columns and prior diagonal in one joint call
+so a sparse bound evaluation costs O(C M^3 + N C M R) after the kernel rows,
+with no N x N matrix. ``Posterior``, the only place the coupling enters,
+factors A = L L^T and whitens B~ = B L^{-T} once: at any rows one routine
+gives mu_sum and t = J L^{-T}, and diag(J A^{-1} J^T) = rowsum(t^2) for the
+bound and every read alike, which does not cancel as forms in A^{-1} do; the
+dense model's B~ = Lambda L^{-T} and L^{-1} are triangular and multiplied as
+such (``linalg.tri_mul``). ``AdditiveModel`` holds the rest for all three
+structures. The bound sums one ``Posterior`` per block of q(U), so
+mean-field factors C capacitances of M x M; the reads split B the same way
+wherever it is zero off its diagonal M x M blocks, which is exact. The bound
+walks the training rows in blocks of ``_BOUND_ROWS`` (the reads, of
+``_ROWS``). With fixed hyperparameters a block's cross-covariances F are a
+row slice of one cached (N, C M) block; with their gradients each component
+evaluates and pulls back its F columns and prior diagonal in one joint call
 (``Kernel.cross_with_pullback``).
 """
 
@@ -42,10 +43,12 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from . import model as _model
 from .errors import DimensionMismatch, DomainError
-from .linalg import cholesky, inverse_from_tri_inverse, logdet_from_chol, tri_inverse, tri_solve
+from .linalg import cholesky, inverse_from_tri_inverse, logdet_from_chol, sym_square
+from .linalg import tri_inverse, tri_mul, tri_solve
 # importable by name for instrumentation that wraps the linear algebra per module
 from .linalg import solve_from_chol  # noqa: F401
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
@@ -72,8 +75,9 @@ class Posterior:
     B_c = diag(lambda) for every c with Z_c the training inputs (the dense
     model). ``ku`` holds the prior Grams K_c(Z_c, Z_c) when the caller
     already has them, and ``ksum`` their sum for lambda. ``mu_t`` serves
-    the reads and the bound, which takes the rest from ``kl``, ``pullback``
-    per row block, ``unwhiten``, ``coupling_grad`` and the kernel weights.
+    the reads and the bound, which takes the rest from ``kl``, ``omega``,
+    ``pullback`` per row block, ``unwhiten``, ``coupling_grad`` and
+    ``kernel_weights``; lambda's products with B~ and L^{-1} are triangular.
     """
 
     def __init__(self, specs, alpha, coupling, ku=None, ksum=None):
@@ -95,11 +99,9 @@ class Posterior:
             a = coupling.T @ self._kb.reshape(len(coupling), -1)
         a.reshape(-1)[:: len(a) + 1] += 1.0
         self.L = cholesky(a)
-        # B~_c = B_c L^{-T}, (C, M, R); lambda's are C views of one (N, N) block
-        if self._b is None:
-            self._bt = np.broadcast_to((self.linv * coupling).T, (c, *a.shape))
-        else:
-            self._bt = tri_solve(self.L, coupling.T).T.reshape(self._b.shape)
+        # B~_c = B_c L^{-T}, (C, M, R); lambda's is one upper triangular (N, N)
+        self._bt = ((self.linv * coupling).T if self._b is None
+                    else tri_solve(self.L, coupling.T).T.reshape(self._b.shape))
 
     @functools.cached_property
     def linv(self):
@@ -124,18 +126,19 @@ class Posterior:
     def mu_t(self, f, ci=None):
         """(mu, t) = (F alpha, F B~) at a block of rows from its cross block:
         F_ci with ``ci``, else [F_1 ... F_C]; lambda's B~_c are all one, so
-        there it takes the pair (mu, sum_c F_c) and t is one product."""
+        there it takes the pair (mu, sum_c F_c) and t is one ``tri_mul``."""
+        if self._b is None:
+            mu, f = f if ci is None else (f @ self.alphas[ci], f)
+            return mu, tri_mul(f, self._bt, lower=False)
         if ci is not None:
             return f @ self.alphas[ci], f @ self._bt[ci]
-        if self._b is None:
-            return f[0], f[1] @ self._bt[0]
         return f @ self.alphas.ravel(), f @ self._bt.reshape(-1, self._bt.shape[-1])
 
     def pullback(self, f, gmu, gs, t, rows):
         """A row block's u = [dE/dmu, Gs z] and shares of (F_c^T dE/dmu, -2 F^T U,
         Psi), U = Gs t L^{-1}: for B, z = t and the last two stay whitened until
         ``unwhiten``; lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P."""
-        z = t if self._b is not None else t @ self.linv
+        z = t if self._b is not None else tri_mul(t, self.linv)
         u = np.column_stack((gmu, gs[:, None] * z))
         if self._b is None:
             ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
@@ -152,6 +155,11 @@ class Posterior:
             return ftu, psi
         return -2.0 * (ftu @ self.linv), self.linv.T @ psi @ self.linv
 
+    def omega(self):
+        """Omega = P - P^2, P = A^{-1}; lambda's P^2 by one ``sym_square``."""
+        p = inverse_from_tri_inverse(self.linv)
+        return p - p @ p if self._b is not None else np.subtract(p, sym_square(p), out=p)
+
     def coupling_grad(self, ftu, w):
         """dBound/dcoupling from the summed -2 F^T U and W = 2 Psi - Omega:
         dB = -2 F^T U + K B W, dlambda = -2 diag(Ksum U) + diag(J W)."""
@@ -159,20 +167,22 @@ class Posterior:
             return ftu + np.einsum("ij,ij->i", self._kb, w)
         return ftu + np.matmul(self._kb, w)
 
-    def cross_weights(self, ci, u):
-        """dBound/dF_c = dE/dmu alpha_c^T - 2 U B_c^T at a row block, from its
-        ``pullback`` u: for B, U B_c^T = (Gs t) B~_c^T."""
-        al = self.alphas[ci]
+    def kernel_weights(self, u, v):
+        """Per component, (dBound/dK_c, dBound/dF_c) = (B_c V B_c^T - alpha_c
+        alpha_c^T / 2, dE/dmu alpha_c^T - 2 U B_c^T) from a row block's u and,
+        in the last block, V = Psi - Omega / 2 (else None). Lambda's cross
+        blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2) alpha_c^T) with
+        S = (Lambda V - 2 U) Lambda formed once, each written over the last."""
         if self._b is None:
-            return np.outer(u[:, 0], al) - 2.0 * (u[:, 1:] * self._lam)
-        return u @ np.vstack((al, -2.0 * self._bt[ci].T))
-
-    def gram_weights(self, ci, v):
-        """dBound/dK_c = B_c V B_c^T - alpha_c alpha_c^T / 2 for
-        V = Psi - Omega / 2."""
-        al, lam, b = self.alphas[ci], self._lam, self._b
-        bvb = (lam[:, None] * v) * lam if b is None else b[ci] @ v @ b[ci].T
-        return bvb - 0.5 * np.outer(al, al)
+            s = (v * self._lam[:, None] - 2.0 * u[:, 1:]) * self._lam
+            w = np.empty_like(s)
+            for al in self.alphas:  # BLAS adds al (dE/dmu - al / 2)^T to w^T in place
+                np.copyto(w, s)
+                yield None, dger(1.0, al, u[:, 0] - 0.5 * al, a=w.T, overwrite_a=True).T
+            return
+        for b, bt, al in zip(self._b, self._bt, self.alphas):
+            gk = None if v is None else b @ v @ b.T - 0.5 * np.outer(al, al)
+            yield gk, u @ np.vstack((al, -2.0 * bt.T))
 
     def at(self, Xq, include_components=False):
         """Marginals of this block's sum at the query points Xq (full input
@@ -226,7 +236,8 @@ class AdditiveModel:
     training rows that gives ``(f, d0, pullbacks)``: the cross block (None
     for lambda), the summed prior diagonal and, with ``pullbacks``, one
     function per component that maps the weights on its Gram (None but in
-    the last row block), cross block and diagonal to its gradient.
+    the last row block, and for lambda, whose cross blocks are its Grams),
+    cross block and diagonal to its gradient.
     """
 
     coupling = None
@@ -267,10 +278,13 @@ class AdditiveModel:
     def c(self):
         return len(self.specs)
 
+    def _hyper_key(self):  # the key of the cached prior blocks
+        return np.concatenate([s.kernel.get_params() for s in self.specs]).tobytes()
+
     def _kmats(self):
         """``_prior_blocks()``, recomputed only when a kernel
         hyperparameter changed."""
-        key = np.concatenate([s.kernel.get_params() for s in self.specs]).tobytes()
+        key = self._hyper_key()
         if key != self._cache_key:
             self._cache = self._prior_blocks()
             self._cache_key = key
@@ -331,8 +345,7 @@ class AdditiveModel:
         m = len(self.state.alpha) // self.c
         parts = self._posteriors(ku, ksum)
         kl = sum(post.kl() for _, post in parts)
-        ps = [inverse_from_tri_inverse(post.linv) for _, post in parts] if grads else []
-        omegas = [p - p @ p for p in ps]  # P = A^{-1}
+        omegas = [post.omega() for _, post in parts] if grads else []
         # per block of q(U): the running F^T dE/dmu, -2 F^T U and Psi
         sums = [[0.0, 0.0, 0.0] for _ in parts]
         y, ell, glik, gkernels = self.data.Y, 0.0, 0.0, [0.0] * self.c
@@ -365,9 +378,8 @@ class AdditiveModel:
                     acc[1:] = post.unwhiten(*acc[1:])
                 if hyper:
                     v = acc[2] - 0.5 * omega if last else None
-                    for k, ci in enumerate(range(self.c)[comps]):
-                        gk = None if v is None else post.gram_weights(k, v)
-                        gkernels[ci] += pbs[ci](gk, post.cross_weights(k, u), gs)
+                    for ci, (gk, gf) in zip(range(self.c)[comps], post.kernel_weights(u, v)):
+                        gkernels[ci] += pbs[ci](gk, gf, gs)
             del f, pbs, ts, u  # before the next block allocates its own
         if not grads:
             return ell - kl

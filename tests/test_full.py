@@ -6,6 +6,10 @@ compared with the factored quantities the model computes. Gradients are
 checked with central differences through the public elbo().
 """
 
+import copy
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -18,9 +22,11 @@ from addgp import (
     KernelParams,
     Poisson,
     SquaredExp,
+    anova_specs,
     dense_gaussian_kl,
     exact_sum_posterior,
 )
+from addgp.data import sample_friedman
 from addgp.full import N_WARN, predict_marginals
 from addgp.optimize import TrainConfig
 from conftest import central_diff, conjugate_instance, make_specs, woodbury_cov
@@ -37,6 +43,22 @@ def _random_model(seed, n=8, c=2, d=2, lik=None):
         Y = rng.poisson(2.0, size=n).astype(float)
     model = FullModel(specs, lik, Dataset(X, Y))
     model.state.alpha = rng.normal(size=c * n) * 0.6
+    model.state.lam = rng.normal(size=n) * 0.8
+    return model
+
+
+def _anova_model(seed, n=6):
+    """A dense model on the anova components for two inputs: a Sum of a
+    Constant and a ZeroMeanSE, a ZeroMeanSE and a Product of two."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=(n, 2))
+    g = [KernelParams(np.log(rng.uniform(0.5, 1.5)), np.log([rng.uniform(0.2, 0.6)]))
+         for _ in range(4)]
+    model = FullModel(
+        anova_specs(g, sigma0=0.8, m=4, ndim=2), Gaussian(np.log(0.5)),
+        Dataset(X, rng.normal(size=n)),
+    )
+    model.state.alpha = rng.normal(size=model.c * n) * 0.6
     model.state.lam = rng.normal(size=n) * 0.8
     return model
 
@@ -139,42 +161,106 @@ def test_elbo_never_exceeds_evidence():
         assert model.elbo() <= ev + 1e-6
 
 
-def test_gradients_match_finite_differences():
-    for lik in (None, Poisson()):
-        model = _random_model(8, n=6, c=2, lik=lik)
-        e0, g = model.elbo_with_grads(train_hypers=True)
-        st = model.state
-        n, c = model.n, model.c
-        sizes = [c * n, n]
-        kparams = [s.kernel.get_params() for s in model.specs]
-        lparams = model.likelihood.get_params()
+def _check_gradients(model, hyper):
+    """Analytic gradients of one phase against central differences of elbo()."""
+    e0, g = model.elbo_with_grads(train_hypers=hyper)
+    st = model.state
+    n, c = model.n, model.c
+    sizes = [c * n, n]
+    kparams = [s.kernel.get_params() for s in model.specs] if hyper else []
+    lparams = [model.likelihood.get_params()] if hyper else []
 
-        def pack():
-            return np.concatenate([st.alpha, st.lam] + kparams + [lparams])
+    def pack():
+        return np.concatenate([st.alpha, st.lam] + kparams + lparams)
 
-        def elbo_at(vec):
-            k = 0
-            st.alpha = vec[:sizes[0]].copy()
-            k += sizes[0]
-            st.lam = vec[k : k + n].copy()
-            k += n
+    def elbo_at(vec):
+        k = 0
+        st.alpha = vec[:sizes[0]].copy()
+        k += sizes[0]
+        st.lam = vec[k : k + n].copy()
+        k += n
+        if hyper:
             for s in model.specs:
                 s.kernel.set_params(vec[k : k + s.kernel.n_params])
                 k += s.kernel.n_params
             if model.likelihood.n_params:
                 model.likelihood.set_params(vec[k:])
-            return model.elbo()
+        return model.elbo()
 
-        base = pack()
-        ana = np.concatenate(
-            [g["alpha"].ravel(), g["lam"]]
-            + list(g["kernels"])
-            + ([g["lik"]] if model.likelihood.n_params else [])
-        )
-        fd = central_diff(elbo_at, base)
-        elbo_at(base)
-        rel = np.abs(ana - fd) / np.maximum(1e-6, np.abs(fd))
-        assert np.max(rel) < 1e-5
+    base = pack()
+    ana = [g["alpha"].ravel(), g["lam"]]
+    if hyper:
+        ana += list(g["kernels"]) + ([g["lik"]] if model.likelihood.n_params else [])
+    ana = np.concatenate(ana)
+    fd = central_diff(elbo_at, base)
+    elbo_at(base)
+    rel = np.abs(ana - fd) / np.maximum(1e-6, np.abs(fd))
+    assert np.max(rel) < 1e-5
+
+
+def test_gradients_match_finite_differences():
+    for lik in (None, Poisson()):
+        _check_gradients(_random_model(8, n=6, c=2, lik=lik), hyper=True)
+
+
+def test_gradients_through_composite_kernels_match_finite_differences():
+    # every kernel class of the anova model meets the Gram weight that the
+    # components share, in both phases
+    for seed in (0, 1):
+        model = _anova_model(seed)
+        kinds = [type(s.kernel).__name__ for s in model.specs]
+        assert kinds == ["Sum", "ZeroMeanSE", "Product"]
+        for hyper in (False, True):
+            _check_gradients(model, hyper)
+
+
+def test_hyper_evaluation_keeps_the_gram_cache_honest():
+    # a hyperparameter-gradient evaluation writes its Grams over the cached
+    # ones; the cache must then answer for the new hyperparameters, without
+    # evaluating a kernel again, and no longer for the old
+    model = _anova_model(2, n=9)
+    old = [s.kernel.get_params() for s in model.specs]
+    e_old = model.elbo()
+    rng = np.random.default_rng(20)
+    new = [p + rng.uniform(-0.3, 0.3, size=p.shape) for p in old]
+    for reads in (True, False):
+        for s, p in zip(model.specs, new):
+            s.kernel.set_params(p)
+        model.elbo_with_grads(train_hypers=True)
+        if reads:
+            fresh = FullModel(copy.deepcopy(model.specs), model.likelihood, model.data,
+                              copy.deepcopy(model.state))
+            with mock.patch.object(model, "_prior_blocks") as blocks:
+                assert model.elbo() == fresh.elbo() != e_old
+                assert model.kl() == fresh.kl()
+                got, ref = model.marginals(), fresh.marginals()
+            assert blocks.call_count == 0
+            assert np.array_equal(got.mu_sum, ref.mu_sum)
+            assert np.array_equal(got.var_sum, ref.var_sum)
+        for s, p in zip(model.specs, old):
+            s.kernel.set_params(p)
+        assert model.elbo() == e_old
+
+
+def test_hyper_evaluation_memory():
+    # a warm hyperparameter-gradient evaluation at N = 300 holds at most 24
+    # N x N arrays at its peak, the cached Grams not counted
+    n = 300
+    X, Y = sample_friedman(n, seed=0)
+    var0, sigma0 = max(float(np.var(Y)) / 7, 1e-2), max(float(np.var(Y)), 1e-2)
+    g = [KernelParams(np.log(var0), np.array([np.log(0.3)])) for _ in range(8)]
+    model = FullModel(anova_specs(g, sigma0, m=16, ndim=6), Gaussian(0.0), Dataset(X, Y))
+    rng = np.random.default_rng(3)
+    model.state.alpha = rng.normal(size=model.c * n) * 0.05
+    model.state.lam = rng.normal(size=n) * 0.5 + 1.0
+    model.elbo_with_grads(train_hypers=True)  # fills the Gram cache
+    tracemalloc.start()
+    try:
+        model.elbo_with_grads(train_hypers=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_elbo_equals_evidence_at_conjugate_optimum():

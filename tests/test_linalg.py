@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from addgp import NotPositiveDefinite
+from addgp import DimensionMismatch, NotPositiveDefinite
 from addgp.linalg import (
     cholesky,
     inverse_from_tri_inverse,
     logdet_from_chol,
     solve_from_chol,
+    sym_square,
     tri_inverse,
+    tri_mul,
     tri_solve,
 )
 
@@ -87,3 +89,47 @@ def test_tri_inverse_matches_solves(n):
 def test_tri_inverse_rejects_singular_factor():
     with pytest.raises(NotPositiveDefinite):
         tri_inverse(np.diag([1.0, 0.0, 2.0]))
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 16, 500])
+def test_tri_mul_matches_numpy(n):
+    # either triangle, the factor in C or Fortran order (the two ways it is
+    # handed to BLAS) and the other operand in either order; the triangle
+    # not named is never read
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(7, n))
+    for lower in (True, False):
+        full = rng.normal(size=(n, n))
+        ref = x @ (np.tril(full) if lower else np.triu(full))
+        for tri in (full, np.asfortranarray(full)):
+            for xs in (x, np.asfortranarray(x)):
+                got = tri_mul(xs, tri, lower=lower)
+                assert got.shape == ref.shape
+                assert _rel_err(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 16, 500])
+def test_sym_square_matches_numpy(n):
+    rng = np.random.default_rng(n + 1)
+    a = rng.normal(size=(n, n + 3))
+    for arr in (a, np.asfortranarray(a)):
+        got = sym_square(arr)
+        assert np.array_equal(got, got.T)
+        assert _rel_err(got, a @ a.T) <= 1e-12
+
+
+def test_blas_helpers_reject_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        tri_mul(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(DimensionMismatch):
+        tri_mul(np.ones((2, 4)), np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        tri_mul(np.ones(3), np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        sym_square(np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        sym_square(np.ones((2, 2, 2)))
