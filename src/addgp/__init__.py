@@ -46,7 +46,6 @@ from .model import (
     PredictorMarginals,
     VariationalState,
     anova_specs,
-    init_full_state,
     init_state,
 )
 from .optimize import TrainConfig, TrainResult

@@ -237,7 +237,7 @@ def cmd_fit(args):
 
     saved = _io.SavedModel(
         structure=args.structure,
-        specs=mdl.posterior_specs,
+        specs=mdl.specs,
         likelihood=lik,
         alpha=mdl.state.alpha,
         rescale=rescale,
@@ -250,7 +250,7 @@ def cmd_fit(args):
         "n": dataset.n,
         "input_dim": dataset.d,
         "n_components": len(specs),
-        "m": specs[0].m,
+        "m": mdl.m,
         "r": getattr(mdl, "r", None),
         "likelihood": args.likelihood,
         "final_elbo": result.final_elbo,
@@ -526,7 +526,7 @@ def build_parser():
     p = sub.add_parser("synth", help="write a synthetic benchmark dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=positive_int, default=5000)
-    p.add_argument("--noise-sd", type=float, default=1.0)
+    p.add_argument("--noise-sd", type=nonnegative_float, default=1.0)
     p.add_argument("--dims", type=positive_int, default=6)
     p.add_argument("--seed", type=nonnegative_int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_synth)

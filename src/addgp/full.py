@@ -16,11 +16,11 @@ that coupling the capacitance is the N x N matrix
     A = I + Lambda (sum_c K_c) Lambda,
 
 so one O(N^3) factorization per evaluation covers any number of components.
-What stays here is the dense model's data: the Grams at the training inputs,
-one cached stack rewritten in place (they are also its cross blocks, so the
-hyperparameter gradient needs one kernel evaluation per component), the size
-cap (N <= 5000) and the starting state. This is the reference
-implementation: cubic in N by design.
+What stays here is the dense model's data: Z_c = X in its specs (M = N),
+the Grams there, one cached stack rewritten in place (they are also its cross
+blocks, so the hyperparameter gradient needs one kernel evaluation per
+component), the size cap (N <= 5000) and the start off lambda = 0. This is
+the reference implementation: cubic in N by design.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class FullModel(_sparse.AdditiveModel):
 
     Parameters live in ``self.state`` (a FullVariationalState); kernels and
     the likelihood own their hyperparameters. ``specs`` provide kernels and
-    active dims; inducing inputs in the specs are ignored here.
+    active dims; ``self.specs`` keeps them with the training inputs as Z.
     """
 
     coupling = "lam"
@@ -62,17 +62,14 @@ class FullModel(_sparse.AdditiveModel):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        super().__init__(specs, likelihood, dataset)
-        self.state = state or _model.init_full_state(dataset.n, len(specs))
+        super().__init__(specs, likelihood, dataset, state, _model.FULL)
+        if len(self.state.lam) != self.n:
+            raise DimensionMismatch(f"lambda has length {len(self.state.lam)}, expected {self.n}")
         self._cache = np.empty((self.c, self.n, self.n)), np.empty((self.n, self.n))
-        if len(self.state.lam) != dataset.n or len(self.state.alpha) != (
-            dataset.n * len(specs)
-        ):
-            raise DimensionMismatch("state size does not match N, C")
-        self.posterior_specs = [
-            _model.ComponentSpec(kernel=s.kernel, active_dims=s.active_dims, Z=xp)
-            for s, xp in zip(self.specs, self._xp)
-        ]
+
+    def _with_inducing(self, spec, xp):
+        """Z_c = X: the spec with its projected training inputs as Z."""
+        return _model.ComponentSpec(kernel=spec.kernel, active_dims=spec.active_dims, Z=xp)
 
     def _prior_blocks(self, pullbacks=False):
         """(C, N, N) Grams at the training inputs, written over the cached ones
@@ -112,7 +109,7 @@ class FullModel(_sparse.AdditiveModel):
 
 def predict_marginals(specs, alpha, lam, Xq, include_components=False):
     """Predictive marginals of the dense model at query points; ``specs``
-    must carry the projected training inputs as Z."""
+    must carry the projected training inputs as Z (``FullModel.specs``)."""
     return _sparse.predict_marginals(specs, alpha, lam, Xq, include_components)
 
 

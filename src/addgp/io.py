@@ -24,6 +24,8 @@ from . import model as _model
 from .errors import DimensionMismatch, ModelFormatError
 
 FORMAT_ID = "addgp-v1"
+# deepest kernel tree a file may hold (anova's are 2 deep): reading recurses
+MAX_KERNEL_DEPTH = 32
 
 
 @dataclass
@@ -157,7 +159,9 @@ def _write_kernel(lines, prefix, kern):
         )
 
 
-def _read_kernel(kv, prefix):
+def _read_kernel(kv, prefix, depth=0):
+    if depth > MAX_KERNEL_DEPTH:
+        raise kv.error(f"{prefix}.type", f"kernel tree is over {MAX_KERNEL_DEPTH} deep")
     kind = kv[f"{prefix}.type"]
     if kind == "squared_exp":
         params = _kernels.KernelParams(
@@ -178,7 +182,7 @@ def _read_kernel(kv, prefix):
         return _kernels.ZeroMeanSE(params, active_dim=kv.integer(f"{prefix}.active_dim"))
     if kind in ("sum", "product"):
         nparts = kv.integer(f"{prefix}.nparts", minimum=1)
-        parts = [_read_kernel(kv, f"{prefix}.part{i}") for i in range(nparts)]
+        parts = [_read_kernel(kv, f"{prefix}.part{i}", depth + 1) for i in range(nparts)]
         return _kernels.Sum(parts) if kind == "sum" else _kernels.Product(parts)
     raise kv.error(f"{prefix}.type", f"unknown kernel type {kind!r}")
 

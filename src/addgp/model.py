@@ -1,9 +1,10 @@
 """Shared data model: datasets, additive components, variational states.
 
 A model is a list of components, each owning a kernel, the global input
-columns it looks at, and (for the sparse parameterization) its inducing
-inputs in the projected space. States carry the posterior parameters: the
-whitened mean coefficients ``alpha`` and either the coupling factor ``B``
+columns it looks at, and its inducing inputs in the projected space (for
+the dense model, its projected training inputs, so M = N). States carry
+the posterior parameters: the mean coefficients ``alpha``, with
+q(U) = N(K_UU alpha, Sigma_U), and either the coupling factor ``B``
 (sparse) or the per-datum coupling diagonal ``lambda`` (dense). Block
 layout is component-major throughout: entries ``c*M:(c+1)*M`` of alpha,
 and the same rows of B, belong to component c.
@@ -88,6 +89,8 @@ class ComponentSpec:
     def project(self, X):
         """Select this component's columns from a full-width input array."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if any(not 0 <= j < X.shape[1] for j in self.active_dims):
+            raise DimensionMismatch(f"reads input columns {self.active_dims} of {X.shape[1]}")
         return X[:, list(self.active_dims)]
 
 
@@ -169,14 +172,16 @@ def check_mean_field(B, m, c):
 
 
 def init_state(specs, structure=COUPLED, r=None):
-    """Prior-matching start for the sparse model: alpha = 0, B = 0, so the
-    posterior equals the prior and the KL term is exactly zero.
+    """Prior-matching start: alpha = 0 and a zero coupling, so the posterior
+    equals the prior and the KL term is exactly zero.
 
     ``r`` defaults to M for the coupled structure; the mean-field structure
-    always uses R = M*C (block-diagonal layout).
+    always uses R = M*C (block-diagonal layout). Dense specs have Z = X, so M = N.
     """
     m = specs[0].m
     c = len(specs)
+    if structure == FULL:
+        return FullVariationalState(alpha=np.zeros(m * c), lam=np.zeros(m))
     if structure == MEAN_FIELD:
         if r is not None and r != m * c:
             raise InvalidRank("mean-field structure requires R == M*C")
@@ -188,11 +193,6 @@ def init_state(specs, structure=COUPLED, r=None):
     return VariationalState(
         alpha=np.zeros(m * c), B=np.zeros((m * c, r)), structure=structure
     )
-
-
-def init_full_state(n, c):
-    """Prior-matching start for the dense model."""
-    return FullVariationalState(alpha=np.zeros(n * c), lam=np.zeros(n))
 
 
 def inducing_grid(m, active_dims):

@@ -223,14 +223,15 @@ def _rowsq(t):
 
 class AdditiveModel:
     """What the sparse and the dense model share: validation, the data
-    projections, the hyperparameter-keyed cache of prior blocks, marginals
-    through ``Posterior``, the bound with its gradients, and two-phase
-    training with restarts.
+    projections, the start state, the hyperparameter-keyed cache of prior
+    blocks, marginals through ``Posterior``, the bound with its gradients,
+    and two-phase training with restarts.
 
     A subclass names its coupling field in the state (``coupling``, "B" or
     "lam"), supplies ``_prior_blocks`` and ``_perturb_start``, may override
-    ``_row_slices`` and splits ``_blocks`` where q(U) factorizes: the bound
-    and the optimizer see only those views into the coupling.
+    ``_with_inducing`` (its Z) and ``_row_slices``, and splits ``_blocks``
+    where q(U) factorizes: the bound and the optimizer see only those views
+    into the coupling.
     ``_prior_blocks(pullbacks)`` returns ``(ku, ksum, rows)``: the prior
     Grams, their sum for lambda (else None) and a function of a slice of
     training rows that gives ``(f, d0, pullbacks)``: the cross block (None
@@ -242,30 +243,31 @@ class AdditiveModel:
 
     coupling = None
 
-    def __init__(self, specs, likelihood, dataset):
+    def __init__(self, specs, likelihood, dataset, state, structure, r=None):
         if not specs:
             raise DimensionMismatch("model has no components")
-        ms = [s.m for s in specs]
-        if len(set(ms)) > 1:
-            raise DimensionMismatch(f"components must share one inducing count, got {ms}")
+        self.specs, self._xp = [], []
+        # each spec reads its data columns; its kernel checks its domain there and at Z
         for ci, s in enumerate(specs):
-            if not all(0 <= j < dataset.d for j in s.active_dims):
-                raise DimensionMismatch(
-                    f"component {ci} reads input columns {s.active_dims} of {dataset.d}"
-                )
-        self.specs = list(specs)
-        self.likelihood = likelihood
-        self.data = dataset
-        self._xp = [s.project(dataset.X) for s in self.specs]
-        # each kernel checks its own domain, at the data and at Z
-        for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
             try:
+                xp = s.project(dataset.X)
+                s = self._with_inducing(s, xp)
                 s.kernel.diag(xp)
                 s.kernel.diag(s.Z)
-            except DomainError as exc:
-                raise DomainError(f"component {ci}: {exc}") from None
-        # the specs the posterior reads Z_c from (X for the dense model)
-        self.posterior_specs = self.specs
+            except (DimensionMismatch, DomainError) as exc:
+                raise type(exc)(f"component {ci}: {exc}") from None
+            self.specs.append(s)
+            self._xp.append(xp)
+        ms = [s.m for s in self.specs]
+        if len(set(ms)) > 1:
+            raise DimensionMismatch(f"components must share one inducing count, got {ms}")
+        self.likelihood = likelihood
+        self.data = dataset
+        self.state = _model.init_state(self.specs, structure, r) if state is None else state
+        if len(self.state.alpha) != self.m * self.c:
+            raise DimensionMismatch(
+                f"alpha has length {len(self.state.alpha)}, expected M*C = {self.m * self.c}"
+            )
         self._cache_key = None
         self._cache = None
         self._clamp_total = 0
@@ -275,8 +277,16 @@ class AdditiveModel:
         return self.data.n
 
     @property
+    def m(self):
+        return self.specs[0].m
+
+    @property
     def c(self):
         return len(self.specs)
+
+    def _with_inducing(self, spec, xp):
+        """The spec kept for one whose projected training inputs are ``xp``."""
+        return spec
 
     def _hyper_key(self):  # the key of the cached prior blocks
         return np.concatenate([s.kernel.get_params() for s in self.specs]).tobytes()
@@ -301,7 +311,7 @@ class AdditiveModel:
         """(component slice, ``Posterior``) for every block of q(U)."""
         alphas = self.state.alpha.reshape(self.c, -1)
         return [
-            (comps, Posterior(self.posterior_specs[comps], alphas[comps], b, ku[comps], ksum))
+            (comps, Posterior(self.specs[comps], alphas[comps], b, ku[comps], ksum))
             for comps, b in self._blocks()
         ]
 
@@ -342,7 +352,7 @@ class AdditiveModel:
         long beyond the cached prior blocks."""
         hyper = grads and train_hypers
         ku, ksum, cross = self._prior_blocks(pullbacks=True) if hyper else self._kmats()
-        m = len(self.state.alpha) // self.c
+        m = self.m
         parts = self._posteriors(ku, ksum)
         kl = sum(post.kl() for _, post in parts)
         omegas = [post.omega() for _, post in parts] if grads else []
@@ -479,25 +489,13 @@ class SparseModel(AdditiveModel):
     coupling = "B"
 
     def __init__(self, specs, likelihood, dataset, state=None, structure=None, r=None):
-        super().__init__(specs, likelihood, dataset)
-        if state is None:
-            state = _model.init_state(
-                specs, structure=structure or _model.COUPLED, r=r
-            )
-        elif structure is not None and state.structure != structure:
+        if structure == _model.FULL:
+            raise ValueError("the dense structure is FullModel's")
+        if state is not None and structure not in (None, state.structure):
             raise ValueError("state structure disagrees with requested structure")
-        self.state = state
-        m, c = self.m, self.c
-        if len(state.alpha) != m * c:
-            raise DimensionMismatch(
-                f"alpha has length {len(state.alpha)}, expected M*C = {m * c}"
-            )
-        if state.structure == _model.MEAN_FIELD:
-            _model.check_mean_field(state.B, m, c)
-
-    @property
-    def m(self):
-        return self.specs[0].m
+        super().__init__(specs, likelihood, dataset, state, structure or _model.COUPLED, r)
+        if self.state.structure == _model.MEAN_FIELD:
+            _model.check_mean_field(self.state.B, self.m, self.c)
 
     @property
     def r(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addgp import Gaussian, KernelParams, SquaredExp, cli, linalg, save_model
+from addgp import Gaussian, KernelParams, SquaredExp, cli, linalg, load_model, save_model
 from addgp.cli import main, read_csv, write_csv
 from addgp.errors import DataError
 from addgp.io import Rescale, SavedModel
@@ -294,11 +294,13 @@ def test_decompose_writes_effect_tables(tmp_path):
     # the check covers the dense structure too: lambda stands for B_c
     small = tmp_path / "small.csv"
     assert main(["synth", "--out", str(small), "--n", "60", "--seed", "1"]) == 0
-    dense = tmp_path / "dense.addgp"
+    dense, report = tmp_path / "dense.addgp", tmp_path / "dense.json"
     assert main(
         ["fit", str(small), "--structure", "full", "--max-iter", "20",
-         "--seed", "0", "--out", str(dense)]
+         "--seed", "0", "--out", str(dense), "--report", str(report)]
     ) == 0
+    # the dense model's inducing inputs are its 60 training inputs
+    assert json.loads(report.read_text())["m"] == 60 == load_model(dense).specs[0].m
     dense_dir = tmp_path / "dense_effects"
     assert main(
         ["decompose", str(dense), "--outdir", str(dense_dir), "--grid", "40",
@@ -629,6 +631,8 @@ RANGE_CASES = [
     (["fit", "data.csv", "--lengthscale", "0"], SCALE),
     (["fit", "data.csv", "--variance", "inf"], SCALE),
     (["fit", "data.csv", "--sigma0", "-1"], OFFSET),
+    (["synth", "--noise-sd", "nan"], OFFSET),
+    (["synth", "--noise-sd", "-1"], OFFSET),
 ]
 
 

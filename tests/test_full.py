@@ -17,6 +17,7 @@ from addgp import (
     CapExceeded,
     ComponentSpec,
     Dataset,
+    DimensionMismatch,
     FullModel,
     Gaussian,
     KernelParams,
@@ -28,6 +29,8 @@ from addgp import (
 )
 from addgp.data import sample_friedman
 from addgp.full import N_WARN, predict_marginals
+from addgp.io import SavedModel, save_model
+from addgp.model import FULL
 from addgp.optimize import TrainConfig
 from conftest import central_diff, conjugate_instance, make_specs, woodbury_cov
 
@@ -305,6 +308,55 @@ def test_size_cap_and_warning():
             Gaussian(),
             Dataset(Xw, np.zeros(n)),
         )
+
+
+def test_inducing_inputs_are_the_training_inputs(tmp_path):
+    # the dense model's Z_c is X whatever its specs carry: Z outside the
+    # centered kernels' unit box, in unequal counts, builds the model that
+    # Z = X specs build, to the bit
+    rng = np.random.default_rng(31)
+    n = 9
+    X = rng.uniform(0, 1, size=(n, 2))
+    ds = Dataset(X, rng.normal(size=n))
+    g = [KernelParams(np.log(rng.uniform(0.5, 1.5)), np.log([rng.uniform(0.2, 0.6)]))
+         for _ in range(4)]
+    specs = anova_specs(g, sigma0=0.8, m=4, ndim=2)
+    wild = [ComponentSpec(copy.deepcopy(s.kernel), s.active_dims,
+                          rng.uniform(2.0, 3.0, size=(3 + ci, len(s.active_dims))))
+            for ci, s in enumerate(specs)]
+    at_x = [ComponentSpec(copy.deepcopy(s.kernel), s.active_dims, s.project(X)) for s in specs]
+    alpha, lam = rng.normal(size=len(specs) * n) * 0.6, rng.normal(size=n) * 0.8
+    models = [FullModel(sp, Gaussian(np.log(0.5)), ds) for sp in (wild, at_x)]
+    Xq = rng.uniform(0, 1, size=(5, 2))
+    outs = []
+    for i, model in enumerate(models):
+        assert all(np.array_equal(s.Z, s.project(X)) for s in model.specs)
+        model.state.alpha[...], model.state.lam[...] = alpha, lam
+        out = [model.kl()]
+        for hyper in (False, True):
+            val, grads = model.elbo_with_grads(train_hypers=hyper)
+            out += [val, grads["alpha"], grads["lam"], *grads.get("kernels", []),
+                    grads.get("lik", 0.0)]
+        marg = model.marginals(Xq, include_components=True)
+        out += [marg.mu_sum, marg.var_sum, *(a for pair in marg.per_component for a in pair)]
+        path = tmp_path / f"dense{i}.addgp"
+        save_model(path, SavedModel(FULL, model.specs, model.likelihood, model.state.alpha,
+                                    lam=model.state.lam, input_dim=2))
+        outs.append(out + [path.read_bytes()])
+    assert len(outs[0]) == len(outs[1])
+    for a, b in zip(*outs):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def test_column_outside_the_data_names_its_component():
+    rng = np.random.default_rng(32)
+    X = rng.uniform(0, 1, size=(6, 2))
+    kern = SquaredExp(KernelParams(0.0, np.zeros(1)))
+    specs = [ComponentSpec(kern, (0,), X[:, :1]), ComponentSpec(kern, (5,), X[:, :1])]
+    with pytest.raises(DimensionMismatch, match="input columns"):
+        specs[1].project(X)
+    with pytest.raises(DimensionMismatch, match="component 1"):
+        FullModel(specs, Gaussian(), Dataset(X, np.zeros(6)))
 
 
 def test_decompose_training_grids():

@@ -259,6 +259,26 @@ def test_rejects_unknown_kernel_type(tmp_path):
         load_model(path)
 
 
+def test_rejects_deep_kernel_tree(tmp_path, capsys):
+    # a file is read recursively down its kernel tree, so a deep tree of
+    # one-part sums must be refused before it exhausts the stack
+    rng = np.random.default_rng(6)
+    path = tmp_path / "deep.addgp"
+    save_model(path, SavedModel(COUPLED, _se_specs(rng, c=1), Gaussian(0.0),
+                                np.zeros(3), np.zeros((3, 3)), input_dim=2))
+    depth = 2000
+    sums = "".join(f"kernel{'.part0' * i}.type = sum\nkernel{'.part0' * i}.nparts = 1\n"
+                   for i in range(depth))
+    text = path.read_text().replace("kernel.", f"kernel{'.part0' * depth}.")
+    path.write_text(text.replace("[component 0]\n", "[component 0]\n" + sums))
+    query = tmp_path / "q.csv"
+    query.write_text("x1,x2\n0.5,0.5\n")
+    assert main(["predict", str(path), str(query), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and "kernel tree is over" in err
+
+
 def test_rejects_unknown_likelihood(tmp_path):
     rng = np.random.default_rng(6)
     saved = SavedModel(

@@ -20,10 +20,10 @@ from addgp import (
 )
 from addgp.model import (
     COUPLED,
+    FULL,
     MEAN_FIELD,
     anova_specs,
     inducing_grid,
-    init_full_state,
     init_state,
     mean_field_mask,
 )
@@ -82,7 +82,8 @@ def test_init_state_is_prior_matching():
 
 
 def test_full_state_shapes():
-    st = init_full_state(5, 3)
+    # the dense model's specs carry its N training inputs as Z
+    st = init_state([_spec(m=5)] * 3, FULL)
     assert st.alpha.shape == (15,) and st.lam.shape == (5,)
     with pytest.raises(DimensionMismatch):
         FullVariationalState(np.zeros(7), np.zeros(3))

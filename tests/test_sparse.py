@@ -128,7 +128,7 @@ def test_marginals_match_dense_construction():
     models += [_mean_field_model(210 + t, c=t + 1) for t in range(3)]
     models += [_dense_model(220 + t, c=t + 1) for t in range(3)]
     for model in models:
-        specs, X = model.posterior_specs, model.data.X
+        specs, X = model.specs, model.data.X
         m = specs[0].m
         K, F = dense_blocks(specs, X)
         B = _stacked_coupling(model)
@@ -604,7 +604,7 @@ def _reads(model, Xq, components):
     out = []
     for marg in (
         model.marginals(Xq, include_components=components),
-        predict_marginals(model.posterior_specs, model.state.alpha, coupling, Xq, components),
+        predict_marginals(model.specs, model.state.alpha, coupling, Xq, components),
     ):
         out += [marg.mu_sum, marg.var_sum]
         for mean, var in marg.per_component or ():
