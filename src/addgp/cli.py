@@ -204,6 +204,8 @@ def cmd_fit(args):
         target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise DataError(f"cannot write {path}")
+    if args.structure == _model.FULL and args.rank is not None:
+        raise InvalidRank("the dense structure has no coupling rank R; drop --rank")
     raw = _load_dataset(args.data)
     rescale, xs = _maybe_rescale(raw.X, args.kernel)
     dataset = _model.Dataset(X=xs, Y=raw.Y)

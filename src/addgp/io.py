@@ -308,6 +308,10 @@ def load_model(path):
             lo=mk.floats("rescale.lo", count=input_dim),
             hi=mk.floats("rescale.hi", count=input_dim),
         )
+        # Python floats: a span that overflows is inf, without a numpy warning
+        spans = [hi - lo for lo, hi in zip(rescale.lo.tolist(), rescale.hi.tolist())]
+        if not all(0.0 < w < math.inf for w in spans):
+            raise mk.error("rescale.hi", f"hi - lo must be positive and finite, got {spans}")
 
     sk = sections["state"]
     m = specs[0].m

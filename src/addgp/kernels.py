@@ -18,16 +18,16 @@ K(X, X2) (the Gram of X when X2 is None; None unless ``cross``), the
 diagonal d at the rows of X, and one pullback
 ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` over the
 trainable log-parameters theta_p, in ``param_names`` order, which takes
-None for a weight left out. ``Kernel`` derives everything else from it:
-``eval`` and ``diag`` are its values, and ``eval_with_pullback``,
-``diag_with_pullback`` and ``cross_with_pullback`` its pullback on one
-weight or both. Work that only the gradient needs (the derivatives of the
-zero-mean kernel's integrals, a product's leave-one-out factors) is done
-inside the pullback, so a caller that needs only values pays for no
-derivative. A model passes in dBound/dK and gets dBound/dtheta back, so no
-derivative matrix is ever stored: the SE family contracts G against K and
-against the squared distances, and the mean-embedding terms of the
-zero-mean kernel reduce to matrix-vector products.
+None for a weight left out. ``Kernel`` derives three calls from it:
+``eval`` and ``diag`` are its values, and ``cross_with_pullback`` gives
+both with the pullback, to which a caller passes None for a weight it lacks.
+Work that only the gradient needs (the derivatives of the zero-mean
+kernel's integrals, a product's leave-one-out factors) is done inside the
+pullback, so a caller that needs only values pays for no derivative. A
+model passes in dBound/dK and gets dBound/dtheta back, so no derivative
+matrix is ever stored: the SE family contracts G against K and against the
+squared distances, and the mean-embedding terms of the zero-mean kernel
+reduce to matrix-vector products.
 """
 
 from __future__ import annotations
@@ -95,19 +95,9 @@ class Kernel:
         """Prior variances k(x, x) at the rows of X."""
         return self._values_with_pullback(X, cross=False)[1]
 
-    def eval_with_pullback(self, X, X2=None):
-        """K(X, X2) and its pullback ``G -> [sum(G * dK/dtheta_p)]_p``."""
-        K, _, pullback = self._values_with_pullback(X, X2)
-        return K, lambda G: pullback(G, None)
-
-    def diag_with_pullback(self, X):
-        """Diagonal d and its pullback ``g -> [g @ dd/dtheta_p]_p``."""
-        _, d, pullback = self._values_with_pullback(X, cross=False)
-        return d, lambda g: pullback(None, g)
-
     def cross_with_pullback(self, X, X2=None):
         """K(X, X2), the diagonal d at the rows of X and the joint pullback
-        ``(G, g)``."""
+        ``(G, g)``, which takes None for a weight left out."""
         return self._values_with_pullback(X, X2)
 
     def get_params(self):

@@ -27,15 +27,18 @@ factors A = L L^T and whitens B~ = B L^{-T} once: at any rows one routine
 gives mu_sum and t = J L^{-T}, and diag(J A^{-1} J^T) = rowsum(t^2) for the
 bound and every read alike, which does not cancel as forms in A^{-1} do; the
 dense model's B~ = Lambda L^{-T} and L^{-1} are triangular and multiplied as
-such (``linalg.tri_mul``). ``AdditiveModel`` holds the rest for all three
-structures. The bound sums one ``Posterior`` per block of q(U), so
-mean-field factors C capacitances of M x M; the reads split B the same way
-wherever it is zero off its diagonal M x M blocks, which is exact. The bound
-walks the training rows in blocks of ``_BOUND_ROWS`` (the reads, of
-``_ROWS``). With fixed hyperparameters a block's cross-covariances F are a
-row slice of one cached (N, C M) block; with their gradients each component
-evaluates and pulls back its F columns and prior diagonal in one joint call
-(``Kernel.cross_with_pullback``).
+such (``linalg.tri_mul``). It also keeps the bound's gradient sums, so it
+alone knows B from lambda and whitened sums from final ones. ``AdditiveModel``
+holds the rest for all three structures: the row walk, the likelihood and
+the kernel pullbacks. One builder, ``_posteriors``, makes a ``Posterior`` per
+block of q(U) for the bound and the reads, so mean-field factors C
+capacitances of M x M; the reads split B the same way wherever it is zero
+off its diagonal M x M blocks, which is exact. The bound walks the training
+rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``). With fixed
+hyperparameters a block's cross-covariances F are a row slice of one cached
+(N, C M) block; with their gradients each component evaluates and pulls
+back its F columns and prior diagonal in one joint call
+(``Kernel.cross_with_pullback``), which also gives the Grams.
 """
 
 from __future__ import annotations
@@ -69,23 +72,23 @@ def _row_blocks(n, size):
 
 
 class Posterior:
-    """The posterior over the inducing variables, factored and whitened once.
+    """The posterior over one block of q(U), factored and whitened once.
 
-    ``coupling`` is either B (M C x R) or the vector lambda, which stands for
-    B_c = diag(lambda) for every c with Z_c the training inputs (the dense
-    model). ``ku`` holds the prior Grams K_c(Z_c, Z_c) when the caller
-    already has them, and ``ksum`` their sum for lambda. ``mu_t`` serves
-    the reads and the bound, which takes the rest from ``kl``, ``omega``,
-    ``pullback`` per row block, ``unwhiten``, ``coupling_grad`` and
-    ``kernel_weights``; lambda's products with B~ and L^{-1} are triangular.
+    ``comps`` slices the block's components out of ``specs``, ``alphas``
+    (C, M) and ``ku``, the prior Grams K_c(Z_c, Z_c) when the caller has
+    them. ``coupling`` is the block's B (M C x R) or the vector lambda, which
+    stands for B_c = diag(lambda) for every c with Z_c the training inputs
+    (the dense model; ``ksum`` is then the Grams' sum). ``mu_t`` serves the
+    reads; the bound takes ``kl``, then per row block ``read``,
+    ``accumulate`` and ``kernel_weights``, and at last ``gradients``.
     """
 
-    def __init__(self, specs, alpha, coupling, ku=None, ksum=None):
-        self.specs = specs
-        c, m = len(specs), specs[0].m
-        self.alphas = np.asarray(alpha, dtype=float).reshape(c, m)
+    def __init__(self, specs, alphas, coupling, comps, ku=None, ksum=None):
+        self.comps, self.specs, self.alphas = comps, specs[comps], alphas[comps]
+        m = self.specs[0].m
+        self._cols = slice(comps.start * m, comps.stop * m)
         coupling = np.asarray(coupling, dtype=float)
-        self.ku = [s.kernel.eval(s.Z) for s in specs] if ku is None else ku
+        self.ku = [s.kernel.eval(s.Z) for s in self.specs] if ku is None else ku[comps]
         if coupling.ndim == 1:
             # tied B_c: only sum_c K_c B_c = Ksum Lambda (= J at X) enters
             self._lam, self._b = coupling, None
@@ -94,7 +97,7 @@ class Posterior:
             a = coupling[:, None] * self._kb
         else:
             self._lam = None
-            self._b = coupling.reshape(c, m, -1)
+            self._b = coupling.reshape(len(self.specs), m, -1)
             self._kb = np.matmul(self.ku, self._b)  # K_c B_c, (C, M, R)
             a = coupling.T @ self._kb.reshape(len(coupling), -1)
         a.reshape(-1)[:: len(a) + 1] += 1.0
@@ -102,16 +105,24 @@ class Posterior:
         # B~_c = B_c L^{-T}, (C, M, R); lambda's is one upper triangular (N, N)
         self._bt = ((self.linv * coupling).T if self._b is None
                     else tri_solve(self.L, coupling.T).T.reshape(self._b.shape))
+        # the bound's row block (f, t, rows); running F^T dE/dmu, -2 F^T U, Psi
+        self._block, self._sums = None, [0.0, 0.0, 0.0]
 
     @functools.cached_property
     def linv(self):
-        """L^{-1}: lambda's B~, and the bound's unwhitening and P."""
+        """L^{-1}: lambda's B~, and the bound's last-block sums and P."""
         return tri_inverse(self.L)
 
     @functools.cached_property
     def ka(self):
         """K_c alpha_c for every component, (C, M)."""
         return np.matmul(self.ku, self.alphas[:, :, None])[:, :, 0]
+
+    @functools.cached_property
+    def _omega(self):
+        """Omega = P - P^2, P = A^{-1}; lambda's P^2 by one ``sym_square``."""
+        p = inverse_from_tri_inverse(self.linv)
+        return p - p @ p if self._b is not None else np.subtract(p, sym_square(p), out=p)
 
     def kl(self):
         """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c - T), with
@@ -134,10 +145,22 @@ class Posterior:
             return f @ self.alphas[ci], f @ self._bt[ci]
         return f @ self.alphas.ravel(), f @ self._bt.reshape(-1, self._bt.shape[-1])
 
-    def pullback(self, f, gmu, gs, t, rows):
-        """A row block's u = [dE/dmu, Gs z] and shares of (F_c^T dE/dmu, -2 F^T U,
-        Psi), U = Gs t L^{-1}: for B, z = t and the last two stay whitened until
-        ``unwhiten``; lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P."""
+    def read(self, f, rows):
+        """(mu, rowsum(t^2)) at the training rows ``rows`` from their cross block
+        f over all components, or None for lambda's, which are its Grams; this
+        block reads its columns and keeps them, and t, for ``accumulate``."""
+        f = (self.ka.sum(axis=0)[rows], self._ksum[rows]) if f is None else f[:, self._cols]
+        mu, t = self.mu_t(f)
+        self._block = f, t, rows
+        return mu, _rowsq(t)
+
+    def accumulate(self, gmu, gs, last):
+        """Add the read block's shares of F_c^T dE/dmu, -2 F^T U and Psi,
+        U = Gs t L^{-1}, and return its u = [dE/dmu, Gs z]: for B, z = t and
+        the last two sums stay whitened until the ``last`` block, which
+        takes them to -2 (F^T Gs t) L^{-1} and L^{-T} (t^T Gs t) L^{-1};
+        lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P."""
+        (f, t, rows), self._block = self._block, None
         z = t if self._b is not None else tri_mul(t, self.linv)
         u = np.column_stack((gmu, gs[:, None] * z))
         if self._b is None:
@@ -146,33 +169,29 @@ class Posterior:
         else:
             ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
             fg, ftu = ftu[:, :, 0], ftu[:, :, 1:]
-        return u, fg, ftu, z.T @ u[:, 1:]
+        sums = self._sums = [a + b for a, b in zip(self._sums, (fg, ftu, z.T @ u[:, 1:]))]
+        if last and self._b is not None:
+            sums[1:] = -2.0 * (sums[1] @ self.linv), self.linv.T @ sums[2] @ self.linv
+        return u
 
-    def unwhiten(self, ftu, psi):
-        """(-2 F^T U, Psi) from the summed last two shares of ``pullback``:
-        for B, -2 (F^T Gs t) L^{-1} and L^{-T} (t^T Gs t) L^{-1}."""
-        if self._b is None:
-            return ftu, psi
-        return -2.0 * (ftu @ self.linv), self.linv.T @ psi @ self.linv
+    def gradients(self):
+        """(dBound/dalpha, dBound/dcoupling) from the sums of every row block
+        and W = 2 Psi - Omega: dalpha = F^T dE/dmu - K alpha, dB = -2 F^T U
+        + K B W, dlambda = -2 diag(Ksum U) + diag(J W)."""
+        fg, ftu, psi = self._sums
+        omega = self._omega  # formed before 2 Psi, which would add to its peak
+        w = 2.0 * psi - omega
+        kbw = np.einsum("ij,ij->i", self._kb, w) if self._b is None else np.matmul(self._kb, w)
+        return fg - self.ka, ftu + kbw
 
-    def omega(self):
-        """Omega = P - P^2, P = A^{-1}; lambda's P^2 by one ``sym_square``."""
-        p = inverse_from_tri_inverse(self.linv)
-        return p - p @ p if self._b is not None else np.subtract(p, sym_square(p), out=p)
-
-    def coupling_grad(self, ftu, w):
-        """dBound/dcoupling from the summed -2 F^T U and W = 2 Psi - Omega:
-        dB = -2 F^T U + K B W, dlambda = -2 diag(Ksum U) + diag(J W)."""
-        if self._b is None:
-            return ftu + np.einsum("ij,ij->i", self._kb, w)
-        return ftu + np.matmul(self._kb, w)
-
-    def kernel_weights(self, u, v):
+    def kernel_weights(self, u, last):
         """Per component, (dBound/dK_c, dBound/dF_c) = (B_c V B_c^T - alpha_c
         alpha_c^T / 2, dE/dmu alpha_c^T - 2 U B_c^T) from a row block's u and,
-        in the last block, V = Psi - Omega / 2 (else None). Lambda's cross
-        blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2) alpha_c^T) with
-        S = (Lambda V - 2 U) Lambda formed once, each written over the last."""
+        in the ``last`` block, V = Psi - Omega / 2 (else no Gram weight).
+        Lambda's cross blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2)
+        alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once, each written
+        over the last."""
+        v = self._sums[2] - 0.5 * self._omega if last else None
         if self._b is None:
             s = (v * self._lam[:, None] - 2.0 * u[:, 1:]) * self._lam
             w = np.empty_like(s)
@@ -224,8 +243,8 @@ def _rowsq(t):
 class AdditiveModel:
     """What the sparse and the dense model share: validation, the data
     projections, the start state, the hyperparameter-keyed cache of prior
-    blocks, marginals through ``Posterior``, the bound with its gradients,
-    and two-phase training with restarts.
+    blocks, marginals through ``Posterior``, the bound's row walk (with the
+    likelihood and the kernel pullbacks) and two-phase training with restarts.
 
     A subclass names its coupling field in the state (``coupling``, "B" or
     "lam"), supplies ``_prior_blocks`` and ``_perturb_start``, may override
@@ -307,23 +326,16 @@ class AdditiveModel:
             coupling = getattr(self.state, self.coupling)
         return [(slice(0, self.c), coupling)]
 
-    def _posteriors(self, ku, ksum):
-        """(component slice, ``Posterior``) for every block of q(U)."""
-        alphas = self.state.alpha.reshape(self.c, -1)
-        return [
-            (comps, Posterior(self.specs[comps], alphas[comps], b, ku[comps], ksum))
-            for comps, b in self._blocks()
-        ]
-
     def marginals(self, Xq=None, include_components=False):
         """Marginals at the query points, by default the training inputs,
         summed over the blocks of q(U) with the cached prior Grams."""
-        posts = self._posteriors(*self._kmats()[:2])
+        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), *self._kmats()[:2])
         return _marginals(posts, self.data.X if Xq is None else Xq, include_components)
 
     def kl(self):
         """KL from q(U) to the prior p(U), exactly zero at the prior-matching state."""
-        return sum(post.kl() for _, post in self._posteriors(*self._kmats()[:2]))
+        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), *self._kmats()[:2])
+        return sum(post.kl() for post in posts)
 
     def elbo(self):
         """Evidence lower bound, clamped as in training."""
@@ -341,35 +353,23 @@ class AdditiveModel:
 
     def _bound(self, train_hypers=False, grads=True):
         """The bound from one factorization of A per block of q(U), summed
-        over blocks of training rows, each read by ``Posterior.mu_t``:
+        over blocks of training rows, each read by ``Posterior.read``:
         var_sum = d0 - sum_blocks rowsum(t^2), KL summed over blocks. With
         U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the variance
         weights of the expected log-likelihood, P = A^{-1}), every gradient
-        is a pullback of dE/dmu, U, Psi and Omega (see ``Posterior``). A row
-        block adds its share of each sum, whitened, and pulls its own
-        cross-block and diagonal weights back; the last unwhitens the sums
-        and, with Psi whole, pulls the Gram's back too. No array is N rows
-        long beyond the cached prior blocks."""
+        is a pullback of dE/dmu, U, Psi and Omega, whose sums each
+        ``Posterior`` keeps. A row block pulls its own cross-block and
+        diagonal weights back; the last, with Psi whole, pulls the Gram's
+        back too. No array is N rows long beyond the cached prior blocks."""
         hyper = grads and train_hypers
         ku, ksum, cross = self._prior_blocks(pullbacks=True) if hyper else self._kmats()
-        m = self.m
-        parts = self._posteriors(ku, ksum)
-        kl = sum(post.kl() for _, post in parts)
-        omegas = [post.omega() for _, post in parts] if grads else []
-        # per block of q(U): the running F^T dE/dmu, -2 F^T U and Psi
-        sums = [[0.0, 0.0, 0.0] for _ in parts]
+        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), ku, ksum)
+        kl = sum(post.kl() for post in posts)
         y, ell, glik, gkernels = self.data.Y, 0.0, 0.0, [0.0] * self.c
         for rows in self._row_slices():
             f, d0, pbs = cross(rows)
-            mu, down, ts = 0.0, 0.0, []
-            for comps, post in parts:
-                cols = slice(comps.start * m, comps.stop * m)  # lambda's F_c are its Grams
-                fb = (post.ka.sum(axis=0)[rows], ksum[rows]) if f is None else f[:, cols]
-                mu_b, t = post.mu_t(fb)
-                mu = mu + mu_b
-                down = down + _rowsq(t)
-                ts.append((fb, t))
-            s = d0 - down
+            mus, downs = zip(*(post.read(f, rows) for post in posts))
+            mu, s = sum(mus), d0 - sum(downs)
             clamped = s < VAR_CLAMP
             s[clamped] = VAR_CLAMP
             ell += float(np.sum(self.likelihood.expected_loglik(y[rows], mu, s)))
@@ -381,26 +381,21 @@ class AdditiveModel:
             if hyper:
                 glik += self.likelihood.expected_loglik_param_grads(y[rows], mu, s).sum(axis=1)
             last = rows.stop == self.n
-            for (comps, post), (fb, t), acc, omega in zip(parts, ts, sums, omegas):
-                u, *share = post.pullback(fb, gmu, gs, t, rows)
-                acc[:] = [a + b for a, b in zip(acc, share)]
-                if last:
-                    acc[1:] = post.unwhiten(*acc[1:])
+            for post in posts:
+                u = post.accumulate(gmu, gs, last)
                 if hyper:
-                    v = acc[2] - 0.5 * omega if last else None
-                    for ci, (gk, gf) in zip(range(self.c)[comps], post.kernel_weights(u, v)):
+                    comps = range(self.c)[post.comps]
+                    for ci, (gk, gf) in zip(comps, post.kernel_weights(u, last)):
                         gkernels[ci] += pbs[ci](gk, gf, gs)
-            del f, pbs, ts, u  # before the next block allocates its own
+            del f, pbs, u  # before the next block allocates its own
         if not grads:
             return ell - kl
 
-        galpha = np.empty((self.c, m))
+        galpha = np.empty((self.c, self.m))
         gcoupling = np.zeros_like(getattr(self.state, self.coupling))
-        for (comps, post), (fg, ftu, psi), omega, (_, gview) in zip(
-            parts, sums, omegas, self._blocks(gcoupling)
-        ):
-            galpha[comps] = fg - post.ka
-            gview[...] = post.coupling_grad(ftu, 2.0 * psi - omega).reshape(gview.shape)
+        for post, (_, gview) in zip(posts, self._blocks(gcoupling)):
+            galpha[post.comps], gc = post.gradients()
+            gview[...] = gc.reshape(gview.shape)
         grads = {"alpha": galpha, self.coupling: gcoupling}
         if hyper:
             grads["kernels"] = gkernels
@@ -505,8 +500,8 @@ class SparseModel(AdditiveModel):
         """(C, M, M) inducing Grams, no Gram sum, and ``_cross_rows`` of a row
         slice: with ``pullbacks`` evaluated per slice, else sliced from one
         evaluation at all N rows."""
-        grams = [s.kernel.eval_with_pullback(s.Z) for s in self.specs]
-        ku, pks = np.array([k for k, _ in grams]), [pk for _, pk in grams]
+        grams = [s.kernel.cross_with_pullback(s.Z) for s in self.specs]
+        ku, pks = np.array([k for k, _, _ in grams]), [pk for _, _, pk in grams]
         if pullbacks:
             return ku, None, functools.partial(self._cross_rows, pks)
         f, d0, _ = self._cross_rows(pks, slice(0, self.n))
@@ -524,7 +519,7 @@ class SparseModel(AdditiveModel):
             f[:, ci * m : (ci + 1) * m], dc, pb = s.kernel.cross_with_pullback(xp[rows], s.Z)
             d0 += dc
             pbs.append(lambda gk, gf, gs, pk=pk, pb=pb:
-                       pb(gf, gs) + (0.0 if gk is None else pk(gk)))
+                       pb(gf, gs) + (0.0 if gk is None else pk(gk, None)))
         return f, d0, pbs
 
     # -- training hooks ----------------------------------------------------------
@@ -553,23 +548,27 @@ def _diagonal_blocks(b, m):
     return [(slice(i, i + 1), b[r, r]) for i, r in enumerate(rows)]
 
 
-def _read_posteriors(specs, alpha, coupling):
-    """(component slice, ``Posterior``) for every block of q(U) that the
-    coupling shows: one per component when B is square (R = M C) and zero
-    off its diagonal M x M blocks, as mean-field guarantees, which makes the
-    split exact; else one block over all components."""
+def _posteriors(specs, alpha, blocks, ku=None, ksum=None):
+    """One ``Posterior`` for every (component slice, coupling view) block of
+    q(U), with the prior Grams and their sum when the caller has them."""
+    alphas = np.asarray(alpha, dtype=float).reshape(len(specs), -1)
+    return [Posterior(specs, alphas, b, comps, ku, ksum) for comps, b in blocks]
+
+
+def _read_blocks(specs, coupling):
+    """The blocks of q(U) that the coupling shows: one per component when B
+    is square (R = M C) and zero off its diagonal M x M blocks, as mean-field
+    guarantees, which makes the split exact; else one over all components."""
     coupling, m, c = np.asarray(coupling, dtype=float), specs[0].m, len(specs)
-    blocks = [(slice(0, c), coupling)]
     if coupling.shape == (m * c, m * c) and not coupling[~_model.mean_field_mask(m, c)].any():
-        blocks = _diagonal_blocks(coupling, m)
-    alphas = np.asarray(alpha, dtype=float).reshape(c, m)
-    return [(comps, Posterior(specs[comps], alphas[comps], b)) for comps, b in blocks]
+        return _diagonal_blocks(coupling, m)
+    return [(slice(0, c), coupling)]
 
 
 def _marginals(posteriors, Xq, include_components):
     """``Posterior.at`` every block: block means and variances add, and the
     components come in block order."""
-    parts = (post.at(Xq, include_components) for _, post in posteriors)
+    parts = (post.at(Xq, include_components) for post in posteriors)
     total = next(parts)
     for part in parts:
         total.mu_sum += part.mu_sum
@@ -584,7 +583,8 @@ def predict_marginals(specs, alpha, coupling, Xq, include_components=False):
     posterior parameters (no dataset needed). ``coupling`` is B, or lambda
     for the dense model, whose specs carry the projected training inputs as
     Z."""
-    return _marginals(_read_posteriors(specs, alpha, coupling), Xq, include_components)
+    posts = _posteriors(specs, alpha, _read_blocks(specs, coupling))
+    return _marginals(posts, Xq, include_components)
 
 
 def decompose(specs, alpha, coupling, grids, coupled_check=False):
@@ -600,9 +600,9 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
     LU-factored once, bypassing the Cholesky path, as W_c = B_c A^{-1} B_c^T
     (one W for lambda); the maximum discrepancy is a fourth element.
     """
-    posts = _read_posteriors(specs, alpha, coupling)
+    posts = _posteriors(specs, alpha, _read_blocks(specs, coupling))
     # (block posterior, index within the block) for every component
-    owners = [(post, k) for comps, post in posts for k in range(comps.stop - comps.start)]
+    owners = [(post, k) for post in posts for k in range(len(post.specs))]
     if coupled_check:
         # x B_c for the whole coupling: its rows of B, or the tied diag(lambda)
         whole, m, c = np.asarray(coupling, dtype=float), specs[0].m, len(specs)

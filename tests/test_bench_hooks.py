@@ -43,3 +43,7 @@ def test_counters_wrap_both_models(worker, monkeypatch):
     rng = np.random.default_rng(0)
     SparseModel(make_specs(rng, 2, 3), Gaussian(0.0), gaussian_dataset(rng, 6)).elbo_with_grads()
     assert counters.evals == 1 and counters.failed_evals == 0
+    # the dense model is its own class, not a SparseModel whose wrapped
+    # method the counter would wrap again: one evaluation counts once
+    FullModel(make_specs(rng, 2, 3), Gaussian(0.0), gaussian_dataset(rng, 6)).elbo_with_grads()
+    assert counters.evals == 2 and counters.failed_evals == 0

@@ -428,6 +428,27 @@ def test_fit_checks_output_paths_before_training(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "folder"]
 
 
+@pytest.mark.parametrize("structure, rank", [("meanfield", 2), ("full", 3), ("full", 20)])
+def test_fit_refuses_a_rank_its_structure_cannot_use(tmp_path, capsys, monkeypatch,
+                                                     structure, rank):
+    # mean-field fixes R = M C and the dense structure has no R: a --rank
+    # that would be ignored is refused before training, and writes nothing
+    def never(self, config=None):
+        raise AssertionError("fit trained with a rank its structure cannot use")
+
+    monkeypatch.setattr(AdditiveModel, "train", never)
+    dataset = tmp_path / "data.csv"
+    rng = np.random.default_rng(0)
+    _write_dataset(dataset, rng.uniform(0, 1, (20, 2)), rng.normal(size=20))
+    model = tmp_path / "m.addgp"
+    argv = ["fit", str(dataset), "--kernel", "se", "--m", "3", "--structure", structure,
+            "--rank", str(rank), "--out", str(model)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "R" in err[0], err
+    assert not model.exists()
+
+
 def test_poisson_fit_rejects_non_count_targets(tmp_path):
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 1, size=(20, 1))

@@ -234,6 +234,27 @@ def test_round_trip_rescale(tmp_path):
     assert np.allclose(back.rescale.invert(back.rescale.apply(X)), X)
 
 
+@pytest.mark.parametrize("lo1, hi1", [(2.5, 2.5), (2.5, 1.0), (-1e308, 1e308)])
+def test_rejects_rescale_without_positive_finite_span(tmp_path, capsys, lo1, hi1):
+    # rescaling divides by hi - lo, so a column with hi <= lo, or a span that
+    # overflows, would turn every query into NaN: the file is refused
+    rng = np.random.default_rng(5)
+    saved = SavedModel(COUPLED, _se_specs(rng), Gaussian(0.0), rng.normal(size=6),
+                       rng.normal(size=(6, 6)), input_dim=2,
+                       rescale=Rescale(lo=np.array([0.0, lo1]), hi=np.array([1.0, hi1])))
+    path = tmp_path / "flat.addgp"
+    save_model(path, saved)
+    with pytest.raises(ModelFormatError, match=r"'rescale.hi' in \[model\]"):
+        load_model(path)
+    query, out = tmp_path / "q.csv", tmp_path / "p.csv"
+    query.write_text("x1,x2\n0.5,2.5\n")
+    capsys.readouterr()
+    assert main(["predict", str(path), str(query), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'rescale.hi'" in err, err
+    assert not out.exists()
+
+
 def test_rejects_wrong_format_id(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("addgp-v2\n[model]\nstructure = coupled\n")

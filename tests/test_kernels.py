@@ -115,7 +115,7 @@ def test_zero_mean_se_construction():
     # empty blocks stay empty rather than failing in the rank-one update
     assert k.eval(X[:0]).shape == (0, 0)
     assert k.eval(X, X[:0]).shape == (3, 0)
-    assert k.eval_with_pullback(X[:0], X)[0].shape == (0, 3)
+    assert k.cross_with_pullback(X[:0], X)[0].shape == (0, 3)
 
 
 def test_zero_mean_se_rejects_outside_unit_box():
@@ -141,8 +141,8 @@ def _pulled_back_derivatives(pullback, shape, n_params):
 
 def _fd_kernel_grads(kern, X, X2=None, eps=1e-6):
     base = kern.get_params()
-    K0, pullback = kern.eval_with_pullback(X, X2)
-    grads = _pulled_back_derivatives(pullback, K0.shape, kern.n_params)
+    K0, _, pullback = kern.cross_with_pullback(X, X2)
+    grads = _pulled_back_derivatives(lambda G: pullback(G, None), K0.shape, kern.n_params)
     for i in range(len(base)):
         vp = base.copy()
         vp[i] += eps
@@ -211,8 +211,8 @@ def test_diag_pullback_consistent(monkeypatch):
     ]
     G, G2, g = rng.normal(size=(8, 8)), rng.normal(size=(8, 3)), rng.normal(size=8)
     for k in kerns:
-        d, pb_d = k.diag_with_pullback(X)
-        K, pb_K = k.eval_with_pullback(X)
+        K, d, pb = k.cross_with_pullback(X)
+        pb_K, pb_d = (lambda G, pb=pb: pb(G, None)), (lambda g, pb=pb: pb(None, g))
         assert np.allclose(d, np.diag(K), atol=1e-13)
         dd = _pulled_back_derivatives(pb_d, d.shape, k.n_params)
         dK = _pulled_back_derivatives(pb_K, K.shape, k.n_params)
@@ -220,11 +220,11 @@ def test_diag_pullback_consistent(monkeypatch):
             assert np.allclose(gi, np.diag(Gi), atol=1e-13)
 
         # a pullback keeps the parameters it was made with
-        pb_K2 = k.eval_with_pullback(X, X2)[1]
-        ref = [pb_K(G), k.eval_with_pullback(X, X2)[1](G2), pb_d(g)]
+        pb_K2 = k.cross_with_pullback(X, X2)[2]
+        ref = [pb_K(G), k.cross_with_pullback(X, X2)[2](G2, None), pb_d(g)]
         theta = k.get_params()
         k.set_params(theta + 0.3)
-        for a, b in zip([pb_K(G), pb_K2(G2), pb_d(g)], ref):
+        for a, b in zip([pb_K(G), pb_K2(G2, None), pb_d(g)], ref):
             assert np.array_equal(a, b)
         k.set_params(theta)
 
@@ -236,7 +236,7 @@ def test_diag_pullback_consistent(monkeypatch):
     monkeypatch.setattr(kernels, "_se_mean_embedding_dlogl", broken)
     monkeypatch.setattr(kernels, "_se_double_integral_dlogl", broken)
     with pytest.raises(RuntimeError):
-        kerns[0].diag_with_pullback(X)[1](g)
+        kerns[0].cross_with_pullback(X)[2](None, g)
     for k in kerns:
         k.eval(X, X2)
         k.diag(X)
@@ -254,11 +254,10 @@ def test_diag_pullback_consistent(monkeypatch):
 
 def test_kernels_implement_only_the_pullback_methods():
     # a kernel writes its values and their pullback once, in
-    # _values_with_pullback; Kernel derives eval, diag and the three pullback
-    # calls from it, so a subclass with its own copy would be a second path
-    # to keep in step
-    derived = {"eval", "diag", "eval_with_pullback", "diag_with_pullback",
-               "cross_with_pullback"}
+    # _values_with_pullback; Kernel derives eval, diag and the pullback call
+    # from it, so a subclass with its own copy would be a second path to keep
+    # in step
+    derived = {"eval", "diag", "cross_with_pullback"}
     assert derived <= set(vars(kernels.Kernel))
     classes = [
         c for c in vars(kernels).values()
@@ -389,11 +388,12 @@ def test_random_kernel_trees(tmp_path_factory, kern):
     _fd_kernel_grads(kern, X)
     _fd_kernel_grads(kern, X, X2)
 
-    # the joint call: the values of eval and diag and the sum of their pullbacks
+    # the joint call: the values of eval and diag, and a pullback that is
+    # the sum of its one-weight calls on the block and on the Gram of X
     K, d, pullback = kern.cross_with_pullback(X, X2)
     assert np.array_equal(K, kern.eval(X, X2)) and np.array_equal(d, kern.diag(X))
     G, g = rng.normal(size=K.shape), rng.normal(size=d.shape)
-    ref = kern.eval_with_pullback(X, X2)[1](G) + kern.diag_with_pullback(X)[1](g)
+    ref = kern.cross_with_pullback(X, X2)[2](G, None) + kern.cross_with_pullback(X)[2](None, g)
     assert np.allclose(pullback(G, g), ref, rtol=1e-13, atol=1e-13)
 
 
