@@ -9,19 +9,23 @@ Conventions: CSV values are written with 17 significant digits so reruns
 with the same seed are byte-identical (timing fields excepted); lines
 starting with ``#`` are comments; exit codes are 0 on success, 1 for usage
 errors, 2 for data or format errors, 3 for numerical failures. CSV output
-is formatted, and ``predict`` evaluated, in blocks of 4096 rows, so beyond
-its input and output columns memory does not grow with the query size; the
-output bytes are those of one pass.
+is formatted (one ``%`` per block), and ``predict`` evaluated, in blocks of
+4096 rows, so beyond its input and output columns memory does not grow with
+the query size; the output bytes are those of one pass. Plain CSV input is
+read by numpy's C reader, the rest line by line, to the same values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 import time
+import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -54,8 +58,8 @@ _CSV_ROWS = 4096
 
 
 def write_csv(path, header, columns, meta=()):
-    """Write columns of floats with a comment preamble, formatting
-    ``_CSV_ROWS`` rows at a time to the bytes of ``csv.writer``."""
+    """Write columns of floats with a comment preamble, formatting each
+    ``_CSV_ROWS``-row block with one ``%`` to the bytes of ``csv.writer``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     row = ",".join([_FLOAT_FMT] * len(columns)) + "\r\n"
     n = min((len(c) for c in columns), default=0)
@@ -64,16 +68,43 @@ def write_csv(path, header, columns, meta=()):
             fh.write(f"# {line}\n")
         csv.writer(fh).writerow(header)
         for i in range(0, n, _CSV_ROWS):
-            block = zip(*(c[i : i + _CSV_ROWS].tolist() for c in columns))
-            fh.write("".join([row % vals for vals in block]))
+            block = np.column_stack([c[i : min(i + _CSV_ROWS, n)] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path):
-    """Read a numeric CSV written by this package (or any plain numeric
-    CSV): '#' lines are comments, one optional header row. Returns
-    (header, array); raises DataError naming the offending row. Lines
-    with no quote or NUL within the field limit are split on commas, as
-    ``csv.reader`` would; the rest go through it."""
+    """Read a numeric CSV ('#' lines are comments, one optional header
+    row) as (header, array); DataError names the offending row. numpy's C
+    reader takes plain files; a quote, NUL, \\x1c-\\x1f (numpy strips them,
+    ``float()`` does not), long line, ragged row, no data or value numpy
+    refuses (``1_000``) sends the file line by line."""
+
+    def plain(fh, limit=csv.field_size_limit()):
+        for line in fh:
+            if (len(line) > limit or '"' in line or "\0" in line or "\x1c" in line
+                    or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+                raise ValueError(line)
+            if line.strip() and not line.startswith("#"):
+                yield line
+
+    with contextlib.suppress(ValueError, Warning):
+        with open(path, newline="") as fh, warnings.catch_warnings(record=True):
+            lines = plain(fh)
+            first = next(lines, "")
+            fields = first.rstrip("\r\n").split(",")
+            try:
+                [float(v) for v in fields]
+            except ValueError:
+                header = [f.strip() for f in fields]
+            else:
+                header, lines = None, chain([first], lines)
+            arr = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+        if len(arr) and arr.shape[1] == len(fields):
+            return header, arr
+    return _read_csv_rows(path)
+
+
+def _read_csv_rows(path):
     rows = []
     header = None
     saw_first = False

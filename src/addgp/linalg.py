@@ -77,20 +77,29 @@ def tri_mul(x, tri, lower=True):
 
 def sym_square(a):
     """``a a^T`` through BLAS ``syrk``, which writes one triangle at half a
-    general product's flops: symmetrized by one transpose."""
+    general product's flops: symmetrized in place."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or not a.size:  # the BLAS wrapper rejects empty operands
         raise DimensionMismatch(f"expected a nonempty matrix, got shape {a.shape}")
     c = blas.dsyrk(1.0, a) if a.flags.f_contiguous else blas.dsyrk(1.0, a.T, trans=1)
-    return np.add(c, np.triu(c, 1).T, out=c)
+    return _symmetrize(c)
 
 
 def inverse_from_tri_inverse(linv):
     """``(L L^T)^{-1} = L^{-T} L^{-1}`` from a lower-triangular ``L^{-1}``
     through LAPACK ``lauum``, which writes the upper triangle of its copy of
-    ``L^{-T}`` and leaves its zeros below: symmetrized by one transpose."""
+    ``L^{-T}`` and leaves its zeros below: symmetrized in place."""
     p, _ = lapack.dlauum(np.asarray(linv, dtype=float).T, lower=0)
-    return p + np.triu(p, 1).T
+    return _symmetrize(p)
+
+
+def _symmetrize(c, block=32):
+    """Mirror the strict upper triangle into the zero lower one, in place, by column blocks."""
+    for j in range(0, len(c), block):
+        d, k = c[j : j + block, j : j + block], j + block
+        np.copyto(d, d.T, where=np.tri(len(d), k=-1, dtype=bool))
+        c[k:, j:k] = c[j:k, k:].T
+    return c
 
 
 def logdet_from_chol(L):

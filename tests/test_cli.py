@@ -131,7 +131,8 @@ def _read_outcome(read, path):
 
 _CSV_PIECES = st.sampled_from(
     ["1", "-2.5", "1e308", "nan", "-inf", "0.125", ",", ",", " ", '"', '"1"', "\0",
-     "\r", "\n", "\r\n", "\n", "#", "x", "a,b", "12345678901234567890"]
+     "\r", "\n", "\r\n", "\n", "#", "x", "a,b", "12345678901234567890",
+     "1_0", "\u0661", "\t", "\x0c", "\xa0", "\x1c"]
 )
 
 
@@ -144,6 +145,10 @@ _CSV_PIECES = st.sampled_from(
 @example(text="1,2\n3,x\n")
 @example(text="1,\0\n")
 @example(text="1,12345678901234567890\n")
+@example(text="# c\nx,y\n\n")
+@example(text="1,2\n")
+@example(text="1,2,3,4,5,6,7\n1,2,3,4,5,6,7\n")
+@example(text="1,2\n3,4\x1c\n")
 def test_read_csv_matches_row_reader(tmp_path_factory, text):
     # a small field limit so that drawn lines cross it
     path = tmp_path_factory.mktemp("csv") / "in.csv"
@@ -153,6 +158,33 @@ def test_read_csv_matches_row_reader(tmp_path_factory, text):
         assert _read_outcome(read_csv, path) == _read_outcome(_row_read_csv, path)
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.filterwarnings("error")
+def test_plain_files_take_the_c_reader(tmp_path, monkeypatch):
+    # a file without data rows is refused with the DataError alone: numpy's
+    # empty-input warning does not leave read_csv
+    for text in ("a,b\n", ""):
+        (tmp_path / "empty.csv").write_text(text)
+        with pytest.raises(DataError, match="no data rows"):
+            read_csv(tmp_path / "empty.csv")
+
+    def refuse(path):
+        raise AssertionError(f"{path} read line by line")
+
+    monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+    rng = np.random.default_rng(5)
+    arr = rng.normal(size=(9, 3)) * 10.0 ** rng.integers(-300, 300, (9, 3))
+    arr[0, :2] = np.nan, -np.inf
+    write_csv(tmp_path / "w.csv", ["a", "b", "c"], arr.T, meta=["x, y"])
+    np.savetxt(tmp_path / "h.csv", arr, delimiter=",", fmt="%.17g", header="a,b,c", comments="")
+    np.savetxt(tmp_path / "crlf.csv", arr, delimiter=",", fmt="%.17g", newline="\r\n")
+    np.savetxt(tmp_path / "c.csv", arr, delimiter=",", fmt="%.17g", header="a,b,c")
+    for name, header in (("w", ["a", "b", "c"]), ("h", ["a", "b", "c"]), ("crlf", None),
+                         ("c", None)):
+        got_header, got = read_csv(tmp_path / f"{name}.csv")
+        assert got_header == header, name
+        assert got.tobytes() == arr.tobytes(), name
 
 
 def test_fit_predict_round_trip(tmp_path):

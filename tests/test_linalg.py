@@ -1,7 +1,10 @@
 """Factorization helpers against plain numpy/scipy references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 
 from addgp import DimensionMismatch, NotPositiveDefinite
 from addgp.linalg import (
@@ -120,6 +123,32 @@ def test_sym_square_matches_numpy(n):
         got = sym_square(arr)
         assert np.array_equal(got, got.T)
         assert _rel_err(got, a @ a.T) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 37, 300])
+def test_symmetrizing_helpers_copy_the_triangle_in_place(n):
+    # bit for bit and in the memory order of the triangle plus its
+    # transpose, and at n = 300 no more than a tenth of an n x n array
+    # allocated beyond the result
+    rng = np.random.default_rng(n + 2)
+    a = rng.normal(size=(n, n + 3))
+    a[n // 2] = 0.0
+    linv = tri_inverse(cholesky(_spd(rng, n)))
+    c = blas.dsyrk(1.0, a.T, trans=1)
+    p, _ = lapack.dlauum(linv.T, lower=0)
+    for f, x, tri in ((sym_square, a, c), (inverse_from_tri_inverse, linv, p)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = f(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ref = tri + np.triu(tri, 1).T
+        assert got.tobytes("A") == ref.tobytes("A"), f.__name__
+        assert got.flags.f_contiguous == ref.flags.f_contiguous, f.__name__
+        if n == 300:
+            assert peak <= 1.1 * 8 * n * n, (f.__name__, peak / (8 * n * n))
 
 
 def test_blas_helpers_reject_bad_shapes():
