@@ -19,8 +19,10 @@ so one O(N^3) factorization per evaluation covers any number of components.
 What stays here is the dense model's data: Z_c = X in its specs (M = N),
 the Grams there, one cached stack rewritten in place (they are also its cross
 blocks, so the hyperparameter gradient needs one kernel evaluation per
-component), the size cap (N <= 5000) and the start off lambda = 0. This is
-the reference implementation: cubic in N by design.
+component; an SE leaf builds its Gram in its slot), five N x N buffers that
+the bound writes over, the size cap (N <= 5000) and the start off lambda = 0.
+Stack and buffers are allocated once, so a warm evaluation maps little new
+memory. This is the reference implementation: cubic in N by design.
 """
 
 from __future__ import annotations
@@ -66,13 +68,14 @@ class FullModel(_sparse.AdditiveModel):
         if len(self.state.lam) != self.n:
             raise DimensionMismatch(f"lambda has length {len(self.state.lam)}, expected {self.n}")
         self._cache = np.empty((self.c, self.n, self.n)), np.empty((self.n, self.n))
+        self._work = (*np.empty((4, self.n, self.n)), np.empty((self.n, self.n + 1)))
 
     def _with_inducing(self, spec, xp):
         """Z_c = X: the spec with its projected training inputs as Z."""
         return _model.ComponentSpec(kernel=spec.kernel, active_dims=spec.active_dims, Z=xp)
 
     def _prior_blocks(self, pullbacks=False):
-        """(C, N, N) Grams at the training inputs, written over the cached ones
+        """(C, N, N) Grams at the training inputs, written into the cached stack
         and re-keyed, their sum Ksum, and rows that give the summed prior
         diagonal (no cross block): the Grams are the cross blocks, so one kernel
         evaluation serves all and a pullback takes their one weight and the
@@ -81,7 +84,7 @@ class FullModel(_sparse.AdditiveModel):
         karr, ksum = self._cache[:2]
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
-            karr[ci], _, pb = s.kernel.cross_with_pullback(xp)
+            karr[ci], _, pb = s.kernel.cross_with_pullback(xp, out=karr[ci])
             if pullbacks:  # a pullback keeps its kernel's blocks alive
                 pbs.append(lambda gk, gf, gs, pb=pb: pb(gf, gs))
         np.sum(karr, axis=0, out=ksum)

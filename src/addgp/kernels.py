@@ -79,6 +79,8 @@ class Kernel:
     needs and captures the parameter values it was made with.
     """
 
+    _takes_out = False  # whether the one method also takes a buffer ``out`` for K
+
     def _values_with_pullback(self, X, X2=None, cross=True):
         """The block K(X, X2) (the Gram of X for X2 None; None unless
         ``cross``), the diagonal d at the rows of X and one pullback
@@ -95,10 +97,11 @@ class Kernel:
         """Prior variances k(x, x) at the rows of X."""
         return self._values_with_pullback(X, cross=False)[1]
 
-    def cross_with_pullback(self, X, X2=None):
-        """K(X, X2), the diagonal d at the rows of X and the joint pullback
-        ``(G, g)``, which takes None for a weight left out."""
-        return self._values_with_pullback(X, X2)
+    def cross_with_pullback(self, X, X2=None, out=None):
+        """K(X, X2), built in ``out`` by a kernel that takes it (the SE leaves),
+        the diagonal d at the rows of X and the joint pullback ``(G, g)``,
+        which takes None for a weight left out."""
+        return self._values_with_pullback(X, X2, **({"out": out} if self._takes_out else {}))
 
     def get_params(self):
         raise NotImplementedError
@@ -131,6 +134,8 @@ class SquaredExp(Kernel):
     """Anisotropic squared-exponential kernel
     ``k(x, y) = v * exp(-0.5 * sum_d ((x_d - y_d) / l_d)^2)``."""
 
+    _takes_out = True
+
     def __init__(self, params, active_dims=(0,)):
         self.params = params
         self.active_dims = tuple(int(d) for d in active_dims)
@@ -140,7 +145,7 @@ class SquaredExp(Kernel):
                 f"({len(self.params.log_lengthscales)} vs {len(self.active_dims)})"
             )
 
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         X = _as_2d(X)
         v = self.params.variance
         K = None
@@ -150,7 +155,7 @@ class SquaredExp(Kernel):
             # (n, m, d) array of per-dimension scaled differences
             diff = (X[:, None, dims] - X2[None, :, dims]) / self.params.lengthscales
             sq = diff * diff
-            K = v * np.exp(-0.5 * np.sum(sq, axis=2))
+            K = np.multiply(v, np.exp(-0.5 * np.sum(sq, axis=2)), out=out)
         nd = len(self.active_dims)
 
         def pullback(G, g):
@@ -277,7 +282,7 @@ def _se_double_integral_dlogl(v, ell):
     return 2.0 * v * ell * (_SQRT_HALF_PI * erf(a) - 2.0 * ell * (-np.expm1(-a * a)))
 
 
-def _sqdist(x, y):
+def _sqdist(x, y, out=None):
     """``(x_i - y_j)^2`` for all pairs of two vectors, as an (n, m) block.
 
     The differences come from the rank-two product ``[x, 1] [1, -y]^T``.
@@ -289,7 +294,7 @@ def _sqdist(x, y):
     a[:, 0] = x
     b = np.ones((2, len(y)))
     np.negative(y, out=b[1])
-    d = a @ b
+    d = np.matmul(a, b, out=out)
     return np.square(d, out=d)
 
 
@@ -311,6 +316,8 @@ class ZeroMeanSE(Kernel):
     DomainError.
     """
 
+    _takes_out = True
+
     def __init__(self, params, active_dim=0):
         if len(params.log_lengthscales) != 1:
             raise DimensionMismatch("zero-mean component is univariate")
@@ -328,7 +335,7 @@ class ZeroMeanSE(Kernel):
             )
         return x
 
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         # K and the diagonal share one mean embedding of X
         v, ell = _scalars(self.params)
         x = self._column(X)
@@ -344,7 +351,7 @@ class ZeroMeanSE(Kernel):
             xs, ys = x * c, y * c
             # v exp(-t) - mx my^T / q with t the block of halved squared
             # scaled distances, built in place on one (n, m) array
-            K = _sqdist(xs, ys)
+            K = _sqdist(xs, ys, out)
             np.subtract(self.params.log_variance, K, out=K)
             np.exp(K, out=K)
             K = _minus_outer(K, mx, my / q)

@@ -1,9 +1,10 @@
 """Dense linear algebra primitives: Cholesky factors, triangular solves,
 log-determinants, and the thread count of the BLAS underneath them.
 
-Everything but the thread control is a pure function on float64 arrays. All
-downstream code funnels its factorizations through this module so the error
-taxonomy lives in one place.
+Everything but the thread control is a pure function on float64 arrays,
+except that ``overwrite`` or ``out`` lets LAPACK or BLAS write the result
+over a contiguous input or buffer. All downstream code funnels its
+factorizations through this module so the error taxonomy lives in one place.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from scipy.linalg import blas, lapack, solve_triangular
 from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
 
 
-def cholesky(m):
-    """Lower Cholesky factor of ``m``; NotPositiveDefinite if LAPACK rejects it."""
+def cholesky(m, overwrite=False):
+    """Lower Cholesky factor of ``m``; NotPositiveDefinite if LAPACK rejects it.
+    With ``overwrite`` a Fortran-ordered ``m`` is written over: L^T there."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -31,7 +33,7 @@ def cholesky(m):
         )
     # LAPACK's column-major upper factor U of the symmetric m transposes to
     # a row-major L without a copy, and ``tri_inverse`` inverts L^T = U
-    U, info = lapack.dpotrf(m, lower=0)
+    U, info = lapack.dpotrf(m, lower=0, overwrite_a=overwrite)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky failed on a {m.shape[0]}x{m.shape[0]} matrix")
     return U.T
@@ -56,40 +58,46 @@ def solve_from_chol(L, rhs):
     return tri_solve(L, tri_solve(L, rhs), transpose=True)
 
 
-def tri_inverse(L):
+def tri_inverse(L, overwrite=False):
     """``L^{-1}`` of a lower-triangular ``L`` through LAPACK ``trtri``."""
-    uinv, info = lapack.dtrtri(np.asarray(L, dtype=float).T, lower=0)
+    uinv, info = lapack.dtrtri(np.asarray(L, dtype=float).T, lower=0, overwrite_c=overwrite)
     if info != 0:
         raise NotPositiveDefinite(f"inverse failed on a {len(L)}x{len(L)} factor")
     return uinv.T
 
 
-def tri_mul(x, tri, lower=True):
+def tri_mul(x, tri, lower=True, out=None):
     """``x @ tri`` through BLAS ``trmm`` (half a general product's flops),
-    reading only the lower (or upper) triangle of ``tri``; C-ordered operands
-    go in as Fortran-ordered transposes, so the wrapper copies neither."""
+    reading only the lower (or upper) triangle of ``tri``, written over a
+    C-ordered ``out`` (which may be ``x``) if given; C-ordered operands go in
+    as Fortran-ordered transposes, so the wrapper copies neither."""
     x, tri = np.asarray(x, dtype=float), np.asarray(tri, dtype=float)
     if x.ndim != 2 or tri.ndim != 2 or not x.shape[1] == tri.shape[0] == tri.shape[1]:
         raise DimensionMismatch(f"cannot multiply {x.shape} by a square factor {tri.shape}")
     a, trans, low = (tri, 1, lower) if tri.flags.f_contiguous else (tri.T, 0, not lower)
-    return blas.dtrmm(1.0, a, x.T, lower=low, trans_a=trans).T
+    if out is not None:
+        np.copyto(out, x)  # which numpy skips when out is x
+    b = x.T if out is None else out.T
+    return blas.dtrmm(1.0, a, b, lower=low, trans_a=trans, overwrite_b=out is not None).T
 
 
-def sym_square(a):
+def sym_square(a, out=None):
     """``a a^T`` through BLAS ``syrk``, which writes one triangle at half a
-    general product's flops: symmetrized in place."""
+    general product's flops (into the C-ordered ``out`` if given):
+    symmetrized in place."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or not a.size:  # the BLAS wrapper rejects empty operands
         raise DimensionMismatch(f"expected a nonempty matrix, got shape {a.shape}")
-    c = blas.dsyrk(1.0, a) if a.flags.f_contiguous else blas.dsyrk(1.0, a.T, trans=1)
-    return _symmetrize(c)
+    a, trans = (a, 0) if a.flags.f_contiguous else (a.T, 1)
+    c = None if out is None else out.T
+    return _symmetrize(blas.dsyrk(1.0, a, c=c, trans=trans, overwrite_c=c is not None))
 
 
-def inverse_from_tri_inverse(linv):
+def inverse_from_tri_inverse(linv, overwrite=False):
     """``(L L^T)^{-1} = L^{-T} L^{-1}`` from a lower-triangular ``L^{-1}``
     through LAPACK ``lauum``, which writes the upper triangle of its copy of
     ``L^{-T}`` and leaves its zeros below: symmetrized in place."""
-    p, _ = lapack.dlauum(np.asarray(linv, dtype=float).T, lower=0)
+    p, _ = lapack.dlauum(np.asarray(linv, dtype=float).T, lower=0, overwrite_c=overwrite)
     return _symmetrize(p)
 
 

@@ -27,8 +27,9 @@ factors A = L L^T and whitens B~ = B L^{-T} once: at any rows one routine
 gives mu_sum and t = J L^{-T}, and diag(J A^{-1} J^T) = rowsum(t^2) for the
 bound and every read alike, which does not cancel as forms in A^{-1} do; the
 dense model's B~ = Lambda L^{-T} and L^{-1} are triangular and multiplied as
-such (``linalg.tri_mul``). It also keeps the bound's gradient sums, so it
-alone knows B from lambda and whitened sums from final ones. ``AdditiveModel``
+such (``linalg.tri_mul``), its N x N steps written over buffers the model
+holds. It also keeps the bound's gradient sums, so it alone knows B from
+lambda and whitened sums from final ones. ``AdditiveModel``
 holds the rest for all three structures: the row walk, the likelihood and
 the kernel pullbacks. One builder, ``_posteriors``, makes a ``Posterior`` per
 block of q(U) for the bound and the reads, so mean-field factors C
@@ -78,40 +79,49 @@ class Posterior:
     (C, M) and ``ku``, the prior Grams K_c(Z_c, Z_c) when the caller has
     them. ``coupling`` is the block's B (M C x R) or the vector lambda, which
     stands for B_c = diag(lambda) for every c with Z_c the training inputs
-    (the dense model; ``ksum`` is then the Grams' sum). ``mu_t`` serves the
-    reads; the bound takes ``kl``, then per row block ``read``,
-    ``accumulate`` and ``kernel_weights``, and at last ``gradients``.
+    (the dense model; ``ksum`` is then the Grams' sum, which a read adds up
+    as it evaluates them, keeping none). ``mu_t`` serves the reads; the bound
+    takes ``kl``, then per row block ``read``, ``accumulate`` and
+    ``kernel_weights``, and at last ``gradients``. Lambda's N x N steps go,
+    in that order, into ``work``: (A, L, L^{-1}, P, Omega), (t, z, P^2, V,
+    S), Psi, (B~, a Gram weight) and u, each written over what is no longer
+    needed; the dense model holds them, and a read, passing None, gets new
+    arrays. Its bound reads all N rows in one block.
     """
 
-    def __init__(self, specs, alphas, coupling, comps, ku=None, ksum=None):
+    def __init__(self, specs, alphas, coupling, comps, ku=None, ksum=None, work=(None,) * 5):
         self.comps, self.specs, self.alphas = comps, specs[comps], alphas[comps]
         m = self.specs[0].m
-        self._cols = slice(comps.start * m, comps.stop * m)
+        self._cols, self._work = slice(comps.start * m, comps.stop * m), work
         coupling = np.asarray(coupling, dtype=float)
-        self.ku = [s.kernel.eval(s.Z) for s in self.specs] if ku is None else ku[comps]
+        grams = (s.kernel.eval(s.Z) for s in self.specs)
+        self.ku = ku[comps] if ku is not None else None if coupling.ndim == 1 else list(grams)
         if coupling.ndim == 1:
             # tied B_c: only sum_c K_c B_c = Ksum Lambda (= J at X) enters
             self._lam, self._b = coupling, None
-            self._ksum = sum(self.ku) if ksum is None else ksum
-            self._kb = self._ksum * coupling
-            a = coupling[:, None] * self._kb
+            self._ksum = ksum if ksum is not None else functools.reduce(
+                lambda acc, k: np.add(acc, k, out=acc), grams)  # a read keeps no Gram
+            # A^T, whose transpose is A in the Fortran order LAPACK factors in place
+            a = np.multiply(self._ksum.T, coupling[:, None], out=work[0], order="C")
+            a *= coupling
         else:
             self._lam = None
             self._b = coupling.reshape(len(self.specs), m, -1)
             self._kb = np.matmul(self.ku, self._b)  # K_c B_c, (C, M, R)
             a = coupling.T @ self._kb.reshape(len(coupling), -1)
         a.reshape(-1)[:: len(a) + 1] += 1.0
-        self.L = cholesky(a)
+        self.L = cholesky(a) if self._b is not None else cholesky(a.T, overwrite=True)
+        self._logdet = logdet_from_chol(self.L) if self._b is None else None  # L^{-1} overwrites L
         # B~_c = B_c L^{-T}, (C, M, R); lambda's is one upper triangular (N, N)
-        self._bt = ((self.linv * coupling).T if self._b is None
+        self._bt = (np.multiply(self.linv, coupling, out=work[3]).T if self._b is None
                     else tri_solve(self.L, coupling.T).T.reshape(self._b.shape))
         # the bound's row block (f, t, rows); running F^T dE/dmu, -2 F^T U, Psi
-        self._block, self._sums = None, [0.0, 0.0, 0.0]
+        self._block, self._sums = None, None
 
     @functools.cached_property
     def linv(self):
-        """L^{-1}: lambda's B~, and the bound's last-block sums and P."""
-        return tri_inverse(self.L)
+        """L^{-1}: lambda's B~ (written over L), and the bound's last-block sums and P."""
+        return tri_inverse(self.L, overwrite=self._b is None)
 
     @functools.cached_property
     def ka(self):
@@ -120,27 +130,30 @@ class Posterior:
 
     @functools.cached_property
     def _omega(self):
-        """Omega = P - P^2, P = A^{-1}; lambda's P^2 by one ``sym_square``."""
-        p = inverse_from_tri_inverse(self.linv)
-        return p - p @ p if self._b is not None else np.subtract(p, sym_square(p), out=p)
+        """Omega = P - P^2, P = A^{-1}; lambda's P over L^{-1}, P^2 by one ``sym_square``."""
+        lam = self._b is None
+        p = inverse_from_tri_inverse(self.linv, overwrite=lam)
+        return np.subtract(p, sym_square(p, out=self._work[1]), out=p) if lam else p - p @ p
 
     def kl(self):
         """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c - T), with
         T = tr(A^{-1} (A - I)) = sum_c <B~_c, K_c B~_c> (lambda: R - ||L^{-1}||_F^2)."""
         if self._b is None:
-            trace = len(self.L) - float(np.vdot(self.linv, self.linv))
+            trace = len(self.linv) - float(np.vdot(self.linv, self.linv))
         else:
             trace = float(np.vdot(self._bt, np.matmul(self.ku, self._bt)))
         quad = float(np.sum(self.alphas * self.ka))
-        return 0.5 * (logdet_from_chol(self.L) + quad - trace)
+        logdet = self._logdet if self._b is None else logdet_from_chol(self.L)
+        return 0.5 * (logdet + quad - trace)
 
-    def mu_t(self, f, ci=None):
+    def mu_t(self, f, ci=None, out=None):
         """(mu, t) = (F alpha, F B~) at a block of rows from its cross block:
         F_ci with ``ci``, else [F_1 ... F_C]; lambda's B~_c are all one, so
-        there it takes the pair (mu, sum_c F_c) and t is one ``tri_mul``."""
+        there it takes the pair (mu, sum_c F_c) and t is one ``tri_mul``,
+        written over ``out`` (which may be F) when given."""
         if self._b is None:
             mu, f = f if ci is None else (f @ self.alphas[ci], f)
-            return mu, tri_mul(f, self._bt, lower=False)
+            return mu, tri_mul(f, self._bt, lower=False, out=out)
         if ci is not None:
             return f @ self.alphas[ci], f @ self._bt[ci]
         return f @ self.alphas.ravel(), f @ self._bt.reshape(-1, self._bt.shape[-1])
@@ -150,7 +163,7 @@ class Posterior:
         f over all components, or None for lambda's, which are its Grams; this
         block reads its columns and keeps them, and t, for ``accumulate``."""
         f = (self.ka.sum(axis=0)[rows], self._ksum[rows]) if f is None else f[:, self._cols]
-        mu, t = self.mu_t(f)
+        mu, t = self.mu_t(f, out=self._work[1])
         self._block = f, t, rows
         return mu, _rowsq(t)
 
@@ -161,16 +174,20 @@ class Posterior:
         takes them to -2 (F^T Gs t) L^{-1} and L^{-T} (t^T Gs t) L^{-1};
         lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P."""
         (f, t, rows), self._block = self._block, None
-        z = t if self._b is not None else tri_mul(t, self.linv)
-        u = np.column_stack((gmu, gs[:, None] * z))
-        if self._b is None:
+        lam = self._b is None
+        z = tri_mul(t, self.linv, out=t) if lam else t
+        u = self._work[4] if lam else np.empty((len(z), 1 + z.shape[1]))
+        u[:, 0] = gmu
+        np.multiply(gs[:, None], z, out=u[:, 1:])
+        if lam:
             ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
             fg, ftu = np.matmul(self.ku[:, :, rows], gmu), -2.0 * ksum_u
         else:
             ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
             fg, ftu = ftu[:, :, 0], ftu[:, :, 1:]
-        sums = self._sums = [a + b for a, b in zip(self._sums, (fg, ftu, z.T @ u[:, 1:]))]
-        if last and self._b is not None:
+        new = [fg, ftu, np.matmul(z.T, u[:, 1:], out=self._work[2])]
+        sums = self._sums = new if self._sums is None else [a + b for a, b in zip(self._sums, new)]
+        if last and not lam:
             sums[1:] = -2.0 * (sums[1] @ self.linv), self.linv.T @ sums[2] @ self.linv
         return u
 
@@ -178,10 +195,10 @@ class Posterior:
         """(dBound/dalpha, dBound/dcoupling) from the sums of every row block
         and W = 2 Psi - Omega: dalpha = F^T dE/dmu - K alpha, dB = -2 F^T U
         + K B W, dlambda = -2 diag(Ksum U) + diag(J W)."""
-        fg, ftu, psi = self._sums
-        omega = self._omega  # formed before 2 Psi, which would add to its peak
-        w = 2.0 * psi - omega
-        kbw = np.einsum("ij,ij->i", self._kb, w) if self._b is None else np.matmul(self._kb, w)
+        (fg, ftu, psi), omega, lam = self._sums, self._omega, self._b is None
+        w = np.subtract(np.add(psi, psi, out=psi), omega, out=psi) if lam else 2.0 * psi - omega
+        kb = np.multiply(self._ksum, self._lam, out=self._work[1]) if lam else self._kb  # over S
+        kbw = np.einsum("ij,ij->i", kb, w) if lam else np.matmul(kb, w)
         return fg - self.ka, ftu + kbw
 
     def kernel_weights(self, u, last):
@@ -189,16 +206,19 @@ class Posterior:
         alpha_c^T / 2, dE/dmu alpha_c^T - 2 U B_c^T) from a row block's u and,
         in the ``last`` block, V = Psi - Omega / 2 (else no Gram weight).
         Lambda's cross blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2)
-        alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once, each written
-        over the last."""
-        v = self._sums[2] - 0.5 * self._omega if last else None
+        alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once over P^2, as
+        2 ((Lambda / 2) V - U) Lambda to the bit, each weight over the last."""
         if self._b is None:
-            s = (v * self._lam[:, None] - 2.0 * u[:, 1:]) * self._lam
-            w = np.empty_like(s)
+            s, w = np.multiply(self._omega, 0.5, out=self._work[1]), self._work[3]
+            s = np.subtract(self._sums[2], s, out=s)  # V, then S
+            s *= 0.5 * self._lam[:, None]
+            s -= u[:, 1:]
+            s *= 2.0 * self._lam
             for al in self.alphas:  # BLAS adds al (dE/dmu - al / 2)^T to w^T in place
                 np.copyto(w, s)
                 yield None, dger(1.0, al, u[:, 0] - 0.5 * al, a=w.T, overwrite_a=True).T
             return
+        v = self._sums[2] - 0.5 * self._omega if last else None
         for b, bt, al in zip(self._b, self._bt, self.alphas):
             gk = None if v is None else b @ v @ b.T - 0.5 * np.outer(al, al)
             yield gk, u @ np.vstack((al, -2.0 * bt.T))
@@ -223,13 +243,13 @@ class Posterior:
             mu[...] = 0.0
             for ci, (s, xp) in enumerate(zip(self.specs, xps)):
                 fc, dc = s.kernel.cross_with_pullback(xp[rows], s.Z)[:2]
-                mc, tc = (fc @ self.alphas[ci], fc) if summed else self.mu_t(fc, ci)
+                mc, tc = (fc @ self.alphas[ci], fc) if summed else self.mu_t(fc, ci, out=fc)
                 if include_components:
                     out[2 + 2 * ci, rows], out[3 + 2 * ci, rows] = mc, dc - _rowsq(tc)
                 mu += mc
                 d = d + dc
                 t = tc if t is None else np.add(t, tc, out=t)
-            t = self.mu_t((mu, t))[1] if summed else t
+            t = self.mu_t((mu, t), out=t)[1] if summed else t
             out[1, rows] = d - _rowsq(t)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
@@ -261,6 +281,7 @@ class AdditiveModel:
     """
 
     coupling = None
+    _work = (None,) * 5  # lambda's N x N buffers, held by the dense model
 
     def __init__(self, specs, likelihood, dataset, state, structure, r=None):
         if not specs:
@@ -363,7 +384,7 @@ class AdditiveModel:
         back too. No array is N rows long beyond the cached prior blocks."""
         hyper = grads and train_hypers
         ku, ksum, cross = self._prior_blocks(pullbacks=True) if hyper else self._kmats()
-        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), ku, ksum)
+        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), ku, ksum, self._work)
         kl = sum(post.kl() for post in posts)
         y, ell, glik, gkernels = self.data.Y, 0.0, 0.0, [0.0] * self.c
         for rows in self._row_slices():
@@ -548,11 +569,11 @@ def _diagonal_blocks(b, m):
     return [(slice(i, i + 1), b[r, r]) for i, r in enumerate(rows)]
 
 
-def _posteriors(specs, alpha, blocks, ku=None, ksum=None):
+def _posteriors(specs, alpha, blocks, ku=None, ksum=None, work=(None,) * 5):
     """One ``Posterior`` for every (component slice, coupling view) block of
-    q(U), with the prior Grams and their sum when the caller has them."""
+    q(U), with the prior Grams, their sum and lambda's buffers if the caller has them."""
     alphas = np.asarray(alpha, dtype=float).reshape(len(specs), -1)
-    return [Posterior(specs, alphas, b, comps, ku, ksum) for comps, b in blocks]
+    return [Posterior(specs, alphas, b, comps, ku, ksum, work) for comps, b in blocks]
 
 
 def _read_blocks(specs, coupling):
@@ -610,7 +631,8 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
         def times_b(ci, x):
             return x * whole if whole.ndim == 1 else x @ whole[ci * m : (ci + 1) * m]
 
-        bk = np.hstack([times_b(ci, post.ku[k].T).T for ci, (post, k) in enumerate(owners)])
+        kus = [s.kernel.eval(s.Z) if p.ku is None else p.ku[k] for s, (p, k) in zip(specs, owners)]
+        bk = np.hstack([times_b(ci, ku.T).T for ci, ku in enumerate(kus)])
         bs = np.vstack([times_b(ci, np.eye(m)) for ci in range(c)])
         # A^{-1} B_c^T side by side from one LU; lambda's B_c are all equal
         n_w = 1 if whole.ndim == 1 else c

@@ -12,9 +12,18 @@ on badly conditioned kernel matrices and would test the oracle instead of
 the code.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 
-from addgp import ComponentSpec, Dataset, Gaussian, KernelParams, SquaredExp
+from addgp import ComponentSpec, Dataset, FullModel, Gaussian, KernelParams, SquaredExp
+from addgp import anova_specs
+from addgp.data import sample_friedman
 from addgp.model import init_state
 
 
@@ -106,3 +115,36 @@ def conjugate_instance(seed, n, c, d=3, ls_range=(0.2, 0.5), noise=(0.3, 0.8)):
     sigma2 = float(rng.uniform(*noise))
     Y = rng.normal(0.0, 1.0, size=n) + rng.normal(0.0, np.sqrt(sigma2), size=n)
     return specs, Dataset(X, Y), sigma2, Gaussian(np.log(sigma2))
+
+
+def dense_friedman_model(n, seed=3):
+    """A dense model as the CLI builds one for ``sample_friedman(n, seed=0)``:
+    anova components (m = 16, C = 7) and a generic state drawn from ``seed``."""
+    X, Y = sample_friedman(n, seed=0)
+    var0, sigma0 = max(float(np.var(Y)) / 7, 1e-2), max(float(np.var(Y)), 1e-2)
+    g = [KernelParams(np.log(var0), np.array([np.log(0.3)])) for _ in range(8)]
+    model = FullModel(anova_specs(g, sigma0, m=16, ndim=6), Gaussian(0.0), Dataset(X, Y))
+    rng = np.random.default_rng(seed)
+    model.state.alpha = rng.normal(size=model.c * n) * 0.05
+    model.state.lam = rng.normal(size=n) * 0.5 + 1.0
+    return model
+
+
+def run_fresh(snippet, timeout=300):
+    """Run ``snippet`` in a fresh interpreter, with the package and this
+    module importable and every OpenBLAS copy pinned to one thread (started
+    with one by the environment, then checked by ``linalg.blas_threads``), and
+    return the JSON it prints on its last line of output. For counts that
+    depend on the state of the process, such as page faults, which an earlier
+    test would change."""
+    here = Path(__file__).resolve().parent
+    dirs = (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"))
+    path = os.pathsep.join(d for d in dirs if d)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    code = "from addgp.linalg import blas_threads\nwith blas_threads(1):\n"
+    code += textwrap.indent(textwrap.dedent(snippet), "    ")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    if done.returncode:
+        raise RuntimeError(f"snippet failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])

@@ -27,12 +27,20 @@ from addgp import (
     dense_gaussian_kl,
     exact_sum_posterior,
 )
+from addgp import sparse
 from addgp.data import sample_friedman
 from addgp.full import N_WARN, predict_marginals
 from addgp.io import SavedModel, save_model
 from addgp.model import FULL
 from addgp.optimize import TrainConfig
-from conftest import central_diff, conjugate_instance, make_specs, woodbury_cov
+from conftest import (
+    central_diff,
+    conjugate_instance,
+    dense_friedman_model,
+    make_specs,
+    run_fresh,
+    woodbury_cov,
+)
 
 
 def _random_model(seed, n=8, c=2, d=2, lik=None):
@@ -264,6 +272,105 @@ def test_hyper_evaluation_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_dense_evaluation_memory_counting_the_workspace():
+    # traced from before the model is built, so the buffers the bound writes
+    # over count: between evaluations the model holds them, at most 6 N x N
+    # arrays and N floats beyond the Gram stack (C Grams and their sum), and
+    # a warm evaluation peaks at most 8 (fixed) and 14 (hyper) N x N above it
+    n = 300
+    nn = 8 * n * n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = dense_friedman_model(n)
+        stack = (model.c + 1) * nn
+        peaks = []
+        for hyper in (False, True):
+            for _ in range(2):
+                model.elbo_with_grads(train_hypers=hyper)
+            held = tracemalloc.get_traced_memory()[0] - base - stack
+            assert held <= 6 * nn + 8 * n, held / nn
+            tracemalloc.reset_peak()
+            model.elbo_with_grads(train_hypers=hyper)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base - stack) / nn)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 8 and peaks[1] <= 14, peaks
+
+
+def test_dense_read_keeps_no_gram_list():
+    # a read from the specs alone sums the Grams as it evaluates them, so its
+    # peak holds no list of C of them
+    n = 300
+    model = dense_friedman_model(n)
+    Xq = np.random.default_rng(4).uniform(0, 1, size=(1000, 6))
+    tracemalloc.start()
+    try:
+        sparse.predict_marginals(model.specs, model.state.alpha, model.state.lam, Xq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_warm_dense_evaluations_map_little_fresh_memory():
+    # the bound writes over its model's buffers and the kernels of one-leaf
+    # components over their cached Grams, so a warm evaluation at N = 300
+    # takes at most one N x N array's worth of minor faults (176 pages of
+    # 4 KiB) with fixed hyperparameters and 1,400 with their gradients; a
+    # fresh process, as earlier tests change the allocator's state
+    faults = run_fresh("""
+        import json, resource
+        from conftest import dense_friedman_model
+
+        model = dense_friedman_model(300)
+        faults = []
+        for hyper in (False, True):
+            for _ in range(2):
+                model.elbo_with_grads(train_hypers=hyper)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                model.elbo_with_grads(train_hypers=hyper)
+            faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+        print(json.dumps(faults))
+    """)
+    assert faults[0] <= 176 and faults[1] <= 1400, faults
+
+
+def test_the_buffers_belong_to_one_model_and_no_result_aliases_them():
+    # two models evaluated alternately, in both phases, with reads between
+    # the evaluations, give each evaluation and read the bits of a fresh model
+    # evaluated once; no returned array changes when the next evaluation
+    # writes over the buffers
+    shapes = ((40, 40), (41, 60))  # (seed, N)
+
+    def evaluate(model, k):
+        model.state.lam[...] = lam0s[model.n] * (1.0 + 0.25 * k)
+        val, g = model.elbo_with_grads(train_hypers=k % 2 == 1)
+        return [val, g["alpha"], g["lam"], *g.get("kernels", []), g.get("lik", 0.0)]
+
+    def reads(model):
+        marg = model.marginals(include_components=True)
+        return [model.kl(), marg.mu_sum, marg.var_sum,
+                *(a for pair in marg.per_component for a in pair)]
+
+    def same(a, b):
+        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    lam0s = {n: _anova_model(seed, n).state.lam.copy() for seed, n in shapes}
+    models = [_anova_model(seed, n) for seed, n in shapes]
+    kept = []
+    for k in range(4):
+        for model, (seed, n) in zip(models, shapes):
+            got = evaluate(model, k)
+            kept.append((seed, n, k, got, copy.deepcopy(got)))
+            fresh = _anova_model(seed, n)
+            assert same(got, evaluate(fresh, k))
+            assert same(reads(model), reads(fresh))
+    for seed, n, k, got, snapshot in kept:
+        assert same(got, snapshot), (seed, k)
 
 
 def test_elbo_equals_evidence_at_conjugate_optimum():

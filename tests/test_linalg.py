@@ -151,6 +151,31 @@ def test_symmetrizing_helpers_copy_the_triangle_in_place(n):
             assert peak <= 1.1 * 8 * n * n, (f.__name__, peak / (8 * n * n))
 
 
+@pytest.mark.parametrize("n", [1, 37, 300])
+def test_in_place_forms_write_over_their_buffers_to_the_same_bits(n):
+    # A, then L, then L^{-1}, then P in one buffer, as the dense bound takes
+    # them, and each result the bits of the copying form
+    rng = np.random.default_rng(n + 3)
+    a = _spd(rng, n)
+    L = cholesky(a)
+    linv = tri_inverse(L)
+    buf = np.asfortranarray(a)
+    p = inverse_from_tri_inverse(linv)
+    got = buf
+    for step, ref in ((cholesky, L), (tri_inverse, linv), (inverse_from_tri_inverse, p)):
+        got = step(got, overwrite=True)
+        assert np.shares_memory(got, buf) and got.tobytes("A") == ref.tobytes("A")
+    out = np.empty((n, n))
+    assert np.shares_memory(sym_square(got, out=out), out)
+    assert np.array_equal(out, sym_square(got))
+    x = rng.normal(size=(n + 2, n))
+    for tri, lower in ((linv, True), (linv.T, False)):
+        ref, y = tri_mul(x, tri, lower), np.empty_like(x)
+        assert np.shares_memory(tri_mul(x, tri, lower, out=y), y) and np.array_equal(y, ref)
+        assert np.shares_memory(tri_mul(y, tri, lower, out=y), y)
+        assert np.array_equal(y, tri_mul(ref, tri, lower))
+
+
 def test_blas_helpers_reject_bad_shapes():
     with pytest.raises(DimensionMismatch):
         tri_mul(np.ones((2, 3)), np.ones((3, 2)))
