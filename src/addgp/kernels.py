@@ -324,6 +324,7 @@ class ZeroMeanSE(Kernel):
         self.params = params
         self.active_dim = int(active_dim)
         self.active_dims = (self.active_dim,)
+        self._z = None  # (key, terms) kept by ``_inducing_terms``
 
     def _column(self, X):
         x = _as_2d(X)[:, self.active_dim]
@@ -335,20 +336,31 @@ class ZeroMeanSE(Kernel):
             )
         return x
 
+    def _inducing_terms(self, X2, v, ell):
+        """The column of X2 (Z, or X for a Gram), checked and embedded once per
+        parameter values and column bits: its embedding "e", scaled column "ys"
+        and the double integral "q"; the first pullback adds "dmy" and "dq"."""
+        key = (v, ell, _as_2d(X2)[:, self.active_dim].tobytes())
+        if self._z is None or self._z[0] != key:
+            y = self._column(X2)
+            self._z = key, {"e": _se_embedding(v, ell, y), "ys": y * (np.sqrt(0.5) / ell),
+                            "q": _se_double_integral(v, ell)}
+        return self._z[1]
+
     def _values_with_pullback(self, X, X2=None, cross=True, out=None):
-        # K and the diagonal share one mean embedding of X
+        # K and the diagonal share one mean embedding of X; the inducing side,
+        # all of a Gram, comes from the kept terms of its column
         v, ell = _scalars(self.params)
-        x = self._column(X)
-        ex = _se_embedding(v, ell, x)
+        z = self._inducing_terms(X if X2 is None else X2, v, ell) if cross else None
+        gram = cross and X2 is None
+        x = None if gram else self._column(X)
+        ex = z["e"] if gram else _se_embedding(v, ell, x)
         mx = ex[0]
-        q = _se_double_integral(v, ell)
+        q = _se_double_integral(v, ell) if z is None else z["q"]
         d, K = v - mx * mx / q, None
         if cross:
-            y = x if X2 is None else self._column(X2)
-            ey = ex if y is x else _se_embedding(v, ell, y)
-            my = ey[0]
-            c = np.sqrt(0.5) / ell
-            xs, ys = x * c, y * c
+            my, ys = z["e"][0], z["ys"]
+            xs = ys if gram else x * (np.sqrt(0.5) / ell)
             # v exp(-t) - mx my^T / q with t the block of halved squared
             # scaled distances, built in place on one (n, m) array
             K = _sqdist(xs, ys, out)
@@ -358,16 +370,18 @@ class ZeroMeanSE(Kernel):
 
         def pullback(G, g):
             # every term is linear in v, so d/dlog v of each part is the part
-            dmx = _se_mean_embedding_dlogl(v, ell, *ex)
-            dq = _se_double_integral_dlogl(v, ell)
+            if z is not None and "dq" not in z:
+                z.update(dmy=_se_mean_embedding_dlogl(v, ell, *z["e"]),
+                         dq=_se_double_integral_dlogl(v, ell))
+            dmx = z["dmy"] if gram else _se_mean_embedding_dlogl(v, ell, *ex)
+            dq = _se_double_integral_dlogl(v, ell) if z is None else z["dq"]
             out = np.zeros(2)
             if G is not None:
                 # dK/dlog l = 2 g t - (dmx my' + mx dmy')/q + mx my' dq/q^2
                 # with the SE part g = K + mx my'/q. Only K is kept between
                 # the calls: t is rebuilt here, so
                 # sum(G g t) = sum(G t K) + mx'(G t)my/q.
-                dmy = dmx if ey is ex else _se_mean_embedding_dlogl(v, ell, *ey)
-                gm = G @ np.column_stack((my, dmy))
+                gm = G @ np.column_stack((my, z["dmy"]))
                 gt = _sqdist(xs, ys)
                 gt *= G
                 sum_gtg = np.einsum("ij,ij->", gt, K) + mx @ (gt @ my) / q

@@ -93,11 +93,11 @@ def sym_square(a, out=None):
     return _symmetrize(blas.dsyrk(1.0, a, c=c, trans=trans, overwrite_c=c is not None))
 
 
-def inverse_from_tri_inverse(linv, overwrite=False):
+def inverse_from_tri_inverse(linv):
     """``(L L^T)^{-1} = L^{-T} L^{-1}`` from a lower-triangular ``L^{-1}``
     through LAPACK ``lauum``, which writes the upper triangle of its copy of
     ``L^{-T}`` and leaves its zeros below: symmetrized in place."""
-    p, _ = lapack.dlauum(np.asarray(linv, dtype=float).T, lower=0, overwrite_c=overwrite)
+    p, _ = lapack.dlauum(np.asarray(linv, dtype=float).T, lower=0)
     return _symmetrize(p)
 
 

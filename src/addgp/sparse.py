@@ -28,8 +28,9 @@ gives mu_sum and t = J L^{-T}, and diag(J A^{-1} J^T) = rowsum(t^2) for the
 bound and every read alike, which does not cancel as forms in A^{-1} do; the
 dense model's B~ = Lambda L^{-T} and L^{-1} are triangular and multiplied as
 such (``linalg.tri_mul``), its N x N steps written over buffers the model
-holds. It also keeps the bound's gradient sums, so it alone knows B from
-lambda and whitened sums from final ones. ``AdditiveModel``
+holds; as Lambda J P = I - P, it forms neither P = A^{-1} nor P^2. It also
+keeps the bound's gradient sums, so it alone knows B from lambda and
+whitened sums from final ones. ``AdditiveModel``
 holds the rest for all three structures: the row walk, the likelihood and
 the kernel pullbacks. One builder, ``_posteriors``, makes a ``Posterior`` per
 block of q(U) for the bound and the reads, so mean-field factors C
@@ -39,7 +40,8 @@ rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``). With fixed
 hyperparameters a block's cross-covariances F are a row slice of one cached
 (N, C M) block; with their gradients each component evaluates and pulls
 back its F columns and prior diagonal in one joint call
-(``Kernel.cross_with_pullback``), which also gives the Grams.
+(``Kernel.cross_with_pullback``), which also gives the Grams. F B~ and F^T u
+run in row pieces within OpenBLAS's small-matrix path (``_SMALL_GEMM``).
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ VAR_CLAMP = 1e-12
 # unroll of the BLAS kernels, so blocked reads keep the bits of one pass
 _ROWS = 4096
 _BOUND_ROWS = 1536
+# multiply-adds up to which OpenBLAS multiplies small matrices without packing them
+_SMALL_GEMM = 10**6
 
 
 def _row_blocks(n, size):
@@ -70,6 +74,26 @@ def _row_blocks(n, size):
     differently."""
     edges = [*range(0, max(n - 1, 1), size), n]
     return list(map(slice, edges, edges[1:]))
+
+
+def _piece_rows(k, n):
+    """Rows per piece of a product of a (rows, k) block with n columns, or of
+    its transpose with them, that stays within ``_SMALL_GEMM``: a multiple of 8."""
+    return max(8, _SMALL_GEMM // (k * n) // 8 * 8)
+
+
+def _skinny(f, b, transpose=False):
+    """f @ b (f^T b with ``transpose``) for a block f and a skinny b, in pieces
+    of ``_piece_rows`` rows once one product would pass ``_SMALL_GEMM``."""
+    if f.size * b.shape[1] <= _SMALL_GEMM:
+        return f.T @ b if transpose else f @ b
+    pieces = _row_blocks(len(f), _piece_rows(f.shape[1], b.shape[1]))
+    if transpose:
+        return functools.reduce(np.add, (f[p].T @ b[p] for p in pieces))
+    out = np.empty((len(f), b.shape[1]))
+    for p in pieces:
+        np.matmul(f[p], b, out=out[p])
+    return out
 
 
 class Posterior:
@@ -83,10 +107,11 @@ class Posterior:
     as it evaluates them, keeping none). ``mu_t`` serves the reads; the bound
     takes ``kl``, then per row block ``read``, ``accumulate`` and
     ``kernel_weights``, and at last ``gradients``. Lambda's N x N steps go,
-    in that order, into ``work``: (A, L, L^{-1}, P, Omega), (t, z, P^2, V,
-    S), Psi, (B~, a Gram weight) and u, each written over what is no longer
-    needed; the dense model holds them, and a read, passing None, gets new
-    arrays. Its bound reads all N rows in one block.
+    in that order, into ``work``: (A, L, L^{-1}, Z = sqrt(-Gs) z, Y), (t, z,
+    sym(Y), Omega, V, S, J), -Psi = Z^T Z, (B~, Y^2, a Gram weight) and u, each
+    written over what is no longer needed, Y = Lambda z with hyperparameter
+    gradients only; the dense model holds them, and a read, passing None,
+    gets new arrays. Its bound reads all N rows in one block.
     """
 
     def __init__(self, specs, alphas, coupling, comps, ku=None, ksum=None, work=(None,) * 5):
@@ -116,6 +141,7 @@ class Posterior:
         self._bt = (np.multiply(self.linv, coupling, out=work[3]).T if self._b is None
                     else tri_solve(self.L, coupling.T).T.reshape(self._b.shape))
         # the bound's row block (f, t, rows); running F^T dE/dmu, -2 F^T U, Psi
+        # (lambda's: -Psi, then diag(J Omega))
         self._block, self._sums = None, None
 
     @functools.cached_property
@@ -130,10 +156,9 @@ class Posterior:
 
     @functools.cached_property
     def _omega(self):
-        """Omega = P - P^2, P = A^{-1}; lambda's P over L^{-1}, P^2 by one ``sym_square``."""
-        lam = self._b is None
-        p = inverse_from_tri_inverse(self.linv, overwrite=lam)
-        return np.subtract(p, sym_square(p, out=self._work[1]), out=p) if lam else p - p @ p
+        """Omega = P - P^2, P = A^{-1}, for B (lambda's is formed in ``kernel_weights``)."""
+        p = inverse_from_tri_inverse(self.linv)
+        return p - p @ p
 
     def kl(self):
         """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c - T), with
@@ -156,7 +181,7 @@ class Posterior:
             return mu, tri_mul(f, self._bt, lower=False, out=out)
         if ci is not None:
             return f @ self.alphas[ci], f @ self._bt[ci]
-        return f @ self.alphas.ravel(), f @ self._bt.reshape(-1, self._bt.shape[-1])
+        return f @ self.alphas.ravel(), _skinny(f, self._bt.reshape(-1, self._bt.shape[-1]))
 
     def read(self, f, rows):
         """(mu, rowsum(t^2)) at the training rows ``rows`` from their cross block
@@ -172,7 +197,9 @@ class Posterior:
         U = Gs t L^{-1}, and return its u = [dE/dmu, Gs z]: for B, z = t and
         the last two sums stay whitened until the ``last`` block, which
         takes them to -2 (F^T Gs t) L^{-1} and L^{-T} (t^T Gs t) L^{-1};
-        lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P."""
+        lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P. As
+        Lambda z = I - P, lambda's fourth sum is diag(J Omega) = diag(z Lambda z),
+        and it keeps -Psi = Z^T Z, Z = sqrt(-Gs) z (Gs <= 0) over L^{-1}."""
         (f, t, rows), self._block = self._block, None
         lam = self._b is None
         z = tri_mul(t, self.linv, out=t) if lam else t
@@ -181,11 +208,12 @@ class Posterior:
         np.multiply(gs[:, None], z, out=u[:, 1:])
         if lam:
             ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
-            fg, ftu = np.matmul(self.ku[:, :, rows], gmu), -2.0 * ksum_u
+            zs = np.multiply(z, np.sqrt(-gs)[:, None], out=self._work[0])
+            new = [np.matmul(self.ku[:, :, rows], gmu), -2.0 * ksum_u,
+                   sym_square(zs.T, out=self._work[2]), np.einsum("ij,j,ji->i", z, self._lam, z)]
         else:
-            ftu = (f.T @ u).reshape(*self._kb.shape[:2], -1)
-            fg, ftu = ftu[:, :, 0], ftu[:, :, 1:]
-        new = [fg, ftu, np.matmul(z.T, u[:, 1:], out=self._work[2])]
+            ftu = _skinny(f, u, transpose=True).reshape(*self._kb.shape[:2], -1)
+            new = [ftu[:, :, 0], ftu[:, :, 1:], z.T @ u[:, 1:]]
         sums = self._sums = new if self._sums is None else [a + b for a, b in zip(self._sums, new)]
         if last and not lam:
             sums[1:] = -2.0 * (sums[1] @ self.linv), self.linv.T @ sums[2] @ self.linv
@@ -194,23 +222,29 @@ class Posterior:
     def gradients(self):
         """(dBound/dalpha, dBound/dcoupling) from the sums of every row block
         and W = 2 Psi - Omega: dalpha = F^T dE/dmu - K alpha, dB = -2 F^T U
-        + K B W, dlambda = -2 diag(Ksum U) + diag(J W)."""
-        (fg, ftu, psi), omega, lam = self._sums, self._omega, self._b is None
-        w = np.subtract(np.add(psi, psi, out=psi), omega, out=psi) if lam else 2.0 * psi - omega
-        kb = np.multiply(self._ksum, self._lam, out=self._work[1]) if lam else self._kb  # over S
-        kbw = np.einsum("ij,ij->i", kb, w) if lam else np.matmul(kb, w)
-        return fg - self.ka, ftu + kbw
+        + K B W, dlambda = -2 diag(Ksum U) + diag(J W), where diag(J W) =
+        -2 rowsum(J o Z^T Z) - diag(J Omega) needs no Omega."""
+        fg, ftu, psi, *djo = self._sums
+        if self._b is None:
+            j = np.multiply(self._ksum, self._lam, out=self._work[1])  # over S
+            return fg - self.ka, ftu - 2.0 * np.einsum("ij,ij->i", j, psi) - djo[0]
+        return fg - self.ka, ftu + np.matmul(self._kb, 2.0 * psi - self._omega)
 
     def kernel_weights(self, u, last):
         """Per component, (dBound/dK_c, dBound/dF_c) = (B_c V B_c^T - alpha_c
         alpha_c^T / 2, dE/dmu alpha_c^T - 2 U B_c^T) from a row block's u and,
         in the ``last`` block, V = Psi - Omega / 2 (else no Gram weight).
         Lambda's cross blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2)
-        alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once over P^2, as
-        2 ((Lambda / 2) V - U) Lambda to the bit, each weight over the last."""
+        alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once, as
+        2 ((Lambda / 2) V - U) Lambda to the bit, each weight over the last.
+        There Omega = P - P^2 = Y - Y^2 from Y = I - P = Lambda z, which is
+        symmetrized first: its rounding is not, and Y Y^T would square that."""
         if self._b is None:
-            s, w = np.multiply(self._omega, 0.5, out=self._work[1]), self._work[3]
-            s = np.subtract(self._sums[2], s, out=s)  # V, then S
+            y = np.multiply(self._work[1], self._lam[:, None], out=self._work[0])  # z there
+            y = np.multiply(np.add(y, y.T, out=self._work[1]), 0.5, out=self._work[1])
+            s = np.subtract(y, sym_square(y, out=self._work[3]), out=y)  # Omega, V, then S
+            s *= -0.5
+            s, w = np.subtract(s, self._sums[2], out=s), self._work[3]
             s *= 0.5 * self._lam[:, None]
             s -= u[:, 1:]
             s *= 2.0 * self._lam
@@ -398,6 +432,8 @@ class AdditiveModel:
                 continue
             self._clamp_total += int(np.sum(clamped))
             gmu, gs = self.likelihood.expected_loglik_grads(y[rows], mu, s)
+            if np.any(gs > 0.0):  # lambda's Psi is a square in sqrt(-dE/ds)
+                raise ValueError(f"{type(self.likelihood).__name__}: dE/ds > 0, not log-concave")
             gs = np.where(clamped, 0.0, gs)
             if hyper:
                 glik += self.likelihood.expected_loglik_param_grads(y[rows], mu, s).sum(axis=1)

@@ -477,3 +477,37 @@ def test_decompose_training_grids():
     for ci, (g, mean, var) in enumerate(out):
         assert np.max(np.abs(mean - marg.per_component[ci][0])) < 1e-9
         assert np.max(np.abs(var - marg.per_component[ci][1])) < 1e-9
+
+
+def test_fixed_dense_evaluations_form_neither_p_nor_its_square():
+    # Lambda z = I - P gives diag(J Omega) without P, and -Psi = Z^T Z is one
+    # syrk: a fixed evaluation takes no lauum and one syrk, and one with
+    # hyperparameter gradients adds only the syrk of its Omega
+    model = dense_friedman_model(60)
+    counts = []
+    for hyper in (False, True):
+        model.elbo_with_grads(train_hypers=hyper)
+        with mock.patch.object(sparse, "inverse_from_tri_inverse",
+                               wraps=sparse.inverse_from_tri_inverse) as lauum, \
+                mock.patch.object(sparse, "sym_square", wraps=sparse.sym_square) as syrk:
+            model.elbo_with_grads(train_hypers=hyper)
+        counts.append((lauum.call_count, syrk.call_count))
+    assert counts == [(0, 1), (0, 2)], counts
+
+
+class _ConvexGaussian(Gaussian):
+    """A stub whose expected log-likelihood is convex in the variance."""
+
+    def expected_loglik_grads(self, y, mu, var):
+        gmu, gs = super().expected_loglik_grads(y, mu, var)
+        return gmu, -gs
+
+
+def test_a_positive_variance_gradient_is_refused():
+    # the dense bound takes sqrt(-dE/ds), which needs a log-concave likelihood
+    model = _random_model(4)
+    model.likelihood = _ConvexGaussian(np.log(0.5))
+    for hyper in (False, True):
+        with pytest.raises(ValueError, match="_ConvexGaussian"):
+            model.elbo_with_grads(train_hypers=hyper)
+    assert np.isfinite(model.elbo())

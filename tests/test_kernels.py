@@ -8,6 +8,8 @@ matrix E_ij yields entry (i, j) of every derivative matrix, so the full
 dK/dtheta_p is rebuilt and compared entry by entry.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from addgp import (
     sparse,
 )
 from addgp.model import COUPLED, anova_specs
+from addgp.data import sample_friedman
 from conftest import central_diff
 
 # 400-point Gauss-Legendre rule mapped to [0, 1]
@@ -458,3 +461,44 @@ def test_anova_interaction_is_product_of_zero_mean_parts():
     pa = ZeroMeanSE(g[6], active_dim=0).eval(X)
     pb = ZeroMeanSE(g[7], active_dim=1).eval(X)
     assert np.allclose(inter.eval(X), pa * pb, atol=1e-13)
+
+
+def test_zero_mean_leaf_computes_its_inducing_side_once():
+    # the Gram call at Z keeps the Z-side terms, and every row block's cross
+    # call reuses them: a hyper-gradient evaluation of the README-sized anova
+    # model (eight leaves) at N = 3,100, three row blocks, embeds each leaf's Z
+    # once and each block's rows once, 8 + 3 * 8 calls, where recomputing the
+    # Z side per block takes 8 + 3 * 16
+    X, Y = sample_friedman(3100, seed=0)
+    g = [KernelParams(np.log(0.5), np.array([np.log(0.3)])) for _ in range(8)]
+    model = SparseModel(anova_specs(g, 1.0, m=16, ndim=6), Gaussian(0.0), Dataset(X, Y))
+    model._perturb_start(0, restart=True)
+    assert len(sparse._row_blocks(model.n, sparse._BOUND_ROWS)) == 3
+    with mock.patch.object(kernels, "_se_embedding", wraps=kernels._se_embedding) as embed:
+        model.elbo_with_grads(train_hypers=True)
+    assert embed.call_count == 32
+
+
+def test_zero_mean_leaf_follows_its_parameters_and_inducing_inputs():
+    # after an in-place edit of Z, or a parameter change, a leaf that kept its
+    # Z-side terms gives the values and pullbacks of a fresh kernel, bit for bit
+    rng = np.random.default_rng(9)
+    X, Z = rng.uniform(0, 1, size=(11, 2)), rng.uniform(0, 1, size=(5, 2))
+    G, G2, g = rng.normal(size=(5, 5)), rng.normal(size=(11, 5)), rng.normal(size=11)
+    leaf = ZeroMeanSE(KernelParams(0.3, np.log([0.4])), active_dim=1)
+
+    def calls(k):
+        (kz, dz, pz), (kx, dx, px) = k.cross_with_pullback(Z), k.cross_with_pullback(X, Z)
+        return [kz, dz, pz(G, dz), kx, dx, px(G2, g)]
+
+    def same_as_fresh():
+        fresh = ZeroMeanSE(KernelParams(*leaf.get_params()[:1], leaf.get_params()[1:]), 1)
+        return all(np.array_equal(a, b) for a, b in zip(calls(leaf), calls(fresh), strict=True))
+
+    assert same_as_fresh()
+    Z[2, 1] = 0.5 * Z[2, 1]
+    assert same_as_fresh()
+    leaf.set_params(leaf.get_params() + [0.0, 0.2])
+    assert same_as_fresh()
+    Z[0, 0] = 0.9  # a column the leaf does not read
+    assert same_as_fresh()

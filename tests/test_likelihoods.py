@@ -11,6 +11,8 @@ Three cross-checks pin the quadrature machinery down:
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from addgp import Gaussian, Poisson, QuadratureRule
@@ -152,3 +154,19 @@ def test_negative_variance_is_treated_as_zero():
     ref = quadrature_expected_loglik(lik, y, np.array([0.3]), np.array([0.0]))
     assert np.isfinite(val[0])
     assert np.allclose(val, ref)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    y=st.floats(-5.0, 5.0),
+    mu=st.floats(-5.0, 5.0),
+    s=st.floats(0.0, 100.0),
+    log_noise=st.floats(-5.0, 5.0),
+)
+def test_expected_loglik_is_concave_in_the_variance(y, mu, s, log_noise):
+    # dE/ds <= 0, which the dense bound's square root of -dE/ds relies on:
+    # -1 / (2 sigma^2) for the Gaussian, and positive Gauss-Hermite weights
+    # times -exp(f) / 2 for the Poisson
+    args = (np.array([y]), np.array([mu]), np.array([s]))
+    for lik in (Gaussian(log_noise), Poisson()):
+        assert lik.expected_loglik_grads(*args)[1][0] <= 0.0

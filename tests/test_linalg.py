@@ -153,16 +153,15 @@ def test_symmetrizing_helpers_copy_the_triangle_in_place(n):
 
 @pytest.mark.parametrize("n", [1, 37, 300])
 def test_in_place_forms_write_over_their_buffers_to_the_same_bits(n):
-    # A, then L, then L^{-1}, then P in one buffer, as the dense bound takes
-    # them, and each result the bits of the copying form
+    # A, then L, then L^{-1} in one buffer, as the dense bound takes them,
+    # and each result the bits of the copying form
     rng = np.random.default_rng(n + 3)
     a = _spd(rng, n)
     L = cholesky(a)
     linv = tri_inverse(L)
     buf = np.asfortranarray(a)
-    p = inverse_from_tri_inverse(linv)
     got = buf
-    for step, ref in ((cholesky, L), (tri_inverse, linv), (inverse_from_tri_inverse, p)):
+    for step, ref in ((cholesky, L), (tri_inverse, linv)):
         got = step(got, overwrite=True)
         assert np.shares_memory(got, buf) and got.tobytes("A") == ref.tobytes("A")
     out = np.empty((n, n))

@@ -35,6 +35,7 @@ from addgp import (
     exact_sum_posterior,
 )
 from addgp import linalg, sparse
+from addgp.data import sample_friedman
 from addgp.errors import DimensionMismatch, DomainError, InvalidRank, NotPositiveDefinite
 from addgp.model import MEAN_FIELD, VariationalState, anova_specs, init_state, mean_field_mask
 from addgp.optimize import TrainConfig
@@ -842,3 +843,40 @@ def test_poisson_training_improves_bound():
     # posterior mean rate should correlate with the generating rate
     corr = np.corrcoef(np.exp(marg.mu_sum + 0.5 * marg.var_sum), rate)[0, 1]
     assert corr > 0.5
+
+
+def _friedman_anova_model(n, seed=0):
+    """A coupled model as the CLI builds one for ``sample_friedman(n)``: anova
+    components (C = 7, M = R = 16, so C M = 112) and a generic state."""
+    X, Y = sample_friedman(n, seed=seed)
+    var0, sigma0 = max(float(np.var(Y)) / 7, 1e-2), max(float(np.var(Y)), 1e-2)
+    g = [KernelParams(np.log(var0), np.array([np.log(0.3)])) for _ in range(8)]
+    model = SparseModel(anova_specs(g, sigma0, m=16, ndim=6), Gaussian(0.0), Dataset(X, Y))
+    model.state.alpha[...] = np.random.default_rng(seed).normal(size=model.state.alpha.shape)
+    model._perturb_start(seed, restart=True)
+    return model
+
+
+@pytest.mark.parametrize("n", [1537, 1600])
+def test_bound_does_not_depend_on_product_pieces(n):
+    # a 1,537-row block (a lone last row joined to it) and a 64-row one after
+    # 1,536 rows: the bound's products of a block with C M = 112 columns run in
+    # row pieces, and agree with whole products to rounding in either phase;
+    # elbo() reads the same pieces, so it is the bound's value to the bit
+    assert sparse._piece_rows(112, 17) < sparse._BOUND_ROWS
+    model = _friedman_anova_model(n)
+    for hyper in (False, True):
+        value, grads = _bound_and_grads(model, hyper)
+        assert model.elbo() == value
+        with mock.patch.object(sparse, "_SMALL_GEMM", 10**12):
+            assert sparse._piece_rows(112, 17) > n
+            whole, whole_grads = _bound_and_grads(model, hyper)
+        assert abs(value - whole) <= 1e-13 * abs(whole)
+        for a, b in zip(grads, whole_grads, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_mean_field_products_stay_whole():
+    # a mean-field block's products, (rows, 16) by [alpha, B~] and its
+    # transpose by u = [dE/dmu, U], both 17 columns, are one piece per row block
+    assert sparse._piece_rows(16, 17) >= sparse._BOUND_ROWS
