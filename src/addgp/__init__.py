@@ -35,7 +35,7 @@ from .kernels import (
     se_double_integral,
     se_mean_embedding,
 )
-from .likelihoods import Gaussian, Poisson, QuadratureRule
+from .likelihoods import Gaussian, Poisson
 from .model import (
     COUPLED,
     FULL,

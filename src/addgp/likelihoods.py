@@ -1,43 +1,22 @@
 """Observation models and the expected log-likelihood terms
 ``E_{f ~ N(mu, s)}[log p(y | f)]`` they contribute to the bound.
 
-The Gaussian case is closed form. Everything else goes through
-Gauss-Hermite quadrature in the physicists' convention (weights sum to
-sqrt(pi)), substituting ``f = mu + sqrt(2 s) t``:
+Both are closed form. The Gaussian term is a quadratic in f. The Poisson
+term with the log link needs E[e^f], which is the lognormal mean
+e^{mu + s/2}, so
 
-    E[log p(y | f)] ~= (1/sqrt(pi)) sum_j w_j log p(y | mu + sqrt(2 s) t_j).
+    E[y f - e^f - log y!] = y mu - e^{mu + s/2} - log y!.
 
-Derivatives w.r.t. mu and s reuse the same nodes via the score and
-curvature of the log-density, which is exact for the quadrature degree
-used here.
+Nothing is clamped: where e^{mu + s/2} overflows, the Poisson term is
+-inf, and the optimizer counts the non-finite bound as a failed step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.special import gammaln
 
 from .errors import DimensionMismatch
-
-DEFAULT_QUAD_POINTS = 20
-
-_SQRT_PI = np.sqrt(np.pi)
-
-
-@dataclass
-class QuadratureRule:
-    """Gauss-Hermite nodes and weights (physicists' convention)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def gauss_hermite(cls, n_points=DEFAULT_QUAD_POINTS):
-        t, w = hermgauss(n_points)
-        return cls(nodes=t, weights=w)
 
 
 def _check_lengths(y, mu, var):
@@ -49,35 +28,6 @@ def _check_lengths(y, mu, var):
             f"y, mu, var must share a shape, got {y.shape}, {mu.shape}, {var.shape}"
         )
     return y, mu, var
-
-
-# the one rule every quadrature expectation uses
-_RULE = QuadratureRule.gauss_hermite()
-
-
-def _quad_nodes(mu, var):
-    # negative variances of rounding size are clamped to zero here
-    sd = np.sqrt(2.0 * np.maximum(var, 0.0))
-    return mu[:, None] + sd[:, None] * _RULE.nodes[None, :]
-
-
-def quadrature_expected_loglik(lik, y, mu, var):
-    """Gauss-Hermite estimate of ``E[log p(y | f)]`` for any likelihood
-    exposing ``log_density``. Mostly a test hook; likelihoods without a
-    closed form call this internally."""
-    y, mu, var = _check_lengths(y, mu, var)
-    vals = lik.log_density(y[:, None], _quad_nodes(mu, var))
-    return vals @ _RULE.weights / _SQRT_PI
-
-
-def quadrature_expected_loglik_grads(lik, y, mu, var):
-    """d/dmu and d/ds of the quadrature estimate, via the score and the
-    curvature of the log-density at the same nodes."""
-    y, mu, var = _check_lengths(y, mu, var)
-    f = _quad_nodes(mu, var)
-    dmu = lik.d_log_density(y[:, None], f) @ _RULE.weights / _SQRT_PI
-    dvar = 0.5 * (lik.d2_log_density(y[:, None], f) @ _RULE.weights) / _SQRT_PI
-    return dmu, dvar
 
 
 class Gaussian:
@@ -92,16 +42,6 @@ class Gaussian:
 
     kind = "gaussian"
     n_params = 1
-
-    def log_density(self, y, f):
-        s2 = self.noise_variance
-        return -0.5 * np.log(2.0 * np.pi * s2) - 0.5 * (y - f) ** 2 / s2
-
-    def d_log_density(self, y, f):
-        return (y - f) / self.noise_variance
-
-    def d2_log_density(self, y, f):
-        return np.full(np.broadcast(y, f).shape, -1.0 / self.noise_variance)
 
     def expected_loglik(self, y, mu, var):
         y, mu, var = _check_lengths(y, mu, var)
@@ -133,29 +73,19 @@ class Gaussian:
 
 
 class Poisson:
-    """Poisson counts with the exponential link, rate ``exp(f)``.
-
-    No closed-form expectation is used at runtime; everything routes
-    through the shared quadrature rule.
-    """
+    """Poisson counts with the exponential link, rate ``exp(f)``."""
 
     kind = "poisson"
     n_params = 0
 
-    def log_density(self, y, f):
-        return y * f - np.exp(f) - gammaln(y + 1.0)
-
-    def d_log_density(self, y, f):
-        return y - np.exp(f)
-
-    def d2_log_density(self, y, f):
-        return -np.exp(f) * np.ones_like(y)
-
     def expected_loglik(self, y, mu, var):
-        return quadrature_expected_loglik(self, y, mu, var)
+        y, mu, var = _check_lengths(y, mu, var)
+        return y * mu - np.exp(mu + 0.5 * var) - gammaln(y + 1.0)
 
     def expected_loglik_grads(self, y, mu, var):
-        return quadrature_expected_loglik_grads(self, y, mu, var)
+        y, mu, var = _check_lengths(y, mu, var)
+        rate = np.exp(mu + 0.5 * var)
+        return y - rate, -0.5 * rate
 
     def expected_loglik_param_grads(self, y, mu, var):
         return np.zeros((0, np.asarray(y).shape[0]))

@@ -8,6 +8,7 @@ broken objectives to exercise the penalty and all-failed paths.
 import numpy as np
 import pytest
 
+from addgp import ComponentSpec, Dataset, FullModel, KernelParams, Poisson, SparseModel, SquaredExp
 from addgp.errors import NotPositiveDefinite
 from addgp.optimize import (
     LOG_LENGTHSCALE_BOUNDS,
@@ -98,6 +99,35 @@ def test_maximize_penalizes_non_finite_values():
     out = maximize(fg, np.zeros(2), [(None, None)] * 2, TrainConfig())
     assert not out.converged
     assert out.failures >= 1
+
+
+@pytest.mark.parametrize("model_class", [SparseModel, FullModel])
+def test_poisson_overflow_is_a_soft_failure(model_class):
+    # at alpha = 800 the posterior mean puts mu + s/2 far past log(max
+    # float) = 709, so e^{mu + s/2} overflows: the bound is -inf and its
+    # gradients are not finite, and the optimizer counts that as a failure
+    # instead of raising
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, size=(12, 1))
+    spec = ComponentSpec(
+        SquaredExp(KernelParams(0.0, np.log([0.3]))), (0,), np.linspace(0.1, 0.9, 4)[:, None]
+    )
+    model = model_class([spec], Poisson(), Dataset(X, rng.poisson(2.0, size=12).astype(float)))
+    model.state.alpha[...] = 800.0
+    marg = model.marginals()
+    assert np.max(marg.mu_sum + 0.5 * marg.var_sum) > 709.8
+    with pytest.warns(RuntimeWarning) as caught:
+        assert model.elbo() == -np.inf
+        for hyper in (False, True):
+            value, grads = model.elbo_with_grads(train_hypers=hyper)
+            assert value == -np.inf
+            assert not np.all(np.isfinite(grads["alpha"]))
+        fun, x0, bounds, _ = model._make_objective(False)
+        out = maximize(fun, x0, bounds, TrainConfig(max_iter=5))
+    assert any("overflow" in str(w.message) for w in caught)
+    assert out.failures >= 1
+    assert out.message == "no successful evaluation"
+    assert np.array_equal(out.x, x0)
 
 
 def test_relative_window_stop_reports_its_own_message():
