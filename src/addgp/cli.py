@@ -267,6 +267,8 @@ def cmd_fit(args):
         )
     result = mdl.train(config)
     wall = time.perf_counter() - t0
+    if not np.isfinite(result.final_elbo):  # no evaluation succeeded: save nothing
+        raise FloatingPointError(f"fit found no finite bound ({result.message}); wrote nothing")
 
     saved = _io.SavedModel(
         structure=args.structure,

@@ -36,7 +36,8 @@ the kernel pullbacks. One builder, ``_posteriors``, makes a ``Posterior`` per
 block of q(U) for the bound and the reads, so mean-field factors C
 capacitances of M x M; the reads split B the same way wherever it is zero
 off its diagonal M x M blocks, which is exact. The bound walks the training
-rows in blocks of ``_BOUND_ROWS`` (the reads, of ``_ROWS``). With fixed
+rows in blocks of ``_BOUND_ROWS``; the reads, of ``_read_rows(M)`` (a dense
+read at N >= 512 holds 128 x N entries per array, not 4096 x N). With fixed
 hyperparameters a block's cross-covariances F are a row slice of one cached
 (N, C M) block; with their gradients each component evaluates and pulls
 back its F columns and prior diagonal in one joint call
@@ -60,10 +61,12 @@ from .linalg import solve_from_chol  # noqa: F401
 from .optimize import TrainConfig, bounds_for_names, run_two_phase
 
 VAR_CLAMP = 1e-12
-# rows per block of Posterior.at and of the bound; multiples of 8, the row
-# unroll of the BLAS kernels, so blocked reads keep the bits of one pass
+# rows per block of the reads (at most) and of the bound; multiples of 8, the
+# row unroll of the BLAS kernels, so blocked reads keep the bits of one pass
 _ROWS = 4096
 _BOUND_ROWS = 1536
+# cross-block entries per read block, and its fewest rows (below, dense L^{-T} products slow)
+_ENTRIES, _MIN_ROWS = 16 * _ROWS, 128
 # multiply-adds up to which OpenBLAS multiplies small matrices without packing them
 _SMALL_GEMM = 10**6
 
@@ -72,8 +75,16 @@ def _row_blocks(n, size):
     """Slices of ``size`` rows over n rows; a lone last row joins the block
     before it, as a one-row product takes BLAS's vector path and rounds
     differently."""
-    edges = [*range(0, max(n - 1, 1), size), n]
+    if n <= size + 1:
+        return [slice(0, n)]
+    edges = [*range(0, n - 1, size), n]
     return list(map(slice, edges, edges[1:]))
+
+
+def _read_rows(m):
+    """Rows per block of a read of m-wide cross blocks: ``_ENTRIES`` // m, a
+    multiple of 8 within [``_MIN_ROWS``, ``_ROWS``], so 4096 up to m = 16."""
+    return min(_ROWS, max(_MIN_ROWS, _ENTRIES // m // 8 * 8))
 
 
 def _piece_rows(k, n):
@@ -261,10 +272,11 @@ class Posterior:
         """Marginals of this block's sum at the query points Xq (full input
         width) and, with ``include_components``, each component's (mean,
         variance). Each kernel checks its domain at the query's column-wise
-        min and max, so a bad input fails as in one pass. Then, ``_ROWS``
-        rows at a time, one kernel call per component gives F_c and its prior
-        diagonal and ``mu_t`` (mu_c, t_c), which add up to the bits of one
-        pass; lambda without components whitens sum_c F_c once."""
+        min and max, so a bad input fails as in one pass. Then, ``_read_rows(M)``
+        rows at a time (a dense read at N >= 512 holds 128 x N per array), one
+        kernel call per component gives F_c and its prior diagonal and ``mu_t``
+        (mu_c, t_c), which add up to the bits of one pass; lambda without
+        components whitens sum_c F_c once."""
         xps = [s.project(Xq) for s in self.specs]
         n = len(xps[0])
         for s, xp in zip(self.specs, xps if n else ()):
@@ -272,7 +284,7 @@ class Posterior:
         summed = self._b is None and not include_components
         # rows: summed mean and variance, then each component's pair
         out = np.empty((2 + 2 * len(self.specs) * include_components, n))
-        for rows in _row_blocks(n, _ROWS):
+        for rows in _row_blocks(n, _read_rows(self.specs[0].m)):
             mu, d, t = out[0, rows], 0.0, None
             mu[...] = 0.0
             for ci, (s, xp) in enumerate(zip(self.specs, xps)):
@@ -649,7 +661,8 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
 
     ``grids[c]`` has one column per active dim of component c (projected
     space); ``coupling`` is B or lambda, as for ``predict_marginals``.
-    Returns a list of (grid, mean, variance) triples. The marginal variance
+    Returns a list of (grid, mean, variance) triples, each grid read in blocks
+    as ``Posterior.at`` reads (128 x N entries per array at N >= 512). The marginal variance
     of component c only involves the (c, c) block of the coupled posterior
     covariance, read per block of q(U) as in ``predict_marginals``; with
     ``coupled_check`` it is recomputed through the whole capacitance,
@@ -674,15 +687,22 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
         n_w = 1 if whole.ndim == 1 else c
         ainv_bt = np.linalg.solve(np.eye(len(bk)) + bk @ bs, bs[: n_w * m].T)
         ws = [bs[i * m : (i + 1) * m] @ ainv_bt[:, i * m : (i + 1) * m] for i in range(n_w)]
-    out = []
+    out, size = [], _read_rows(specs[0].m)
     for ci, (s, (post, k)) in enumerate(zip(specs, owners)):
         g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
-        kq, dg = s.kernel.cross_with_pullback(g, s.Z)[:2]
-        mean, t = post.mu_t(kq, k)  # only the (c, c) block of the covariance
-        var = dg - _rowsq(t)
-        if coupled_check:
-            var_dense = dg - np.einsum("ij,ij->i", kq @ ws[ci % n_w], kq)
-            out.append((g, mean, var, float(np.max(np.abs(var - var_dense)))))
-        else:
-            out.append((g, mean, var))
+        w, blocks = ws[ci % n_w] if coupled_check else None, _row_blocks(len(g), size)
+        if len(blocks) == 1:  # the whole grid, not copied
+            mean, var, vw = _grid_effect(s, post, k, g, w)
+        else:  # the box check first, so that a bad input fails as in one pass
+            s.kernel.diag(np.stack((g.min(axis=0), g.max(axis=0))))
+            parts = zip(*(_grid_effect(s, post, k, g[rows], w) for rows in blocks))
+            mean, var, vw = (None if p[0] is None else np.concatenate(p) for p in parts)
+        out.append((g, mean, var) if w is None else (g, mean, var, float(np.max(abs(var - vw)))))
     return out
+
+
+def _grid_effect(s, post, k, g, w):
+    """(mean, variance, variance through W or None) of block component k at grid rows g."""
+    kq, dg = s.kernel.cross_with_pullback(g, s.Z)[:2]
+    mean, t = post.mu_t(kq, k)
+    return mean, dg - _rowsq(t), None if w is None else dg - np.einsum("ij,ij->i", kq @ w, kq)

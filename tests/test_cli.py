@@ -494,6 +494,23 @@ def test_poisson_fit_rejects_non_count_targets(tmp_path):
     assert rc == 2
 
 
+def test_fit_with_no_finite_bound_exits_3_and_writes_nothing(tmp_path, capsys):
+    # at a prior variance of 3000 every Poisson evaluation overflows
+    # e^{mu + s/2}, so L-BFGS stops at its start with the bound at -inf
+    rng = np.random.default_rng(0)
+    data = tmp_path / "counts.csv"
+    X, y = rng.uniform(0, 1, size=(200, 2)), rng.poisson(3.0, size=200).astype(float)
+    _write_dataset(data, X, y)
+    model, report = tmp_path / "m.addgp", tmp_path / "r.json"
+    argv = ["fit", str(data), "--likelihood", "poisson", "--kernel", "se", "--m", "8",
+            "--max-iter", "5", "--variance", "3000", "--out", str(model), "--report", str(report)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and "no finite bound" in err[0], err
+    assert not model.exists() and not report.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(5)
     m = 3

@@ -315,6 +315,32 @@ def test_dense_read_keeps_no_gram_list():
     assert peak <= 23 * 8 * n * n, peak / (8 * n * n)
 
 
+def test_dense_reads_hold_128_row_blocks():
+    # a dense read at N = 500 walks 128 rows at a time, so on 2,000 rows its
+    # peak is the posterior's N x N arrays (the Gram sum and a composite
+    # Gram's factors while they are summed, L^{-1} over A and B~: at most 5)
+    # and a few 128 x N blocks; one 2,000-row block would be 4 N x N
+    n = 500
+    nn, block = 8 * n * n, 8 * 128 * n
+    model = dense_friedman_model(n)
+    rng = np.random.default_rng(4)
+    Xq = rng.uniform(0, 1, size=(2000, 6))
+    grids = [rng.uniform(0, 1, size=(2000, len(s.active_dims))) for s in model.specs]
+    alpha, lam = model.state.alpha, model.state.lam
+    for read in (
+        lambda: predict_marginals(model.specs, alpha, lam, Xq),
+        lambda: predict_marginals(model.specs, alpha, lam, Xq, include_components=True),
+        lambda: sparse.decompose(model.specs, alpha, lam, grids),
+    ):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * nn + 8 * block, (peak - 5 * nn) / block
+
+
 def test_warm_dense_evaluations_map_little_fresh_memory():
     # the bound writes over its model's buffers and the kernels of one-leaf
     # components over their cached Grams, so a warm evaluation at N = 300

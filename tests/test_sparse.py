@@ -483,8 +483,8 @@ def test_nan_query_raises_domain_error():
 
 @pytest.mark.parametrize("bad", [1.5, np.nan])
 def test_query_domain_error_names_the_whole_query(bad):
-    # the box check runs over the whole query before any row block is read,
-    # so a bad value in the third block reports the range of every row
+    # the box check runs over the whole query (or grid) before any row block
+    # is read, so a bad value in the third block reports the range of every row
     rng = np.random.default_rng(150)
     g = [KernelParams(0.0, np.log([0.3])) for _ in range(4)]
     specs = anova_specs(g, 1.0, m=3, ndim=2)
@@ -495,6 +495,8 @@ def test_query_domain_error_names_the_whole_query(bad):
     for B in (rng.normal(size=(9, 3)), np.where(mean_field_mask(3, 3), rng.normal(size=(9, 9)), 0.0)):
         with mock.patch.object(sparse, "_ROWS", 8), pytest.raises(DomainError, match=text):
             predict_marginals(specs, rng.normal(size=9), B, xq, include_components=True)
+        with mock.patch.object(sparse, "_ROWS", 8), pytest.raises(DomainError, match=text):
+            decompose(specs, rng.normal(size=9), B, [xq[:, s.active_dims] for s in specs])
 
 
 def _near_conjugate_anova(rng):
@@ -678,10 +680,27 @@ def test_dense_blocked_reads_agree_with_one_pass_to_rounding():
     Xq = np.random.default_rng(1).uniform(0, 1, size=(2000, 2))
     with mock.patch.object(sparse, "_ROWS", 8):
         blocked = _reads(model, Xq, True)
-    with mock.patch.object(sparse, "_ROWS", len(Xq) + 8):
+    # one pass: the entry budget would otherwise cut 500-wide reads into 128 rows
+    with mock.patch.object(sparse, "_ROWS", len(Xq) + 8), \
+            mock.patch.object(sparse, "_ENTRIES", (len(Xq) + 8) * model.n):
         whole = _reads(model, Xq, True)
     for a, b in zip(blocked, whole):
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-12
+
+
+def test_read_blocks_are_sized_by_the_cross_block_width():
+    # up to M = 16 a read keeps 4096-row blocks (and so the bits it had with
+    # them); wider ones take the most rows, a multiple of 8, that hold at most
+    # _ENTRIES cross-block entries, but never fewer than 128 nor more than _ROWS
+    assert (sparse._ROWS, sparse._MIN_ROWS, sparse._ENTRIES) == (4096, 128, 65536)
+    for m in range(1, 5001):
+        rows = sparse._read_rows(m)
+        assert rows % 8 == 0 and 128 <= rows <= sparse._ROWS, (m, rows)
+        if m <= 16:
+            assert rows == 4096, m
+        else:
+            assert (rows * m <= 65536 or rows == 128) and (rows + 8) * m > 65536, (m, rows)
+    assert sparse._read_rows(500) == sparse._read_rows(2000) == 128
 
 
 _BOUND_MODELS = {
