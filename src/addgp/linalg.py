@@ -14,7 +14,7 @@ import ctypes
 import os
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 from .errors import BlasThreadsError, DimensionMismatch, NotPositiveDefinite
 
@@ -50,7 +50,13 @@ def tri_solve(L, rhs, transpose=False):
         raise DimensionMismatch(
             f"rhs has leading dimension {rhs.shape[0]}, factor is {L.shape[0]}"
         )
-    return solve_triangular(L, rhs, lower=True, trans=1 if transpose else 0)
+    # LAPACK trtrs as scipy's solve_triangular calls it, without that
+    # wrapper's per-call checks: a C-ordered L goes in as its transpose
+    a, lower, trans = (L, 1, transpose) if L.flags.f_contiguous else (L.T, 0, not transpose)
+    x, info = lapack.dtrtrs(a, rhs, lower=lower, trans=int(trans))
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular solve failed on a {len(L)}x{len(L)} factor")
+    return x
 
 
 def solve_from_chol(L, rhs):
@@ -120,7 +126,7 @@ def logdet_from_chol(L):
 
 # (setter, getter) symbol pairs, tried in order on each loaded OpenBLAS. The
 # numpy and scipy wheels each bundle a renamed copy: numpy's 64-bit-integer
-# build ends in ``64_``, scipy's 32-bit build is what solve_triangular uses.
+# build ends in ``64_``, scipy's 32-bit build is what its LAPACK calls use.
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),

@@ -102,7 +102,7 @@ class VariationalState:
     ``B B^T`` to the prior precision of the inducing variables. Under the
     mean-field structure R equals M*C and only the diagonal M x M blocks
     are parameters: the bound and training read and move nothing else,
-    and the read paths split B into those blocks when it is zero
+    and the read paths stack B's blocks likewise when it is zero
     elsewhere.
     """
 

@@ -100,7 +100,8 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
 
     ``value_and_grad(x)`` returns the bound and its gradient; raising
     NotPositiveDefinite (or producing non-finite values) is treated as a
-    soft failure worth a penalty, not an abort.
+    soft failure worth a penalty, not an abort. It runs with numpy's
+    floating-point warnings off: a failed evaluation is counted, not printed.
     """
     out = MaximizeOutcome(trace=list(trace_offset))
     x0 = np.asarray(x0, dtype=float)
@@ -113,9 +114,13 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
             return 1e3 * (abs(out.f) + 1.0)
         return _PENALTY
 
+    def evaluate(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return value_and_grad(x)
+
     def objective(x):
         try:
-            f, g = value_and_grad(x)
+            f, g = evaluate(x)
         except NotPositiveDefinite:
             out.failures += 1
             return penalty(), np.zeros_like(x)
@@ -133,7 +138,7 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
         if out.last_x is not None and np.array_equal(xk, out.last_x):
             fk = out.last_f
         else:
-            fk = value_and_grad(xk)[0]
+            fk = evaluate(xk)[0]
         out.trace.append(fk)
         w = config.tol_window
         t = out.trace

@@ -32,9 +32,12 @@ holds; as Lambda J P = I - P, it forms neither P = A^{-1} nor P^2. It also
 keeps the bound's gradient sums, so it alone knows B from lambda and
 whitened sums from final ones. ``AdditiveModel``
 holds the rest for all three structures: the row walk, the likelihood and
-the kernel pullbacks. One builder, ``_posteriors``, makes a ``Posterior`` per
-block of q(U) for the bound and the reads, so mean-field factors C
-capacitances of M x M; the reads split B the same way wherever it is zero
+the kernel pullbacks. The bound and every read build one ``Posterior``. A
+mean-field q(U) is C independent blocks, one per component: its
+``Posterior`` takes the (C, M, M) stack of B's diagonal blocks, factors C
+capacitances of M x M, and reads each block of training rows once for all
+of them with batched (C, rows, M) products, where a coupled B has one
+(rows, C M) product; the reads stack B the same way wherever it is zero
 off its diagonal M x M blocks, which is exact. The bound walks the training
 rows in blocks of ``_BOUND_ROWS``; the reads, of ``_read_rows(M)`` (a dense
 read at N >= 512 holds 128 x N entries per array, not 4096 x N). With fixed
@@ -93,45 +96,51 @@ def _piece_rows(k, n):
     return max(8, _SMALL_GEMM // (k * n) // 8 * 8)
 
 
-def _skinny(f, b, transpose=False):
-    """f @ b (f^T b with ``transpose``) for a block f and a skinny b, in pieces
-    of ``_piece_rows`` rows once one product would pass ``_SMALL_GEMM``."""
-    if f.size * b.shape[1] <= _SMALL_GEMM:
-        return f.T @ b if transpose else f @ b
-    pieces = _row_blocks(len(f), _piece_rows(f.shape[1], b.shape[1]))
+def _skinny(f, b, transpose=False, out=None):
+    """f @ b (f^T b with ``transpose``) in every group of a (G, rows, k) block
+    f and a skinny b, written into ``out`` (G, rows, n) without ``transpose``,
+    in pieces of ``_piece_rows`` rows once a group's product would pass ``_SMALL_GEMM``."""
+    k, n, rows = f.shape[2], b.shape[2], f.shape[1]
+    whole = rows * k * n <= _SMALL_GEMM
+    pieces = [slice(0, rows)] if whole else _row_blocks(rows, _piece_rows(k, n))
     if transpose:
-        return functools.reduce(np.add, (f[p].T @ b[p] for p in pieces))
-    out = np.empty((len(f), b.shape[1]))
+        return functools.reduce(np.add, (f[:, p].transpose(0, 2, 1) @ b[:, p] for p in pieces))
     for p in pieces:
-        np.matmul(f[p], b, out=out[p])
+        np.matmul(f[:, p], b, out=out[:, p])
     return out
 
 
 class Posterior:
-    """The posterior over one block of q(U), factored and whitened once.
+    """The posterior q(U), factored and whitened once.
 
-    ``comps`` slices the block's components out of ``specs``, ``alphas``
-    (C, M) and ``ku``, the prior Grams K_c(Z_c, Z_c) when the caller has
-    them. ``coupling`` is the block's B (M C x R) or the vector lambda, which
+    ``alpha`` is (C M,) or (C, M) and ``ku`` the prior Grams K_c(Z_c, Z_c)
+    when the caller has them. ``coupling`` is B (M C x R), the (C, M, M)
+    stack of a mean-field B's diagonal blocks, or the vector lambda, which
     stands for B_c = diag(lambda) for every c with Z_c the training inputs
     (the dense model; ``ksum`` is then the Grams' sum, which a read adds up
-    as it evaluates them, keeping none). ``mu_t`` serves the reads; the bound
-    takes ``kl``, then per row block ``read``, ``accumulate`` and
-    ``kernel_weights``, and at last ``gradients``. Lambda's N x N steps go,
-    in that order, into ``work``: (A, L, L^{-1}, Z = sqrt(-Gs) z, Y), (t, z,
-    sym(Y), Omega, V, S, J), -Psi = Z^T Z, (B~, Y^2, a Gram weight) and u, each
-    written over what is no longer needed, Y = Lambda z with hyperparameter
-    gradients only; the dense model holds them, and a read, passing None,
-    gets new arrays. Its bound reads all N rows in one block.
+    as it evaluates them, keeping none). A mean-field q(U) is C blocks of one
+    component each: C capacitances of M x M, factored one by one, and
+    batched (C, rows, M) products where B has one (rows, M C) product. ``mu_t``
+    serves the reads; the bound takes ``kl``, then per row block ``read``,
+    ``accumulate`` and ``kernel_weights``, and at last ``gradients``. Lambda's
+    N x N steps go, in that order, into ``work``: (A, L, L^{-1}, Z = sqrt(-Gs)
+    z, Y), (t, z, sym(Y), Omega, V, S, J), -Psi = Z^T Z, (B~, Y^2, a Gram
+    weight) and u, each written over what is no longer needed, Y = Lambda z
+    with hyperparameter gradients only; the dense model holds them, and a
+    read, passing None, gets new arrays. Its bound reads all N rows in one block.
     """
 
-    def __init__(self, specs, alphas, coupling, comps, ku=None, ksum=None, work=(None,) * 5):
-        self.comps, self.specs, self.alphas = comps, specs[comps], alphas[comps]
-        m = self.specs[0].m
-        self._cols, self._work = slice(comps.start * m, comps.stop * m), work
+    def __init__(self, specs, alpha, coupling, ku=None, ksum=None, work=(None,) * 5):
+        self.specs, self.alphas = specs, np.asarray(alpha, dtype=float).reshape(len(specs), -1)
+        m = specs[0].m
+        # the bound's row block (f, t, u, rows) and (t, u) buffers; running F^T
+        # dE/dmu, -2 F^T U, Psi (lambda's: -Psi, then diag(J Omega))
+        self._work, self._block, self._bufs, self._sums = work, None, None, None
         coupling = np.asarray(coupling, dtype=float)
-        grams = (s.kernel.eval(s.Z) for s in self.specs)
-        self.ku = ku[comps] if ku is not None else None if coupling.ndim == 1 else list(grams)
+        # G, the blocks of q(U): one, or C of one component each for mean-field
+        self._g = len(coupling) if coupling.ndim == 3 else 1
+        grams = (s.kernel.eval(s.Z) for s in specs)
+        self.ku = ku if ku is not None else None if coupling.ndim == 1 else list(grams)
         if coupling.ndim == 1:
             # tied B_c: only sum_c K_c B_c = Ksum Lambda (= J at X) enters
             self._lam, self._b = coupling, None
@@ -140,25 +149,37 @@ class Posterior:
             # A^T, whose transpose is A in the Fortran order LAPACK factors in place
             a = np.multiply(self._ksum.T, coupling[:, None], out=work[0], order="C")
             a *= coupling
-        else:
-            self._lam = None
-            self._b = coupling.reshape(len(self.specs), m, -1)
-            self._kb = np.matmul(self.ku, self._b)  # K_c B_c, (C, M, R)
-            a = coupling.T @ self._kb.reshape(len(coupling), -1)
-        a.reshape(-1)[:: len(a) + 1] += 1.0
-        self.L = cholesky(a) if self._b is not None else cholesky(a.T, overwrite=True)
-        self._logdet = logdet_from_chol(self.L) if self._b is None else None  # L^{-1} overwrites L
-        # B~_c = B_c L^{-T}, (C, M, R); lambda's is one upper triangular (N, N)
-        self._bt = (np.multiply(self.linv, coupling, out=work[3]).T if self._b is None
-                    else tri_solve(self.L, coupling.T).T.reshape(self._b.shape))
-        # the bound's row block (f, t, rows); running F^T dE/dmu, -2 F^T U, Psi
-        # (lambda's: -Psi, then diag(J Omega))
-        self._block, self._sums = None, None
+            a.reshape(-1)[:: len(a) + 1] += 1.0
+            self.L = cholesky(a.T, overwrite=True)
+            self._logdet = logdet_from_chol(self.L)  # L^{-1} overwrites L
+            # B~ = Lambda L^{-T}, one upper triangular (N, N)
+            self._bt = np.multiply(self.linv, coupling, out=work[3]).T
+            return
+        self._lam = None
+        self._b = coupling.reshape(len(specs), m, -1)
+        self._kb = np.matmul(self.ku, self._b)  # K_c B_c, (C, M, R)
+        # one capacitance per block of q(U), (G, R, R)
+        b = self._groups(self._b)
+        a = np.matmul(b.transpose(0, 2, 1), self._groups(self._kb))
+        a.reshape(len(a), -1)[:, :: a.shape[-1] + 1] += 1.0
+        self.L = [cholesky(x) for x in a]
+        # B~_c = B_c L^{-T}, (C, M, R)
+        self._bt = np.stack([tri_solve(l, x.T).T for l, x in zip(self.L, b)]).reshape(self._b.shape)
+
+    def _groups(self, x):
+        """(C, M, k) as (G, C M / G, k): the rows of each block of q(U)."""
+        return x.reshape(self._g, -1, x.shape[-1])
+
+    def _each(self, x):
+        """A (G, ...) array of the blocks of q(U) as one entry per component."""
+        return np.broadcast_to(x, (len(self.specs), *x.shape[1:]))
 
     @functools.cached_property
     def linv(self):
         """L^{-1}: lambda's B~ (written over L), and the bound's last-block sums and P."""
-        return tri_inverse(self.L, overwrite=self._b is None)
+        if self._b is None:
+            return tri_inverse(self.L, overwrite=True)
+        return np.stack([tri_inverse(l) for l in self.L])
 
     @functools.cached_property
     def ka(self):
@@ -168,40 +189,49 @@ class Posterior:
     @functools.cached_property
     def _omega(self):
         """Omega = P - P^2, P = A^{-1}, for B (lambda's is formed in ``kernel_weights``)."""
-        p = inverse_from_tri_inverse(self.linv)
+        p = np.stack([inverse_from_tri_inverse(x) for x in self.linv])
         return p - p @ p
 
     def kl(self):
         """KL[q(U) || p(U)] = 1/2 (log|A| + sum_c alpha_c^T K_c alpha_c - T), with
         T = tr(A^{-1} (A - I)) = sum_c <B~_c, K_c B~_c> (lambda: R - ||L^{-1}||_F^2)."""
         if self._b is None:
-            trace = len(self.linv) - float(np.vdot(self.linv, self.linv))
+            trace, logdet = len(self.linv) - float(np.vdot(self.linv, self.linv)), self._logdet
         else:
             trace = float(np.vdot(self._bt, np.matmul(self.ku, self._bt)))
+            logdet = sum(logdet_from_chol(l) for l in self.L)
         quad = float(np.sum(self.alphas * self.ka))
-        logdet = self._logdet if self._b is None else logdet_from_chol(self.L)
         return 0.5 * (logdet + quad - trace)
 
-    def mu_t(self, f, ci=None, out=None):
-        """(mu, t) = (F alpha, F B~) at a block of rows from its cross block:
-        F_ci with ``ci``, else [F_1 ... F_C]; lambda's B~_c are all one, so
-        there it takes the pair (mu, sum_c F_c) and t is one ``tri_mul``,
+    def mu_t(self, f, ci, out=None):
+        """(mu, t) = (F_ci alpha_ci, F_ci B~_ci) at a block of rows from its
+        cross block; lambda's B~_c are all one, so there it also takes the
+        pair (mu, sum_c F_c) for ``ci`` None and t is one ``tri_mul``,
         written over ``out`` (which may be F) when given."""
         if self._b is None:
             mu, f = f if ci is None else (f @ self.alphas[ci], f)
             return mu, tri_mul(f, self._bt, lower=False, out=out)
-        if ci is not None:
-            return f @ self.alphas[ci], f @ self._bt[ci]
-        return f @ self.alphas.ravel(), _skinny(f, self._bt.reshape(-1, self._bt.shape[-1]))
+        return f @ self.alphas[ci], f @ self._bt[ci]
 
     def read(self, f, rows):
         """(mu, rowsum(t^2)) at the training rows ``rows`` from their cross block
-        f over all components, or None for lambda's, which are its Grams; this
-        block reads its columns and keeps them, and t, for ``accumulate``."""
-        f = (self.ka.sum(axis=0)[rows], self._ksum[rows]) if f is None else f[:, self._cols]
-        mu, t = self.mu_t(f, out=self._work[1])
-        self._block = f, t, rows
-        return mu, _rowsq(t)
+        f over all components, or None for lambda's, which are its Grams; the
+        block keeps f, t and its u for ``accumulate``. B's t is (G, rows, R),
+        each block of q(U) in one product with its columns of f, and t and u
+        are written over the last block's."""
+        if f is None:
+            f = self.ka.sum(axis=0)[rows], self._ksum[rows]
+            mu, t = self.mu_t(f, None, out=self._work[1])
+            self._block = None, t, self._work[4], rows
+            return mu, _rowsq(t)
+        if self._bufs is None or self._bufs[0].shape[1] < len(f):
+            shape = (self._g, len(f), self._bt.shape[-1])
+            self._bufs = np.empty(shape), np.empty((*shape[:2], 1 + shape[2]))
+        t, u = (x[:, : len(f)] for x in self._bufs)
+        groups = f.reshape(len(f), len(t), -1).transpose(1, 0, 2)
+        _skinny(groups, self._groups(self._bt), out=t)
+        self._block = groups, t, u, rows
+        return f @ self.alphas.ravel(), np.einsum("gnr,gnr->n", t, t)
 
     def accumulate(self, gmu, gs, last):
         """Add the read block's shares of F_c^T dE/dmu, -2 F^T U and Psi,
@@ -211,12 +241,13 @@ class Posterior:
         lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P. As
         Lambda z = I - P, lambda's fourth sum is diag(J Omega) = diag(z Lambda z),
         and it keeps -Psi = Z^T Z, Z = sqrt(-Gs) z (Gs <= 0) over L^{-1}."""
-        (f, t, rows), self._block = self._block, None
+        (f, t, u, rows), self._block = self._block, None
         lam = self._b is None
         z = tri_mul(t, self.linv, out=t) if lam else t
-        u = self._work[4] if lam else np.empty((len(z), 1 + z.shape[1]))
-        u[:, 0] = gmu
-        np.multiply(gs[:, None], z, out=u[:, 1:])
+        u[..., 0] = gmu
+        # B's Gs spread over R columns: numpy multiplies a broadcast column in R-wide runs
+        gsz = gs[:, None] if lam else np.repeat(gs[:, None], z.shape[-1], 1)
+        np.multiply(gsz, z, out=u[..., 1:])
         if lam:
             ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
             zs = np.multiply(z, np.sqrt(-gs)[:, None], out=self._work[0])
@@ -224,10 +255,11 @@ class Posterior:
                    sym_square(zs.T, out=self._work[2]), np.einsum("ij,j,ji->i", z, self._lam, z)]
         else:
             ftu = _skinny(f, u, transpose=True).reshape(*self._kb.shape[:2], -1)
-            new = [ftu[:, :, 0], ftu[:, :, 1:], z.T @ u[:, 1:]]
+            new = [ftu[:, :, 0], ftu[:, :, 1:], z.transpose(0, 2, 1) @ u[..., 1:]]
         sums = self._sums = new if self._sums is None else [a + b for a, b in zip(self._sums, new)]
         if last and not lam:
-            sums[1:] = -2.0 * (sums[1] @ self.linv), self.linv.T @ sums[2] @ self.linv
+            linv = self.linv
+            sums[1:] = -2.0 * (sums[1] @ linv), linv.transpose(0, 2, 1) @ sums[2] @ linv
         return u
 
     def gradients(self):
@@ -244,7 +276,8 @@ class Posterior:
     def kernel_weights(self, u, last):
         """Per component, (dBound/dK_c, dBound/dF_c) = (B_c V B_c^T - alpha_c
         alpha_c^T / 2, dE/dmu alpha_c^T - 2 U B_c^T) from a row block's u and,
-        in the ``last`` block, V = Psi - Omega / 2 (else no Gram weight).
+        in the ``last`` block, V = Psi - Omega / 2 (else no Gram weight), both
+        of the component's block of q(U).
         Lambda's cross blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2)
         alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once, as
         2 ((Lambda / 2) V - U) Lambda to the bit, each weight over the last.
@@ -263,25 +296,27 @@ class Posterior:
                 np.copyto(w, s)
                 yield None, dger(1.0, al, u[:, 0] - 0.5 * al, a=w.T, overwrite_a=True).T
             return
-        v = self._sums[2] - 0.5 * self._omega if last else None
-        for b, bt, al in zip(self._b, self._bt, self.alphas):
+        vs = self._each(self._sums[2] - 0.5 * self._omega) if last else [None] * len(self.specs)
+        for b, bt, al, uc, v in zip(self._b, self._bt, self.alphas, self._each(u), vs):
             gk = None if v is None else b @ v @ b.T - 0.5 * np.outer(al, al)
-            yield gk, u @ np.vstack((al, -2.0 * bt.T))
+            yield gk, uc @ np.vstack((al, -2.0 * bt.T))
 
     def at(self, Xq, include_components=False):
-        """Marginals of this block's sum at the query points Xq (full input
-        width) and, with ``include_components``, each component's (mean,
-        variance). Each kernel checks its domain at the query's column-wise
-        min and max, so a bad input fails as in one pass. Then, ``_read_rows(M)``
-        rows at a time (a dense read at N >= 512 holds 128 x N per array), one
-        kernel call per component gives F_c and its prior diagonal and ``mu_t``
-        (mu_c, t_c), which add up to the bits of one pass; lambda without
+        """Marginals of the sum at the query points Xq (full input width) and,
+        with ``include_components``, each component's (mean, variance). Each
+        kernel checks its domain at the query's column-wise min and max, so a
+        bad input fails as in one pass. Then, ``_read_rows(M)`` rows at a time
+        (a dense read at N >= 512 holds 128 x N per array), one kernel call
+        per component gives F_c and its prior diagonal and ``mu_t`` (mu_c,
+        t_c), which add up to the bits of one pass; a block of q(U) adds its
+        t_c, and mean-field its components' variances; lambda without
         components whitens sum_c F_c once."""
         xps = [s.project(Xq) for s in self.specs]
         n = len(xps[0])
         for s, xp in zip(self.specs, xps if n else ()):
             s.kernel.diag(np.stack((xp.min(axis=0), xp.max(axis=0))))
         summed = self._b is None and not include_components
+        apart = self._g > 1
         # rows: summed mean and variance, then each component's pair
         out = np.empty((2 + 2 * len(self.specs) * include_components, n))
         for rows in _row_blocks(n, _read_rows(self.specs[0].m)):
@@ -293,10 +328,13 @@ class Posterior:
                 if include_components:
                     out[2 + 2 * ci, rows], out[3 + 2 * ci, rows] = mc, dc - _rowsq(tc)
                 mu += mc
+                if apart:
+                    d = d + (dc - _rowsq(tc))
+                    continue
                 d = d + dc
                 t = tc if t is None else np.add(t, tc, out=t)
-            t = self.mu_t((mu, t), out=t)[1] if summed else t
-            out[1, rows] = d - _rowsq(t)
+            t = self.mu_t((mu, t), None, out=t)[1] if summed else t
+            out[1, rows] = d if apart else d - _rowsq(t)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
 
@@ -315,8 +353,8 @@ class AdditiveModel:
     A subclass names its coupling field in the state (``coupling``, "B" or
     "lam"), supplies ``_prior_blocks`` and ``_perturb_start``, may override
     ``_with_inducing`` (its Z) and ``_row_slices``, and splits ``_blocks``
-    where q(U) factorizes: the bound and the optimizer see only those views
-    into the coupling.
+    where q(U) factorizes: the optimizer sees only those views into the
+    coupling, and ``Posterior`` their stack.
     ``_prior_blocks(pullbacks)`` returns ``(ku, ksum, rows)``: the prior
     Grams, their sum for lambda (else None) and a function of a slice of
     training rows that gives ``(f, d0, pullbacks)``: the cross block (None
@@ -387,22 +425,25 @@ class AdditiveModel:
         return self._cache
 
     def _blocks(self, coupling=None):
-        """The independent blocks of q(U) as (component slice, view into
-        ``coupling``, by default the state's): here one coupled block."""
-        if coupling is None:
-            coupling = getattr(self.state, self.coupling)
-        return [(slice(0, self.c), coupling)]
+        """Views into ``coupling`` (by default the state's) of the parameters
+        of the independent blocks of q(U): here the one coupled block."""
+        return [getattr(self.state, self.coupling) if coupling is None else coupling]
+
+    def _posterior(self, ku, ksum, work=(None,) * 5):
+        """``Posterior`` of the state: one block's coupling, or the stack of all."""
+        blocks = self._blocks()
+        coupling = blocks[0] if len(blocks) == 1 else np.stack(blocks)
+        return Posterior(self.specs, self.state.alpha, coupling, ku, ksum, work)
 
     def marginals(self, Xq=None, include_components=False):
         """Marginals at the query points, by default the training inputs,
-        summed over the blocks of q(U) with the cached prior Grams."""
-        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), *self._kmats()[:2])
-        return _marginals(posts, self.data.X if Xq is None else Xq, include_components)
+        with the cached prior Grams."""
+        post = self._posterior(*self._kmats()[:2])
+        return post.at(self.data.X if Xq is None else Xq, include_components)
 
     def kl(self):
         """KL from q(U) to the prior p(U), exactly zero at the prior-matching state."""
-        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), *self._kmats()[:2])
-        return sum(post.kl() for post in posts)
+        return self._posterior(*self._kmats()[:2]).kl()
 
     def elbo(self):
         """Evidence lower bound, clamped as in training."""
@@ -419,24 +460,23 @@ class AdditiveModel:
         return _row_blocks(self.n, _BOUND_ROWS)
 
     def _bound(self, train_hypers=False, grads=True):
-        """The bound from one factorization of A per block of q(U), summed
-        over blocks of training rows, each read by ``Posterior.read``:
-        var_sum = d0 - sum_blocks rowsum(t^2), KL summed over blocks. With
-        U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the variance
-        weights of the expected log-likelihood, P = A^{-1}), every gradient
-        is a pullback of dE/dmu, U, Psi and Omega, whose sums each
+        """The bound from one ``Posterior``, summed over blocks of training
+        rows, each read once by ``Posterior.read``: var_sum = d0 - rowsum(t^2).
+        With U = Gs J P, Psi = P J^T Gs J P and Omega = P - P P (Gs the
+        variance weights of the expected log-likelihood, P = A^{-1}), every
+        gradient is a pullback of dE/dmu, U, Psi and Omega, whose sums the
         ``Posterior`` keeps. A row block pulls its own cross-block and
         diagonal weights back; the last, with Psi whole, pulls the Gram's
         back too. No array is N rows long beyond the cached prior blocks."""
         hyper = grads and train_hypers
         ku, ksum, cross = self._prior_blocks(pullbacks=True) if hyper else self._kmats()
-        posts = _posteriors(self.specs, self.state.alpha, self._blocks(), ku, ksum, self._work)
-        kl = sum(post.kl() for post in posts)
+        post = self._posterior(ku, ksum, self._work)
+        kl = post.kl()
         y, ell, glik, gkernels = self.data.Y, 0.0, 0.0, [0.0] * self.c
         for rows in self._row_slices():
             f, d0, pbs = cross(rows)
-            mus, downs = zip(*(post.read(f, rows) for post in posts))
-            mu, s = sum(mus), d0 - sum(downs)
+            mu, down = post.read(f, rows)
+            s = d0 - down
             clamped = s < VAR_CLAMP
             s[clamped] = VAR_CLAMP
             ell += float(np.sum(self.likelihood.expected_loglik(y[rows], mu, s)))
@@ -450,21 +490,17 @@ class AdditiveModel:
             if hyper:
                 glik += self.likelihood.expected_loglik_param_grads(y[rows], mu, s).sum(axis=1)
             last = rows.stop == self.n
-            for post in posts:
-                u = post.accumulate(gmu, gs, last)
-                if hyper:
-                    comps = range(self.c)[post.comps]
-                    for ci, (gk, gf) in zip(comps, post.kernel_weights(u, last)):
-                        gkernels[ci] += pbs[ci](gk, gf, gs)
+            u = post.accumulate(gmu, gs, last)
+            if hyper:
+                for ci, (gk, gf) in enumerate(post.kernel_weights(u, last)):
+                    gkernels[ci] += pbs[ci](gk, gf, gs)
             del f, pbs, u  # before the next block allocates its own
         if not grads:
             return ell - kl
 
-        galpha = np.empty((self.c, self.m))
+        galpha, gc = post.gradients()
         gcoupling = np.zeros_like(getattr(self.state, self.coupling))
-        for post, (_, gview) in zip(posts, self._blocks(gcoupling)):
-            galpha[post.comps], gc = post.gradients()
-            gview[...] = gc.reshape(gview.shape)
+        _scatter(self._blocks(gcoupling), gc.ravel())
         grads = {"alpha": galpha, self.coupling: gcoupling}
         if hyper:
             grads["kernels"] = gkernels
@@ -485,7 +521,7 @@ class AdditiveModel:
 
     def _variational(self):
         """Views of alpha and the coupling blocks, the optimizer's order."""
-        return [self.state.alpha] + [b for _, b in self._blocks()]
+        return [self.state.alpha] + self._blocks()
 
     def _make_objective(self, train_hypers):
         nv = sum(v.size for v in self._variational())
@@ -499,7 +535,7 @@ class AdditiveModel:
         def fun(x):
             unpack(x)
             val, g = self.elbo_with_grads(train_hypers=train_hypers)
-            gvec = [g["alpha"]] + [b for _, b in self._blocks(g[self.coupling])]
+            gvec = [g["alpha"]] + self._blocks(g[self.coupling])
             if train_hypers:
                 gvec += g["kernels"] + [g["lik"]]
             return val, np.concatenate([a.ravel() for a in gvec])
@@ -594,12 +630,11 @@ class SparseModel(AdditiveModel):
     # -- training hooks ----------------------------------------------------------
 
     def _blocks(self, coupling=None):
-        """One block over all components, or for mean-field one per
-        component: the diagonal M x M block of B (R = M C)."""
+        """B whole, or for mean-field its C diagonal M x M blocks (R = M C)."""
         blocks = super()._blocks(coupling)
         if self.state.structure != _model.MEAN_FIELD:
             return blocks
-        return _diagonal_blocks(blocks[0][1], self.m)
+        return _diagonal_blocks(blocks[0], self.m)
 
     def _perturb_start(self, seed, restart=False):
         """Nudge B off the exact-zero saddle (the bound is even in B, so
@@ -607,44 +642,23 @@ class SparseModel(AdditiveModel):
         if not np.any(self.state.B):
             rng = np.random.default_rng(seed)
             sd = (1.0 if restart else 1e-2) / np.sqrt(self.m * self.c)
-            blocks = [b for _, b in self._blocks()]
+            blocks = self._blocks()
             _scatter(blocks, rng.normal(0.0, sd, sum(b.size for b in blocks)))
 
 
 def _diagonal_blocks(b, m):
-    """(component slice, view) for every diagonal M x M block of a square B."""
-    rows = [slice(i * m, (i + 1) * m) for i in range(len(b) // m)]
-    return [(slice(i, i + 1), b[r, r]) for i, r in enumerate(rows)]
-
-
-def _posteriors(specs, alpha, blocks, ku=None, ksum=None, work=(None,) * 5):
-    """One ``Posterior`` for every (component slice, coupling view) block of
-    q(U), with the prior Grams, their sum and lambda's buffers if the caller has them."""
-    alphas = np.asarray(alpha, dtype=float).reshape(len(specs), -1)
-    return [Posterior(specs, alphas, b, comps, ku, ksum, work) for comps, b in blocks]
+    """Views of the diagonal M x M blocks of a square B."""
+    return [b[i : i + m, i : i + m] for i in range(0, len(b), m)]
 
 
 def _read_blocks(specs, coupling):
-    """The blocks of q(U) that the coupling shows: one per component when B
-    is square (R = M C) and zero off its diagonal M x M blocks, as mean-field
-    guarantees, which makes the split exact; else one over all components."""
+    """The coupling as ``Posterior`` reads it: when B is square (R = M C) and
+    zero off its diagonal M x M blocks, as mean-field guarantees, the (C, M, M)
+    stack of those blocks, which makes the split exact; else the coupling."""
     coupling, m, c = np.asarray(coupling, dtype=float), specs[0].m, len(specs)
     if coupling.shape == (m * c, m * c) and not coupling[~_model.mean_field_mask(m, c)].any():
-        return _diagonal_blocks(coupling, m)
-    return [(slice(0, c), coupling)]
-
-
-def _marginals(posteriors, Xq, include_components):
-    """``Posterior.at`` every block: block means and variances add, and the
-    components come in block order."""
-    parts = (post.at(Xq, include_components) for post in posteriors)
-    total = next(parts)
-    for part in parts:
-        total.mu_sum += part.mu_sum
-        total.var_sum += part.var_sum
-        if include_components:
-            total.per_component += part.per_component
-    return total
+        return np.stack(_diagonal_blocks(coupling, m))
+    return coupling
 
 
 def predict_marginals(specs, alpha, coupling, Xq, include_components=False):
@@ -652,8 +666,7 @@ def predict_marginals(specs, alpha, coupling, Xq, include_components=False):
     posterior parameters (no dataset needed). ``coupling`` is B, or lambda
     for the dense model, whose specs carry the projected training inputs as
     Z."""
-    posts = _posteriors(specs, alpha, _read_blocks(specs, coupling))
-    return _marginals(posts, Xq, include_components)
+    return Posterior(specs, alpha, _read_blocks(specs, coupling)).at(Xq, include_components)
 
 
 def decompose(specs, alpha, coupling, grids, coupled_check=False):
@@ -664,45 +677,43 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
     Returns a list of (grid, mean, variance) triples, each grid read in blocks
     as ``Posterior.at`` reads (128 x N entries per array at N >= 512). The marginal variance
     of component c only involves the (c, c) block of the coupled posterior
-    covariance, read per block of q(U) as in ``predict_marginals``; with
-    ``coupled_check`` it is recomputed through the whole capacitance,
-    I + [B_1^T K_1, ..., B_C^T K_C] [B_1; ...; B_C], assembled densely and
-    LU-factored once, bypassing the Cholesky path, as W_c = B_c A^{-1} B_c^T
-    (one W for lambda); the maximum discrepancy is a fourth element.
+    covariance, read as in ``predict_marginals``; with ``coupled_check`` it
+    is recomputed through the whole capacitance, assembled densely and
+    LU-factored once, bypassing the Cholesky path: for B, I + [B_1^T K_1,
+    ..., B_C^T K_C] [B_1; ...; B_C] and W_c = B_c A^{-1} B_c^T; for lambda,
+    I + Lambda Ksum Lambda from the Gram sum the read keeps and one
+    W = Lambda A^{-1} Lambda. The maximum discrepancy is a fourth element.
     """
-    posts = _posteriors(specs, alpha, _read_blocks(specs, coupling))
-    # (block posterior, index within the block) for every component
-    owners = [(post, k) for post in posts for k in range(len(post.specs))]
+    post = Posterior(specs, alpha, _read_blocks(specs, coupling))
     if coupled_check:
-        # x B_c for the whole coupling: its rows of B, or the tied diag(lambda)
-        whole, m, c = np.asarray(coupling, dtype=float), specs[0].m, len(specs)
-
-        def times_b(ci, x):
-            return x * whole if whole.ndim == 1 else x @ whole[ci * m : (ci + 1) * m]
-
-        kus = [s.kernel.eval(s.Z) if p.ku is None else p.ku[k] for s, (p, k) in zip(specs, owners)]
-        bk = np.hstack([times_b(ci, ku.T).T for ci, ku in enumerate(kus)])
-        bs = np.vstack([times_b(ci, np.eye(m)) for ci in range(c)])
-        # A^{-1} B_c^T side by side from one LU; lambda's B_c are all equal
-        n_w = 1 if whole.ndim == 1 else c
-        ainv_bt = np.linalg.solve(np.eye(len(bk)) + bk @ bs, bs[: n_w * m].T)
-        ws = [bs[i * m : (i + 1) * m] @ ainv_bt[:, i * m : (i + 1) * m] for i in range(n_w)]
+        whole, m = np.asarray(coupling, dtype=float), specs[0].m
+        if whole.ndim == 1:
+            a = np.multiply(post._ksum, whole[:, None])
+            a *= whole
+            a.reshape(-1)[:: len(a) + 1] += 1.0
+            ws = [np.linalg.solve(a, np.diag(whole)) * whole[:, None]]
+        else:
+            bs = [whole[ci * m : (ci + 1) * m] for ci in range(len(specs))]
+            bk = np.hstack([(ku.T @ b).T for ku, b in zip(post.ku, bs)])
+            # A^{-1} B_c^T side by side from one LU
+            ainv_bt = np.linalg.solve(np.eye(len(bk)) + bk @ whole, whole.T)
+            ws = [b @ ainv_bt[:, ci * m : (ci + 1) * m] for ci, b in enumerate(bs)]
     out, size = [], _read_rows(specs[0].m)
-    for ci, (s, (post, k)) in enumerate(zip(specs, owners)):
+    for ci, s in enumerate(specs):
         g = np.atleast_2d(np.asarray(grids[ci], dtype=float))
-        w, blocks = ws[ci % n_w] if coupled_check else None, _row_blocks(len(g), size)
+        w, blocks = ws[ci % len(ws)] if coupled_check else None, _row_blocks(len(g), size)
         if len(blocks) == 1:  # the whole grid, not copied
-            mean, var, vw = _grid_effect(s, post, k, g, w)
+            mean, var, vw = _grid_effect(s, post, ci, g, w)
         else:  # the box check first, so that a bad input fails as in one pass
             s.kernel.diag(np.stack((g.min(axis=0), g.max(axis=0))))
-            parts = zip(*(_grid_effect(s, post, k, g[rows], w) for rows in blocks))
+            parts = zip(*(_grid_effect(s, post, ci, g[rows], w) for rows in blocks))
             mean, var, vw = (None if p[0] is None else np.concatenate(p) for p in parts)
         out.append((g, mean, var) if w is None else (g, mean, var, float(np.max(abs(var - vw)))))
     return out
 
 
-def _grid_effect(s, post, k, g, w):
-    """(mean, variance, variance through W or None) of block component k at grid rows g."""
+def _grid_effect(s, post, ci, g, w):
+    """(mean, variance, variance through W or None) of component ci at grid rows g."""
     kq, dg = s.kernel.cross_with_pullback(g, s.Z)[:2]
-    mean, t = post.mu_t(kq, k)
+    mean, t = post.mu_t(kq, ci)
     return mean, dg - _rowsq(t), None if w is None else dg - np.einsum("ij,ij->i", kq @ w, kq)

@@ -341,6 +341,26 @@ def test_dense_reads_hold_128_row_blocks():
         assert peak <= 5 * nn + 8 * block, (peak - 5 * nn) / block
 
 
+def test_dense_coupled_check_holds_no_c_copies_of_n_by_n():
+    # lambda's check assembles A = I + Lambda Ksum Lambda from the Gram sum
+    # that the read keeps and takes W = Lambda A^{-1} Lambda from one LU
+    # solve: with the read's own arrays it peaks below 8 N x N, where
+    # stacking [B_1^T K_1 ... B_C^T K_C] and [B_1; ...; B_C] held 31 at C = 7
+    n = 500
+    model = dense_friedman_model(n)
+    rng = np.random.default_rng(4)
+    grids = [rng.uniform(0, 1, size=(2000, len(s.active_dims))) for s in model.specs]
+    tracemalloc.start()
+    try:
+        out = sparse.decompose(model.specs, model.state.alpha, model.state.lam, grids,
+                               coupled_check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * n * n, peak / (8 * n * n)
+    assert max(disc for *_, disc in out) < 1e-8
+
+
 def test_warm_dense_evaluations_map_little_fresh_memory():
     # the bound writes over its model's buffers and the kernels of one-leaf
     # components over their cached Grams, so a warm evaluation at N = 300

@@ -335,6 +335,22 @@ def test_mean_field_factors_c_blocks_of_m(monkeypatch):
     assert set(shapes) == {(m, m)}
 
 
+def test_mean_field_bound_reads_each_row_block_once():
+    # one Posterior holds all C blocks of a mean-field q(U), so a bound
+    # evaluation, fixed or with hyperparameter gradients, reads each block
+    # of training rows once for all components, not once per component
+    c, n = 3, 41  # in blocks of 8 rows: five, the lone last row in the fifth
+    model = _mean_field_model(15, c=c, m=4, n=n, d=1)
+    cls = sparse.Posterior
+    for hyper in (False, True):
+        with mock.patch.object(sparse, "_BOUND_ROWS", 8), \
+                mock.patch.object(cls, "read", autospec=True, side_effect=cls.read) as read, \
+                mock.patch.object(sparse, "Posterior", wraps=cls) as built:
+            model.elbo_with_grads(train_hypers=hyper)
+        assert built.call_count == 1, hyper
+        assert [call.args[2] for call in read.call_args_list] == sparse._row_blocks(n, 8)
+
+
 def test_mean_field_coupling_is_checked_where_it_enters():
     # the bound and the marginals read only B's diagonal M x M blocks, so a
     # mean-field B must be (M C, M C) and zero elsewhere when a model is built
@@ -601,9 +617,9 @@ def _reads(model, Xq, components):
 
 
 def test_predict_marginals_matches_method():
-    # the model's marginals and predict_marginals build their posteriors
-    # with one builder, from the model's blocks of q(U) and from the blocks
-    # read off the coupling's zero pattern: every structure, with and
+    # the model's marginals and predict_marginals each build one Posterior,
+    # from the model's blocks of q(U) and from the blocks read off the
+    # coupling's zero pattern: every structure, with and
     # without components, agrees to the bit
     for kind, make in _READ_MODELS.items():
         for seed in range(6):
