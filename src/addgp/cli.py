@@ -9,9 +9,11 @@ Conventions: CSV values are written with 17 significant digits so reruns
 with the same seed are byte-identical (timing fields excepted); lines
 starting with ``#`` are comments; exit codes are 0 on success, 1 for usage
 errors, 2 for data or format errors, 3 for numerical failures. CSV output
-is formatted (one ``%`` per block), and ``predict`` evaluated, in blocks of
-4096 rows, so beyond its input and output columns memory does not grow with
-the query size; the output bytes are those of one pass. Plain CSV input is
+is formatted in blocks of 4096 rows (one ``%`` per block), and ``predict``
+evaluates in blocks of ``sparse._read_rows(M)`` rows (4096 for M <= 16, 128
+for a dense model at N >= 512), so beyond its input and output columns
+memory does not grow with the query size; the output bytes are those of one
+pass. Plain CSV input is
 read by numpy's C reader, the rest line by line, to the same values.
 """
 

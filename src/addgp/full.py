@@ -19,7 +19,7 @@ so one O(N^3) factorization per evaluation covers any number of components.
 What stays here is the dense model's data: Z_c = X in its specs (M = N),
 the Grams there, one cached stack rewritten in place (they are also its cross
 blocks, so the hyperparameter gradient needs one kernel evaluation per
-component; an SE leaf builds its Gram in its slot), five N x N buffers that
+component, whose kernel builds its Gram in its slot), five N x N buffers that
 the bound writes over, the size cap (N <= 5000) and the start off lambda = 0.
 Stack and buffers are allocated once, so a warm evaluation maps little new
 memory. This is the reference implementation: cubic in N by design.
@@ -84,7 +84,7 @@ class FullModel(_sparse.AdditiveModel):
         karr, ksum = self._cache[:2]
         pbs = []
         for ci, (s, xp) in enumerate(zip(self.specs, self._xp)):
-            karr[ci], _, pb = s.kernel.cross_with_pullback(xp, out=karr[ci])
+            pb = s.kernel.cross_with_pullback(xp, out=karr[ci])[2]
             if pullbacks:  # a pullback keeps its kernel's blocks alive
                 pbs.append(lambda gk, gf, gs, pb=pb: pb(gf, gs))
         np.sum(karr, axis=0, out=ksum)

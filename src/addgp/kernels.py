@@ -13,9 +13,9 @@ such components give main effects and interactions whose posterior means
 are directly interpretable as sensitivity-analysis effects.
 
 All hyperparameters are carried in log space. A kernel implements one
-method, ``_values_with_pullback(X, X2=None, cross=True)``: the block
-K(X, X2) (the Gram of X when X2 is None; None unless ``cross``), the
-diagonal d at the rows of X, and one pullback
+method, ``_values_with_pullback(X, X2=None, cross=True, out=None)``: the
+block K(X, X2) (the Gram of X when X2 is None; None unless ``cross``),
+written into ``out`` when given, the diagonal d at the rows of X, and one pullback
 ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` over the
 trainable log-parameters theta_p, in ``param_names`` order, which takes
 None for a weight left out. ``Kernel`` derives three calls from it:
@@ -32,6 +32,7 @@ reduce to matrix-vector products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -79,11 +80,10 @@ class Kernel:
     needs and captures the parameter values it was made with.
     """
 
-    _takes_out = False  # whether the one method also takes a buffer ``out`` for K
-
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         """The block K(X, X2) (the Gram of X for X2 None; None unless
-        ``cross``), the diagonal d at the rows of X and one pullback
+        ``cross``), written into ``out`` when given (then K is ``out``), the
+        diagonal d at the rows of X and one pullback
         ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` that
         takes None for a weight left out. The pullback may read K and the
         inputs, so neither may be modified in place before it is called."""
@@ -98,10 +98,10 @@ class Kernel:
         return self._values_with_pullback(X, cross=False)[1]
 
     def cross_with_pullback(self, X, X2=None, out=None):
-        """K(X, X2), built in ``out`` by a kernel that takes it (the SE leaves),
-        the diagonal d at the rows of X and the joint pullback ``(G, g)``,
-        which takes None for a weight left out."""
-        return self._values_with_pullback(X, X2, **({"out": out} if self._takes_out else {}))
+        """K(X, X2), written into ``out`` when given, the diagonal d at the
+        rows of X and the joint pullback ``(G, g)``, which takes None for a
+        weight left out."""
+        return self._values_with_pullback(X, X2, out=out)
 
     def get_params(self):
         raise NotImplementedError
@@ -133,8 +133,6 @@ def _as_2d(X):
 class SquaredExp(Kernel):
     """Anisotropic squared-exponential kernel
     ``k(x, y) = v * exp(-0.5 * sum_d ((x_d - y_d) / l_d)^2)``."""
-
-    _takes_out = True
 
     def __init__(self, params, active_dims=(0,)):
         self.params = params
@@ -199,11 +197,14 @@ class Constant(Kernel):
     def variance(self):
         return np.exp(self.log_variance)
 
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         X = _as_2d(X)
         v, trainable = self.variance, self.trainable
         n2 = X.shape[0] if X2 is None else _as_2d(X2).shape[0]
-        K = np.full((X.shape[0], n2), v) if cross else None
+        K = None
+        if cross:
+            K = np.empty((X.shape[0], n2)) if out is None else out
+            K.fill(v)
 
         def pullback(G, g):
             if not trainable:
@@ -315,8 +316,6 @@ class ZeroMeanSE(Kernel):
     additive decomposition. Inputs outside [0, 1] (beyond 1e-12) raise
     DomainError.
     """
-
-    _takes_out = True
 
     def __init__(self, params, active_dim=0):
         if len(params.log_lengthscales) != 1:
@@ -453,13 +452,22 @@ class Sum(_Composite):
     """Sum of kernels; parameter vector is the concatenation of the parts'.
     Every part sees the same weights."""
 
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         Ks, ds, pbs = zip(*(p._values_with_pullback(X, X2, cross) for p in self.parts))
 
         def pullback(G, g):
             return np.concatenate([pb(G, g) for pb in pbs])
 
-        return sum(Ks[1:], Ks[0]) if cross else None, sum(ds[1:], ds[0]), pullback
+        return _fold(np.add, Ks, out) if cross else None, sum(ds[1:], ds[0]), pullback
+
+
+def _fold(op, blocks, out):
+    """``op`` over the parts' blocks from the left, into ``out`` when given (a
+    lone block is copied there), never into a block, which its pullback reads."""
+    if out is not None and len(blocks) == 1:
+        out[...] = blocks[0]
+        return out
+    return functools.reduce(lambda acc, k: op(acc, k, out=out), blocks)
 
 
 def _mul(a, b):
@@ -475,7 +483,7 @@ class Product(_Composite):
     value is built from and, in the pullback, the suffix products, so that
     no entry is ever divided out."""
 
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         Ks, ds, pbs = zip(*(p._values_with_pullback(X, X2, cross) for p in self.parts))
         values = (Ks, ds)  # every part's K (None unless cross) and d
         prefixes = [[None, *itertools.accumulate(vals[:-1], _mul)] for vals in values]
@@ -491,8 +499,9 @@ class Product(_Composite):
                     suffixes = [_mul(vals[i], suf) for vals, suf in zip(values, suffixes)]
             return np.concatenate(out)
 
-        K, d = (_mul(pre[-1], vals[-1]) for pre, vals in zip(prefixes, values))
-        return K, d, pullback
+        last = Ks[-1:] if len(Ks) == 1 else (prefixes[0][-1], Ks[-1])
+        K = _fold(np.multiply, last, out) if cross else None
+        return K, _mul(prefixes[1][-1], ds[-1]), pullback
 
 
 def build_anova_kernel(g_params, sigma0, ndim=6, learn_sigma0=True):

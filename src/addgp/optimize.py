@@ -1,17 +1,18 @@
-"""Bound maximization driver shared by the dense and sparse models.
+"""Bound maximization for ``AdditiveModel.train``, which runs ``maximize``
+once per phase and restart, with its knobs (``TrainConfig``), its outcome
+(``TrainResult``) and the boxes of the log-hyperparameters.
 
-Wraps scipy's L-BFGS-B with the conventions the models need: we maximize,
-so the objective is negated; evaluations that blow up numerically
-(indefinite kernel matrices, overflow) get a large finite penalty instead
-of crashing the line search; the best finite iterate is tracked
-explicitly; and a relative-change window on the recorded trace declares
-convergence independently of scipy's own stopping tests.
+``maximize`` wraps scipy's L-BFGS-B with the conventions the models need:
+we maximize, so the objective is negated; evaluations that blow up
+numerically (indefinite kernel matrices, overflow) get a large finite
+penalty instead of crashing the line search; the best finite iterate is
+tracked explicitly; and a relative-change window on the recorded trace
+declares convergence independently of scipy's own stopping tests.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -28,12 +29,12 @@ LOG_VARIANCE_BOUNDS = (-20.0, 20.0)
 
 @dataclass
 class TrainConfig:
-    """Knobs for two-phase training.
-
-    Phase 1 optimizes the variational parameters at fixed hyperparameters;
-    phase 2 (when ``train_hypers``) continues jointly. Convergence is
-    declared when the bound improves by less than ``rel_tol`` (relative)
-    over ``tol_window`` consecutive accepted steps.
+    """Knobs for ``AdditiveModel.train``: each of its 1 + ``multi_start``
+    restarts runs phase 1 over q(U) alone for at most ``phase1_max_iter``
+    steps (default ``max_iter``), then, with ``train_hypers`` and a model
+    that has a hyperparameter, phase 2 over q(U) and the hyperparameters for
+    at most ``max_iter``. A phase converges when the bound improves by less
+    than ``rel_tol`` (relative) over ``tol_window`` consecutive accepted steps.
     """
 
     max_iter: int = 2000
@@ -52,7 +53,11 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Outcome of a training run."""
+    """Outcome of a training run: ``elbo_trace`` (phase 1's, then phase 2's),
+    ``final_elbo``, ``n_iter`` (both phases), ``message``, ``wall_time``,
+    ``converged`` and ``max_iter_reached`` (the last phase's) are the best
+    restart's; ``failures`` (penalised evaluations) and ``clamp_count`` sum
+    over every restart."""
 
     elbo_trace: np.ndarray
     final_elbo: float
@@ -62,7 +67,6 @@ class TrainResult:
     message: str
     wall_time: float
     clamp_count: int = 0
-    # evaluations that failed softly (penalised), over all phases
     failures: int = 0
 
     def summary(self):
@@ -79,14 +83,12 @@ class _Converged(Exception):
 
 @dataclass
 class MaximizeOutcome:
-    """The best iterate (``x``, ``f``), the trace of accepted steps, how the
-    run stopped, and the last point evaluated."""
+    """The best iterate (``x``, ``f``), the trace of accepted steps and how
+    the run stopped."""
 
     trace: list = field(default_factory=list)
     f: float = -np.inf
     x: np.ndarray = None
-    last_x: np.ndarray = None
-    last_f: float = None
     failures: int = 0
     converged: bool = False
     max_iter_reached: bool = False
@@ -114,13 +116,10 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
             return 1e3 * (abs(out.f) + 1.0)
         return _PENALTY
 
-    def evaluate(x):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return value_and_grad(x)
-
     def objective(x):
         try:
-            f, g = evaluate(x)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                f, g = value_and_grad(x)
         except NotPositiveDefinite:
             out.failures += 1
             return penalty(), np.zeros_like(x)
@@ -130,16 +129,11 @@ def maximize(value_and_grad, x0, bounds, config, trace_offset=()):
         if f > out.f:
             out.f = f
             out.x = x.copy()
-        out.last_x = x.copy()
-        out.last_f = f
         return -f, -g
 
-    def callback(xk):
-        if out.last_x is not None and np.array_equal(xk, out.last_x):
-            fk = out.last_f
-        else:
-            fk = evaluate(xk)[0]
-        out.trace.append(fk)
+    def callback(intermediate_result):
+        # scipy passes the accepted iterate's value when the one parameter has this name
+        out.trace.append(-intermediate_result.fun)
         w = config.tol_window
         t = out.trace
         if len(t) > w:
@@ -191,41 +185,3 @@ def bounds_for_names(names):
         else:
             out.append((None, None))
     return out
-
-
-def run_two_phase(make_objective, config):
-    """Shared two-phase trainer.
-
-    ``make_objective(train_hypers)`` returns ``(fun, x0, bounds, setter)``
-    where ``setter(x)`` writes the parameters back into the model. Returns
-    a TrainResult; the model is left at the best iterate found.
-    """
-    t0 = time.perf_counter()
-
-    fun, x0, bnds, setter = make_objective(False)
-    n_variational = len(x0)
-    p1 = config.max_iter if config.phase1_max_iter is None else config.phase1_max_iter
-    out = maximize(fun, x0, bnds, replace(config, max_iter=p1))
-    setter(out.x)
-    total_iter = out.n_iter
-    failures = out.failures
-
-    if config.train_hypers:
-        fun, x0, bnds, setter = make_objective(True)
-        if len(x0) > n_variational:  # model actually has hyperparameters
-            out = maximize(fun, x0, bnds, config, trace_offset=out.trace)
-            setter(out.x)
-            total_iter += out.n_iter
-            failures += out.failures
-
-    return TrainResult(
-        elbo_trace=np.asarray(out.trace, dtype=float),
-        final_elbo=float(out.f),
-        converged=out.converged,
-        max_iter_reached=out.max_iter_reached,
-        n_iter=total_iter,
-        message=out.message,
-        wall_time=time.perf_counter() - t0,
-        failures=failures,
-    )
-

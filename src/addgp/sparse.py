@@ -51,6 +51,8 @@ run in row pieces within OpenBLAS's small-matrix path (``_SMALL_GEMM``).
 from __future__ import annotations
 
 import functools
+import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -61,7 +63,7 @@ from .linalg import cholesky, inverse_from_tri_inverse, logdet_from_chol, sym_sq
 from .linalg import tri_inverse, tri_mul, tri_solve
 # importable by name for instrumentation that wraps the linear algebra per module
 from .linalg import solve_from_chol  # noqa: F401
-from .optimize import TrainConfig, bounds_for_names, run_two_phase
+from .optimize import TrainConfig, TrainResult, bounds_for_names, maximize
 
 VAR_CLAMP = 1e-12
 # rows per block of the reads (at most) and of the bound; multiples of 8, the
@@ -348,7 +350,8 @@ class AdditiveModel:
     """What the sparse and the dense model share: validation, the data
     projections, the start state, the hyperparameter-keyed cache of prior
     blocks, marginals through ``Posterior``, the bound's row walk (with the
-    likelihood and the kernel pullbacks) and two-phase training with restarts.
+    likelihood and the kernel pullbacks) and training: ``train`` runs
+    ``optimize.maximize`` in each phase of each restart itself.
 
     A subclass names its coupling field in the state (``coupling``, "B" or
     "lam"), supplies ``_prior_blocks`` and ``_perturb_start``, may override
@@ -524,16 +527,18 @@ class AdditiveModel:
         return [self.state.alpha] + self._blocks()
 
     def _make_objective(self, train_hypers):
+        """(value_and_grad, x0, bounds, write) for ``maximize`` over q(U) and,
+        with ``train_hypers``, the hyperparameters; ``write(x)`` puts x in the model."""
         nv = sum(v.size for v in self._variational())
         sizes = [s.kernel.n_params for s in self.specs]
 
-        def unpack(x):
+        def write(x):
             _scatter(self._variational(), x[:nv])
             if train_hypers:
                 self._set_hypers(np.split(x[nv:], np.cumsum(sizes)))
 
         def fun(x):
-            unpack(x)
+            write(x)
             val, g = self.elbo_with_grads(train_hypers=train_hypers)
             gvec = [g["alpha"]] + self._blocks(g[self.coupling])
             if train_hypers:
@@ -546,17 +551,22 @@ class AdditiveModel:
             x0 += self._hypers()
             names = [p for s in self.specs for p in s.kernel.param_names()]
             bounds += bounds_for_names(names + self.likelihood.param_names())
-        return fun, np.concatenate(x0), bounds, unpack
+        return fun, np.concatenate(x0), bounds, write
 
     def train(self, config=None):
-        """Two-phase maximization of the bound; returns a TrainResult and
-        leaves the model at the best parameters found. Each of the
-        ``config.multi_start`` restarts begins from the starting
-        hyperparameters and the zero state, randomly perturbed; the state
-        is written in place throughout."""
+        """Maximize the bound in the phases and restarts of ``TrainConfig``,
+        each phase one ``maximize`` whose best iterate is written into the
+        model, phase 2 only for a model with a hyperparameter; returns a
+        TrainResult and leaves the model at the best parameters found. A
+        restart begins from the starting hyperparameters and the zero state,
+        randomly perturbed; the state is written in place throughout."""
         config = config or TrainConfig()
         self._clamp_total = 0
         hyper0 = self._hypers()
+        p1 = config.max_iter if config.phase1_max_iter is None else config.phase1_max_iter
+        phases = [(False, replace(config, max_iter=p1))]
+        if config.train_hypers and any(len(h) for h in hyper0):
+            phases.append((True, config))
         best = None
         failures = 0
         for attempt in range(1 + max(0, config.multi_start)):
@@ -565,10 +575,17 @@ class AdditiveModel:
                 for v in self._variational():
                     v[...] = 0.0
             self._perturb_start(config.seed + attempt, restart=attempt > 0)
-            res = run_two_phase(self._make_objective, config)
-            failures += res.failures
-            if best is None or res.final_elbo > best.final_elbo:
-                best, best_hypers = res, self._hypers()
+            t0, trace, n_iter = time.perf_counter(), (), 0
+            for hypers, phase in phases:
+                fun, x0, bounds, write = self._make_objective(hypers)
+                out = maximize(fun, x0, bounds, phase, trace_offset=trace)
+                write(out.x)
+                trace, n_iter, failures = out.trace, n_iter + out.n_iter, failures + out.failures
+            if best is None or out.f > best.final_elbo:
+                wall = time.perf_counter() - t0
+                best = TrainResult(np.asarray(trace, dtype=float), float(out.f), out.converged,
+                                   out.max_iter_reached, n_iter, out.message, wall)
+                best_hypers = self._hypers()
                 best_x = np.concatenate([v.ravel() for v in self._variational()])
         _scatter(self._variational(), best_x)
         self._set_hypers(best_hypers)

@@ -284,12 +284,13 @@ class _Linear(kernels.Kernel):
         self.log_variance = float(log_variance)
         self.active_dims = tuple(active_dims)
 
-    def _values_with_pullback(self, X, X2=None, cross=True):
+    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
         dims = list(self.active_dims)
         x = np.atleast_2d(X)[:, dims]
         v = np.exp(self.log_variance)
         d = v * np.einsum("nd,nd->n", x, x)
-        K = v * (x @ (x if X2 is None else np.atleast_2d(X2)[:, dims]).T) if cross else None
+        x2 = x if X2 is None else np.atleast_2d(X2)[:, dims]
+        K = np.multiply(v, x @ x2.T, out=out) if cross else None
 
         def pullback(G, g):
             # every value is linear in v
@@ -502,3 +503,36 @@ def test_zero_mean_leaf_follows_its_parameters_and_inducing_inputs():
     assert same_as_fresh()
     Z[0, 0] = 0.9  # a column the leaf does not read
     assert same_as_fresh()
+
+
+def _composites():
+    def se(ls, dim):
+        return ZeroMeanSE(KernelParams(0.3, np.log([ls])), active_dim=dim)
+
+    return {
+        "constant": Constant(np.log(0.7)),
+        "sum": Sum([Constant(np.log(0.7)), se(0.4, 0)]),
+        "sum3": Sum([se(0.3, 0), se(0.5, 1), Constant(-1.0)]),
+        "sum1": Sum([se(0.3, 0)]),
+        "product": Product([se(0.3, 0), se(0.6, 1)]),
+        "product3": Product([se(0.3, 0), se(0.6, 1), Constant(0.2)]),
+        "product1": Product([se(0.3, 0)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_composites()))
+def test_composites_write_their_block_into_out(name):
+    # the block goes into the caller's buffer with the bits of a fresh one,
+    # and the pullback, which reads the parts' own blocks, is unchanged
+    kern = _composites()[name]
+    rng = np.random.default_rng(11)
+    X, X2 = rng.uniform(0, 1, size=(7, 2)), rng.uniform(0, 1, size=(5, 2))
+    G, g = rng.normal(size=(7, 5)), rng.normal(size=7)
+    for x2, shape in ((X2, (7, 5)), (None, (7, 7))):
+        K, d, pb = kern.cross_with_pullback(X, x2)
+        buf = np.full(shape, np.nan)
+        Kb, db, pbb = kern.cross_with_pullback(X, x2, out=buf)
+        assert Kb is buf
+        assert np.array_equal(Kb, K) and np.array_equal(db, d)
+        Gs = G if x2 is not None else rng.normal(size=shape)
+        assert np.array_equal(pbb(Gs, g), pb(Gs, g))

@@ -8,15 +8,20 @@ broken objectives to exercise the penalty and all-failed paths.
 import numpy as np
 import pytest
 
-from addgp import ComponentSpec, Dataset, FullModel, KernelParams, Poisson, SparseModel, SquaredExp
+from scipy.optimize import minimize
+
+from addgp import (
+    ComponentSpec, Constant, Dataset, FullModel, Gaussian, KernelParams, Poisson, SparseModel,
+    SquaredExp,
+)
 from addgp.errors import NotPositiveDefinite
 from addgp.optimize import (
+    HISTORY_SIZE,
     LOG_LENGTHSCALE_BOUNDS,
     LOG_VARIANCE_BOUNDS,
     TrainConfig,
     bounds_for_names,
     maximize,
-    run_two_phase,
 )
 
 
@@ -157,101 +162,108 @@ def test_bounds_for_names_matches_by_substring():
     assert out[3] == (None, None)
 
 
-def test_run_two_phase_joint_optimum():
-    # variational parameter v, hyperparameter h; phase 1 fixes h at its
-    # current value, phase 2 moves both to the joint optimum (2, 2)
-    params = {"v": 0.0, "h": 0.0}
+def test_maximize_evaluates_only_where_lbfgs_asks():
+    # the trace takes the accepted value scipy hands the callback, so a run
+    # stopped at its iteration cap evaluates exactly as often as scipy alone
+    fg, t = _quadratic(n=6, seed=7)
+    cfg = TrainConfig(max_iter=4, rel_tol=1e-16, tol_window=50)
+    calls = []
 
-    def make_objective(train_hypers):
-        def fun(x):
-            v = x[0]
-            h = x[1] if train_hypers else params["h"]
-            f = -((v - h) ** 2) - (h - 2.0) ** 2
-            gv = -2.0 * (v - h)
-            if train_hypers:
-                gh = 2.0 * (v - h) - 2.0 * (h - 2.0)
-                return f, np.array([gv, gh])
-            return f, np.array([gv])
+    def counted(x):
+        calls.append(x.copy())
+        return fg(x)
 
-        x0 = (
-            np.array([params["v"], params["h"]])
-            if train_hypers
-            else np.array([params["v"]])
-        )
+    out = maximize(counted, np.zeros_like(t), [(None, None)] * t.size, cfg)
+    ref = minimize(
+        lambda x: tuple(-v for v in fg(x)), np.zeros_like(t), jac=True, method="L-BFGS-B",
+        bounds=[(None, None)] * t.size,
+        options={"maxiter": cfg.max_iter, "maxfun": 15000, "maxcor": HISTORY_SIZE,
+                 "ftol": cfg.ftol, "gtol": cfg.gtol},
+    )
+    assert out.max_iter_reached and ref.status == 1
+    assert len(calls) == ref.nfev
+    assert out.n_iter == ref.nit == cfg.max_iter
+    assert out.trace[-1] == -ref.fun
 
-        def setter(x):
-            params["v"] = x[0]
-            if train_hypers:
-                params["h"] = x[1]
 
-        return fun, x0, [(None, None)] * len(x0), setter
+def _gaussian_model(seed=0, n=30):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, size=(n, 1))
+    y = np.sin(6.0 * X[:, 0]) + 0.1 * rng.normal(size=n)
+    spec = ComponentSpec(
+        SquaredExp(KernelParams(0.0, np.log([0.5]))), (0,), np.linspace(0.05, 0.95, 5)[:, None]
+    )
+    return SparseModel([spec], Gaussian(np.log(0.5)), Dataset(X, y))
 
-    res = run_two_phase(make_objective, TrainConfig(max_iter=200))
-    assert res.final_elbo == pytest.approx(0.0, abs=1e-8)
-    assert params["v"] == pytest.approx(2.0, abs=1e-4)
-    assert params["h"] == pytest.approx(2.0, abs=1e-4)
-    assert res.n_iter > 0
+
+def test_train_phase_two_moves_hypers_past_phase_one():
+    # phase 1 at fixed hyperparameters, then phase 2 jointly: the trace of a
+    # phase-1-only fit is the two-phase trace's head, and phase 2 moves the
+    # hyperparameters and raises the bound past where phase 1 stopped
+    cfg = TrainConfig(max_iter=200, phase1_max_iter=30)
+    first = _gaussian_model().train(TrainConfig(max_iter=30, train_hypers=False))
+    model = _gaussian_model()
+    start = model._hypers()
+    res = model.train(cfg)
+    assert np.array_equal(res.elbo_trace[: len(first.elbo_trace)], first.elbo_trace)
+    assert res.n_iter > first.n_iter
+    assert res.final_elbo > first.final_elbo + 1.0
+    assert not any(np.array_equal(a, b) for a, b in zip(start, model._hypers()))
     assert "bound" in res.summary()
 
 
-def test_run_two_phase_skips_phase_two_without_hyperparameters():
-    fg, t = _quadratic(n=3, seed=4)
-    phase2_called = {"flag": False}
+def test_train_without_hyperparameters_runs_one_phase():
+    # a frozen constant kernel under Poisson has no hyperparameter, so
+    # train_hypers=True runs phase 1 alone, as train_hypers=False does
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 1, size=(20, 1))
+    y = rng.poisson(3.0, size=20).astype(float)
 
-    def make_objective(train_hypers):
-        if train_hypers:
-            phase2_called["flag"] = True
+    def model():
+        spec = ComponentSpec(Constant(0.0, trainable=False), (0,), np.array([[0.5]]))
+        return SparseModel([spec], Poisson(), Dataset(X, y))
 
-        def setter(x):
-            pass
+    calls = []
+    m = model()
+    evaluate = m.elbo_with_grads
 
-        # same parameter vector in both phases: nothing hyper to train
-        return fg, np.zeros_like(t), [(None, None)] * t.size, setter
+    def counted(train_hypers=False):
+        calls.append(train_hypers)
+        return evaluate(train_hypers)
 
-    res = run_two_phase(make_objective, TrainConfig(max_iter=300))
-    # the factory is consulted, but no second optimization runs, so the
-    # final bound is already the phase-1 optimum
-    assert phase2_called["flag"]
-    assert res.final_elbo == pytest.approx(0.0, abs=1e-8)
+    m.elbo_with_grads = counted
+    res = m.train(TrainConfig(max_iter=300, train_hypers=True))
+    alone = model().train(TrainConfig(max_iter=300, train_hypers=False))
+    assert calls and not any(calls)
+    assert np.array_equal(res.elbo_trace, alone.elbo_trace)
+    assert res.final_elbo == alone.final_elbo and res.n_iter == alone.n_iter
 
 
-def test_run_two_phase_phase1_cap_applies_only_to_phase1():
-    fg, t = _quadratic(n=4, seed=5)
-    seen = []
-
-    def make_objective(train_hypers):
-        def setter(x):
-            seen.append(x.copy())
-
-        return fg, np.zeros_like(t), [(None, None)] * t.size, setter
-
-    cfg = TrainConfig(
-        max_iter=500, phase1_max_iter=1, train_hypers=False, rel_tol=1e-14
-    )
-    res = run_two_phase(make_objective, cfg)
-    assert res.n_iter <= 2
+def test_train_phase1_cap_applies_only_to_phase1():
+    # one phase-1 step is all phase 1 may take; phase 2 runs on to max_iter
+    res = _gaussian_model().train(TrainConfig(max_iter=500, phase1_max_iter=1, train_hypers=False))
     assert res.max_iter_reached
+    assert res.n_iter == 1
+    both = _gaussian_model().train(TrainConfig(max_iter=500, phase1_max_iter=1, rel_tol=1e-14))
+    assert both.elbo_trace[0] == res.elbo_trace[0]
+    assert both.n_iter > 2
+    assert not both.max_iter_reached
 
 
-def test_run_two_phase_reports_soft_failures_of_both_phases():
+def test_train_reports_soft_failures_of_both_phases():
     # the second evaluation of each phase raises NotPositiveDefinite
-    fg, t = _quadratic(n=3, seed=6)
+    model = _gaussian_model()
+    evaluate = model.elbo_with_grads
+    calls = {False: 0, True: 0}
 
-    def make_objective(train_hypers):
-        calls = {"n": 0}
+    def flaky(train_hypers=False):
+        calls[train_hypers] += 1
+        if calls[train_hypers] == 2:
+            raise NotPositiveDefinite("synthetic failure")
+        return evaluate(train_hypers)
 
-        def flaky(x):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise NotPositiveDefinite("synthetic failure")
-            val, g = fg(x[:3])
-            if train_hypers:  # one hyperparameter, optimum at 0
-                return val - x[3] ** 2, np.append(g, -2.0 * x[3])
-            return val, g
-
-        x0 = np.zeros(4 if train_hypers else 3)
-        return flaky, x0, [(None, None)] * len(x0), lambda x: None
-
-    res = run_two_phase(make_objective, TrainConfig(max_iter=200))
+    model.elbo_with_grads = flaky
+    res = model.train(TrainConfig(max_iter=100))
+    assert calls[False] > 2 and calls[True] > 2
     assert res.failures == 2
-    assert res.final_elbo == pytest.approx(0.0, abs=1e-8)
+    assert np.isfinite(res.final_elbo)
