@@ -110,16 +110,12 @@ def _read_csv_rows(path):
     rows = []
     header = None
     saw_first = False
-    limit = csv.field_size_limit()
     with open(path, newline="") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.startswith("#") or not line.strip():
                     continue
-                if len(line) <= limit and '"' not in line and "\0" not in line:
-                    fields = line.rstrip("\r\n").split(",")
-                else:
-                    fields = next(csv.reader([line]))
+                fields = next(csv.reader([line]))
                 if not saw_first:
                     saw_first = True
                     try:

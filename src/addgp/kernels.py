@@ -13,14 +13,13 @@ such components give main effects and interactions whose posterior means
 are directly interpretable as sensitivity-analysis effects.
 
 All hyperparameters are carried in log space. A kernel implements one
-method, ``_values_with_pullback(X, X2=None, cross=True, out=None)``: the
-block K(X, X2) (the Gram of X when X2 is None; None unless ``cross``),
-written into ``out`` when given, the diagonal d at the rows of X, and one pullback
+method, ``cross_with_pullback(X, X2=None, out=None)``: the block K(X, X2)
+(the Gram of X when X2 is None), written into ``out`` when given, the
+diagonal d at the rows of X, and one pullback
 ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` over the
-trainable log-parameters theta_p, in ``param_names`` order, which takes
-None for a weight left out. ``Kernel`` derives three calls from it:
-``eval`` and ``diag`` are its values, and ``cross_with_pullback`` gives
-both with the pullback, to which a caller passes None for a weight it lacks.
+trainable log-parameters theta_p, in ``param_names`` order, to which a
+caller passes None for a weight it lacks. ``Kernel`` derives ``eval`` (the
+block) and ``diag`` (the diagonal, off a one-column block) from it.
 Work that only the gradient needs (the derivatives of the zero-mean
 kernel's integrals, a product's leave-one-out factors) is done inside the
 pullback, so a caller that needs only values pays for no derivative. A
@@ -75,33 +74,28 @@ class Kernel:
     on the columns of its inputs selected by the subclass's active
     dimensions (indices into the arrays it is handed, not into any wider
     dataset). Composite kernels concatenate the parameter vectors of their
-    parts. A subclass implements ``_values_with_pullback`` and nothing else
+    parts. A subclass implements ``cross_with_pullback`` and nothing else
     of the evaluation; its pullback holds every step that only the gradient
     needs and captures the parameter values it was made with.
     """
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
-        """The block K(X, X2) (the Gram of X for X2 None; None unless
-        ``cross``), written into ``out`` when given (then K is ``out``), the
-        diagonal d at the rows of X and one pullback
-        ``(G, g) -> [sum(G * dK/dtheta_p) + g @ dd/dtheta_p]_p`` that
-        takes None for a weight left out. The pullback may read K and the
-        inputs, so neither may be modified in place before it is called."""
+    def cross_with_pullback(self, X, X2=None, out=None):
+        """The block K(X, X2) (the Gram of X for X2 None), written into
+        ``out`` when given (then K is ``out``), the diagonal d at the rows of
+        X and one pullback ``(G, g) -> [sum(G * dK/dtheta_p) + g @
+        dd/dtheta_p]_p`` that takes None for a weight left out. The pullback
+        may read K and the inputs, so neither may be modified in place before
+        it is called."""
         raise NotImplementedError
 
     def eval(self, X, X2=None):
         """Cross-covariance K(X, X2), or the Gram matrix of X."""
-        return self._values_with_pullback(X, X2)[0]
+        return self.cross_with_pullback(X, X2)[0]
 
     def diag(self, X):
-        """Prior variances k(x, x) at the rows of X."""
-        return self._values_with_pullback(X, cross=False)[1]
-
-    def cross_with_pullback(self, X, X2=None, out=None):
-        """K(X, X2), written into ``out`` when given, the diagonal d at the
-        rows of X and the joint pullback ``(G, g)``, which takes None for a
-        weight left out."""
-        return self._values_with_pullback(X, X2, out=out)
+        """Prior variances k(x, x) at the rows of X. Every evaluation gives a
+        block with its diagonal; the one column K(X, X[:1]) keeps that O(n)."""
+        return self.cross_with_pullback(X, X[:1])[1]
 
     def get_params(self):
         raise NotImplementedError
@@ -143,17 +137,14 @@ class SquaredExp(Kernel):
                 f"({len(self.params.log_lengthscales)} vs {len(self.active_dims)})"
             )
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
+    def cross_with_pullback(self, X, X2=None, out=None):
         X = _as_2d(X)
-        v = self.params.variance
-        K = None
-        if cross:
-            X2 = X if X2 is None else _as_2d(X2)
-            dims = list(self.active_dims)
-            # (n, m, d) array of per-dimension scaled differences
-            diff = (X[:, None, dims] - X2[None, :, dims]) / self.params.lengthscales
-            sq = diff * diff
-            K = np.multiply(v, np.exp(-0.5 * np.sum(sq, axis=2)), out=out)
+        X2 = X if X2 is None else _as_2d(X2)
+        v, dims = self.params.variance, list(self.active_dims)
+        # (n, m, d) array of per-dimension scaled differences
+        diff = (X[:, None, dims] - X2[None, :, dims]) / self.params.lengthscales
+        sq = diff * diff
+        K = np.multiply(v, np.exp(-0.5 * np.sum(sq, axis=2)), out=out)
         nd = len(self.active_dims)
 
         def pullback(G, g):
@@ -197,14 +188,12 @@ class Constant(Kernel):
     def variance(self):
         return np.exp(self.log_variance)
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
+    def cross_with_pullback(self, X, X2=None, out=None):
         X = _as_2d(X)
         v, trainable = self.variance, self.trainable
         n2 = X.shape[0] if X2 is None else _as_2d(X2).shape[0]
-        K = None
-        if cross:
-            K = np.empty((X.shape[0], n2)) if out is None else out
-            K.fill(v)
+        K = np.empty((X.shape[0], n2)) if out is None else out
+        K.fill(v)
 
         def pullback(G, g):
             if not trainable:
@@ -346,34 +335,31 @@ class ZeroMeanSE(Kernel):
                             "q": _se_double_integral(v, ell)}
         return self._z[1]
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
+    def cross_with_pullback(self, X, X2=None, out=None):
         # K and the diagonal share one mean embedding of X; the inducing side,
         # all of a Gram, comes from the kept terms of its column
         v, ell = _scalars(self.params)
-        z = self._inducing_terms(X if X2 is None else X2, v, ell) if cross else None
-        gram = cross and X2 is None
+        gram = X2 is None
         x = None if gram else self._column(X)
+        z = self._inducing_terms(X if gram else X2, v, ell)
         ex = z["e"] if gram else _se_embedding(v, ell, x)
-        mx = ex[0]
-        q = _se_double_integral(v, ell) if z is None else z["q"]
-        d, K = v - mx * mx / q, None
-        if cross:
-            my, ys = z["e"][0], z["ys"]
-            xs = ys if gram else x * (np.sqrt(0.5) / ell)
-            # v exp(-t) - mx my^T / q with t the block of halved squared
-            # scaled distances, built in place on one (n, m) array
-            K = _sqdist(xs, ys, out)
-            np.subtract(self.params.log_variance, K, out=K)
-            np.exp(K, out=K)
-            K = _minus_outer(K, mx, my / q)
+        mx, my, ys, q = ex[0], z["e"][0], z["ys"], z["q"]
+        d = v - mx * mx / q
+        xs = ys if gram else x * (np.sqrt(0.5) / ell)
+        # v exp(-t) - mx my^T / q with t the block of halved squared
+        # scaled distances, built in place on one (n, m) array
+        K = _sqdist(xs, ys, out)
+        np.subtract(self.params.log_variance, K, out=K)
+        np.exp(K, out=K)
+        K = _minus_outer(K, mx, my / q)
 
         def pullback(G, g):
             # every term is linear in v, so d/dlog v of each part is the part
-            if z is not None and "dq" not in z:
+            if "dq" not in z:
                 z.update(dmy=_se_mean_embedding_dlogl(v, ell, *z["e"]),
                          dq=_se_double_integral_dlogl(v, ell))
             dmx = z["dmy"] if gram else _se_mean_embedding_dlogl(v, ell, *ex)
-            dq = _se_double_integral_dlogl(v, ell) if z is None else z["dq"]
+            dq = z["dq"]
             out = np.zeros(2)
             if G is not None:
                 # dK/dlog l = 2 g t - (dmx my' + mx dmy')/q + mx my' dq/q^2
@@ -452,13 +438,13 @@ class Sum(_Composite):
     """Sum of kernels; parameter vector is the concatenation of the parts'.
     Every part sees the same weights."""
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
-        Ks, ds, pbs = zip(*(p._values_with_pullback(X, X2, cross) for p in self.parts))
+    def cross_with_pullback(self, X, X2=None, out=None):
+        Ks, ds, pbs = zip(*(p.cross_with_pullback(X, X2) for p in self.parts))
 
         def pullback(G, g):
             return np.concatenate([pb(G, g) for pb in pbs])
 
-        return _fold(np.add, Ks, out) if cross else None, sum(ds[1:], ds[0]), pullback
+        return _fold(np.add, Ks, out), sum(ds[1:], ds[0]), pullback
 
 
 def _fold(op, blocks, out):
@@ -483,9 +469,9 @@ class Product(_Composite):
     value is built from and, in the pullback, the suffix products, so that
     no entry is ever divided out."""
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
-        Ks, ds, pbs = zip(*(p._values_with_pullback(X, X2, cross) for p in self.parts))
-        values = (Ks, ds)  # every part's K (None unless cross) and d
+    def cross_with_pullback(self, X, X2=None, out=None):
+        Ks, ds, pbs = zip(*(p.cross_with_pullback(X, X2) for p in self.parts))
+        values = (Ks, ds)  # every part's K and d
         prefixes = [[None, *itertools.accumulate(vals[:-1], _mul)] for vals in values]
 
         def pullback(G, g):
@@ -500,8 +486,7 @@ class Product(_Composite):
             return np.concatenate(out)
 
         last = Ks[-1:] if len(Ks) == 1 else (prefixes[0][-1], Ks[-1])
-        K = _fold(np.multiply, last, out) if cross else None
-        return K, _mul(prefixes[1][-1], ds[-1]), pullback
+        return _fold(np.multiply, last, out), _mul(prefixes[1][-1], ds[-1]), pullback
 
 
 def build_anova_kernel(g_params, sigma0, ndim=6, learn_sigma0=True):

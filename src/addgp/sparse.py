@@ -206,13 +206,11 @@ class Posterior:
         return 0.5 * (logdet + quad - trace)
 
     def mu_t(self, f, ci, out=None):
-        """(mu, t) = (F_ci alpha_ci, F_ci B~_ci) at a block of rows from its
-        cross block; lambda's B~_c are all one, so there it also takes the
-        pair (mu, sum_c F_c) for ``ci`` None and t is one ``tri_mul``,
+        """(mu, t) = (F_ci alpha_ci, F_ci B~_ci) at a block of rows from the
+        cross block F_ci of component ci; lambda's t is one ``tri_mul``,
         written over ``out`` (which may be F) when given."""
         if self._b is None:
-            mu, f = f if ci is None else (f @ self.alphas[ci], f)
-            return mu, tri_mul(f, self._bt, lower=False, out=out)
+            return f @ self.alphas[ci], tri_mul(f, self._bt, lower=False, out=out)
         return f @ self.alphas[ci], f @ self._bt[ci]
 
     def read(self, f, rows):
@@ -221,11 +219,10 @@ class Posterior:
         block keeps f, t and its u for ``accumulate``. B's t is (G, rows, R),
         each block of q(U) in one product with its columns of f, and t and u
         are written over the last block's."""
-        if f is None:
-            f = self.ka.sum(axis=0)[rows], self._ksum[rows]
-            mu, t = self.mu_t(f, None, out=self._work[1])
+        if f is None:  # lambda's B~_c are all one: t whitens sum_c F_c once
+            t = tri_mul(self._ksum[rows], self._bt, lower=False, out=self._work[1])
             self._block = None, t, self._work[4], rows
-            return mu, _rowsq(t)
+            return self.ka.sum(axis=0)[rows], _rowsq(t)
         if self._bufs is None or self._bufs[0].shape[1] < len(f):
             shape = (self._g, len(f), self._bt.shape[-1])
             self._bufs = np.empty(shape), np.empty((*shape[:2], 1 + shape[2]))
@@ -306,17 +303,18 @@ class Posterior:
     def at(self, Xq, include_components=False):
         """Marginals of the sum at the query points Xq (full input width) and,
         with ``include_components``, each component's (mean, variance). Each
-        kernel checks its domain at the query's column-wise min and max, so a
-        bad input fails as in one pass. Then, ``_read_rows(M)`` rows at a time
-        (a dense read at N >= 512 holds 128 x N per array), one kernel call
-        per component gives F_c and its prior diagonal and ``mu_t`` (mu_c,
-        t_c), which add up to the bits of one pass; a block of q(U) adds its
-        t_c, and mean-field its components' variances; lambda without
-        components whitens sum_c F_c once."""
+        kernel checks its domain at the query's column-wise min and max
+        against Z (which keeps its Z side), so a bad input fails as in one
+        pass. Then, ``_read_rows(M)`` rows at a time (a dense read at N >=
+        512 holds 128 x N per array), one kernel call per component gives F_c
+        and its prior diagonal and ``mu_t`` (mu_c, t_c), which add up to the
+        bits of one pass; a block of q(U) adds its t_c, and mean-field its
+        components' variances; lambda without components whitens sum_c F_c
+        once."""
         xps = [s.project(Xq) for s in self.specs]
         n = len(xps[0])
         for s, xp in zip(self.specs, xps if n else ()):
-            s.kernel.diag(np.stack((xp.min(axis=0), xp.max(axis=0))))
+            s.kernel.cross_with_pullback(np.stack((xp.min(axis=0), xp.max(axis=0))), s.Z)
         summed = self._b is None and not include_components
         apart = self._g > 1
         # rows: summed mean and variance, then each component's pair
@@ -335,7 +333,7 @@ class Posterior:
                     continue
                 d = d + dc
                 t = tc if t is None else np.add(t, tc, out=t)
-            t = self.mu_t((mu, t), None, out=t)[1] if summed else t
+            t = tri_mul(t, self._bt, lower=False, out=t) if summed else t
             out[1, rows] = d if apart else d - _rowsq(t)
         per = list(zip(out[2::2], out[3::2])) if include_components else None
         return _model.PredictorMarginals(out[0], out[1], per)
@@ -699,7 +697,8 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
     LU-factored once, bypassing the Cholesky path: for B, I + [B_1^T K_1,
     ..., B_C^T K_C] [B_1; ...; B_C] and W_c = B_c A^{-1} B_c^T; for lambda,
     I + Lambda Ksum Lambda from the Gram sum the read keeps and one
-    W = Lambda A^{-1} Lambda. The maximum discrepancy is a fourth element.
+    W = Lambda A^{-1} Lambda. The maximum discrepancy (0 on an empty grid) is
+    a fourth element.
     """
     post = Posterior(specs, alpha, _read_blocks(specs, coupling))
     if coupled_check:
@@ -722,10 +721,11 @@ def decompose(specs, alpha, coupling, grids, coupled_check=False):
         if len(blocks) == 1:  # the whole grid, not copied
             mean, var, vw = _grid_effect(s, post, ci, g, w)
         else:  # the box check first, so that a bad input fails as in one pass
-            s.kernel.diag(np.stack((g.min(axis=0), g.max(axis=0))))
+            s.kernel.cross_with_pullback(np.stack((g.min(axis=0), g.max(axis=0))), s.Z)
             parts = zip(*(_grid_effect(s, post, ci, g[rows], w) for rows in blocks))
             mean, var, vw = (None if p[0] is None else np.concatenate(p) for p in parts)
-        out.append((g, mean, var) if w is None else (g, mean, var, float(np.max(abs(var - vw)))))
+        out.append((g, mean, var) if w is None
+                   else (g, mean, var, float(np.max(abs(var - vw), initial=0.0))))
     return out
 
 

@@ -436,6 +436,72 @@ def test_data_and_format_errors_exit_2(tmp_path, capsys):
         assert [line for line in err.splitlines() if line.startswith("error:")], argv
 
 
+def test_data_shape_errors_exit_2_and_write_nothing(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    target_only = tmp_path / "target_only.csv"
+    write_csv(target_only, ["y"], [rng.normal(size=10)])
+    one_input = tmp_path / "one_input.csv"
+    _write_dataset(one_input, rng.uniform(0, 1, (10, 1)), rng.normal(size=10))
+    three_inputs = tmp_path / "three_inputs.csv"
+    _write_dataset(three_inputs, rng.uniform(0, 1, (10, 3)), rng.normal(size=10))
+    model = tmp_path / "se3.addgp"
+    assert main(["fit", str(three_inputs), "--kernel", "se", "--m", "3", "--max-iter", "2",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv, message in (
+        (["fit", str(target_only), "--out", str(out)], "at least one feature column"),
+        (["fit", str(one_input), "--kernel", "anova", "--out", str(out)],
+         "at least 2 input columns"),
+        (["predict", str(model), str(one_input), "--out", str(out)],
+         "query needs 3 input columns, found 2"),
+        (["decompose", str(model), "--outdir", str(out)], "1- or 2-dim components, got 3"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], argv
+        assert not out.exists(), argv
+
+
+def test_fit_rescales_anova_inputs_and_decompose_maps_them_back(tmp_path):
+    # an anova fit on inputs outside the unit box (here one column on
+    # [-3, 5] and one constant, given a unit span) predicts as a fit on the
+    # rows pre-scaled by the same map, and its effect tables give the grids
+    # in the original units
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.uniform(-3.0, 5.0, 40), np.full(40, 2.0)])
+    X[:2, 0] = -3.0, 5.0
+    y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=40)
+    xq = np.column_stack([rng.uniform(-3.0, 5.0, 15), np.full(15, 2.0)])
+    rescale = Rescale(lo=np.array([-3.0, 2.0]), hi=np.array([5.0, 3.0]))
+    fit_args = ["--kernel", "anova", "--m", "4", "--max-iter", "10", "--seed", "0"]
+    preds = []
+    for name, x, q in (("raw", X, xq), ("scaled", rescale.apply(X), rescale.apply(xq))):
+        data, query = tmp_path / f"{name}.csv", tmp_path / f"{name}_query.csv"
+        model, out = tmp_path / f"{name}.addgp", tmp_path / f"{name}_pred.csv"
+        _write_dataset(data, x, y)
+        write_csv(query, ["x1", "x2"], [q[:, 0], q[:, 1]])
+        assert main(["fit", str(data), *fit_args, "--out", str(model)]) == 0
+        assert main(["predict", str(model), str(query), "--out", str(out), "--components"]) == 0
+        preds.append(read_csv(out)[1])
+    saved = load_model(tmp_path / "raw.addgp")
+    assert load_model(tmp_path / "scaled.addgp").rescale is None
+    assert np.array_equal(saved.rescale.lo, rescale.lo)
+    assert np.array_equal(saved.rescale.hi, rescale.hi)
+    assert preds[0].tobytes() == preds[1].tobytes()
+
+    outdir = tmp_path / "effects"
+    assert main(["decompose", str(tmp_path / "raw.addgp"), "--outdir", str(outdir),
+                 "--grid", "9", "--grid2d", "3"]) == 0
+    for ci, spec in enumerate(saved.specs):
+        grid = read_csv(outdir / f"effect_{ci}.csv")[1][:, : len(spec.active_dims)]
+        for col, d in zip(grid.T, spec.active_dims):
+            assert abs(col.min() - rescale.lo[d]) <= 1e-12
+            assert abs(col.max() - rescale.hi[d]) <= 1e-12
+
+
 def test_fit_checks_output_paths_before_training(tmp_path, capsys, monkeypatch):
     def never(self, config=None):
         raise AssertionError("fit trained before checking its output paths")

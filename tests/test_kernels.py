@@ -127,6 +127,9 @@ def test_zero_mean_se_rejects_outside_unit_box():
         k.eval(np.array([[1.2]]))
     with pytest.raises(DomainError):
         k.diag(np.array([[-0.4]]))
+    # X is checked before X2, so with both outside the error names X's range
+    with pytest.raises(DomainError, match=r"\[1\.2, 1\.2\]"):
+        k.cross_with_pullback(np.array([[1.2]]), np.array([[-0.4]]))
 
 
 def _pulled_back_derivatives(pullback, shape, n_params):
@@ -257,10 +260,9 @@ def test_diag_pullback_consistent(monkeypatch):
 
 def test_kernels_implement_only_the_pullback_methods():
     # a kernel writes its values and their pullback once, in
-    # _values_with_pullback; Kernel derives eval, diag and the pullback call
-    # from it, so a subclass with its own copy would be a second path to keep
-    # in step
-    derived = {"eval", "diag", "cross_with_pullback"}
+    # cross_with_pullback; Kernel derives eval and diag from it, so a subclass
+    # with its own copy would be a second path to keep in step
+    derived = {"eval", "diag"}
     assert derived <= set(vars(kernels.Kernel))
     classes = [
         c for c in vars(kernels).values()
@@ -274,7 +276,7 @@ def test_kernels_implement_only_the_pullback_methods():
     }
     for cls in concrete:
         own = [n for n in vars(cls) if "pullback" in n or "blocks" in n]
-        assert own == ["_values_with_pullback"], cls.__name__
+        assert own == ["cross_with_pullback"], cls.__name__
 
 
 class _Linear(kernels.Kernel):
@@ -284,13 +286,13 @@ class _Linear(kernels.Kernel):
         self.log_variance = float(log_variance)
         self.active_dims = tuple(active_dims)
 
-    def _values_with_pullback(self, X, X2=None, cross=True, out=None):
+    def cross_with_pullback(self, X, X2=None, out=None):
         dims = list(self.active_dims)
         x = np.atleast_2d(X)[:, dims]
         v = np.exp(self.log_variance)
         d = v * np.einsum("nd,nd->n", x, x)
         x2 = x if X2 is None else np.atleast_2d(X2)[:, dims]
-        K = np.multiply(v, x @ x2.T, out=out) if cross else None
+        K = np.multiply(v, x @ x2.T, out=out)
 
         def pullback(G, g):
             # every value is linear in v
@@ -478,6 +480,17 @@ def test_zero_mean_leaf_computes_its_inducing_side_once():
     with mock.patch.object(kernels, "_se_embedding", wraps=kernels._se_embedding) as embed:
         model.elbo_with_grads(train_hypers=True)
     assert embed.call_count == 32
+
+    # a read of 20,000 rows, five read blocks, by the same model as loaded
+    # (fresh leaves, none keeping Z-side terms) embeds each leaf's Z once, the
+    # box check's min/max rows once and each block's rows once: 8 + 8 + 5 * 8.
+    # A box check that threw away the Z side would add 8 per block
+    xq = sample_friedman(20000, seed=1)[0]
+    assert len(sparse._row_blocks(len(xq), sparse._read_rows(16))) == 5
+    loaded = anova_specs(g, 1.0, m=16, ndim=6)
+    with mock.patch.object(kernels, "_se_embedding", wraps=kernels._se_embedding) as embed:
+        sparse.predict_marginals(loaded, model.state.alpha, model.state.B, xq)
+    assert embed.call_count == 56
 
 
 def test_zero_mean_leaf_follows_its_parameters_and_inducing_inputs():

@@ -468,6 +468,17 @@ def test_decompose_coupled_check_agrees():
             assert disc < 1e-7
 
 
+def test_decompose_reads_an_empty_grid():
+    # as predict_marginals reads an empty query: empty effects, and the
+    # check's largest discrepancy over no rows is 0
+    for specs, alpha, coupling, grids in _check_cases():
+        empty = [g[:0] for g in grids]
+        out = decompose(specs, alpha, coupling, empty, coupled_check=True)
+        for (g, mean, var, disc), ref in zip(out, empty, strict=True):
+            assert g.shape == ref.shape and mean.shape == var.shape == (0,)
+            assert disc == 0.0
+
+
 def test_decompose_coupled_check_catches_a_wrong_read(monkeypatch):
     # scale the reads' whitening by sqrt(1 + 1e-3), B L^{-T} from a
     # triangular solve and, for lambda, L^{-1}, so every read downdate
