@@ -37,15 +37,16 @@ mean-field q(U) is C independent blocks, one per component: its
 ``Posterior`` takes the (C, M, M) stack of B's diagonal blocks, factors C
 capacitances of M x M, and reads each block of training rows once for all
 of them with batched (C, rows, M) products, where a coupled B has one
-(rows, C M) product; the reads stack B the same way wherever it is zero
-off its diagonal M x M blocks, which is exact. The bound walks the training
-rows in blocks of ``_BOUND_ROWS``; the reads, of ``_read_rows(M)`` (a dense
-read at N >= 512 holds 128 x N entries per array, not 4096 x N). With fixed
-hyperparameters a block's cross-covariances F are a row slice of one cached
-(N, C M) block; with their gradients each component evaluates and pulls
-back its F columns and prior diagonal in one joint call
-(``Kernel.cross_with_pullback``), which also gives the Grams. F B~ and F^T u
-run in row pieces within OpenBLAS's small-matrix path (``_SMALL_GEMM``).
+(rows, C M) product; its bound sums the M x M statistics H_c = F_c^T Gs F_c
+(Titsias 2009), where B's sums F^T u, u = [dE/dmu, Gs t]. The reads stack B
+the same way wherever it is zero off its diagonal M x M blocks, which is
+exact. The bound walks the training rows in blocks of ``_BOUND_ROWS``; the
+reads, of ``_read_rows(M)`` (a dense read at N >= 512 holds 128 x N per
+array, not 4096 x N). With fixed hyperparameters a block's cross-covariances
+F are a row slice of one cached (N, C M) block; with their gradients each
+component evaluates and pulls back its F columns and prior diagonal in one
+joint call (``Kernel.cross_with_pullback``), which also gives the Grams.
+These skinny products run in row pieces within ``_SMALL_GEMM``.
 """
 
 from __future__ import annotations
@@ -121,22 +122,23 @@ class Posterior:
     stands for B_c = diag(lambda) for every c with Z_c the training inputs
     (the dense model; ``ksum`` is then the Grams' sum, which a read adds up
     as it evaluates them, keeping none). A mean-field q(U) is C blocks of one
-    component each: C capacitances of M x M, factored one by one, and
-    batched (C, rows, M) products where B has one (rows, M C) product. ``mu_t``
-    serves the reads; the bound takes ``kl``, then per row block ``read``,
-    ``accumulate`` and ``kernel_weights``, and at last ``gradients``. Lambda's
-    N x N steps go, in that order, into ``work``: (A, L, L^{-1}, Z = sqrt(-Gs)
-    z, Y), (t, z, sym(Y), Omega, V, S, J), -Psi = Z^T Z, (B~, Y^2, a Gram
-    weight) and u, each written over what is no longer needed, Y = Lambda z
-    with hyperparameter gradients only; the dense model holds them, and a
-    read, passing None, gets new arrays. Its bound reads all N rows in one block.
+    component each: C capacitances of M x M, factored one by one, batched
+    (C, rows, M) products where B has one (rows, M C) product, and bound sums
+    H_c = F_c^T Gs F_c where B's are F^T u. ``mu_t`` serves the reads; the
+    bound takes ``kl``, then per row block ``read``, ``accumulate`` and
+    ``kernel_weights``, and at last ``gradients``. Lambda's N x N steps go,
+    in that order, into ``work``: (A, L, L^{-1}, Z = sqrt(-Gs) z, Y),
+    (t, z, sym(Y), Omega, V, S, J), -Psi = Z^T Z, (B~, Y^2, a Gram weight)
+    and u, each written over what is no longer needed, Y = Lambda z with
+    hyperparameter gradients only; the dense model holds them, and a read,
+    passing None, gets new arrays. Its bound reads all N rows in one block.
     """
 
     def __init__(self, specs, alpha, coupling, ku=None, ksum=None, work=(None,) * 5):
         self.specs, self.alphas = specs, np.asarray(alpha, dtype=float).reshape(len(specs), -1)
         m = specs[0].m
-        # the bound's row block (f, t, u, rows) and (t, u) buffers; running F^T
-        # dE/dmu, -2 F^T U, Psi (lambda's: -Psi, then diag(J Omega))
+        # the bound's row block (f, t, rows) and (t, u) buffers; running F^T
+        # dE/dmu, -2 F^T U (mean-field: H), Psi (lambda's: -Psi, then diag(J Omega))
         self._work, self._block, self._bufs, self._sums = work, None, None, None
         coupling = np.asarray(coupling, dtype=float)
         # G, the blocks of q(U): one, or C of one component each for mean-field
@@ -172,6 +174,10 @@ class Posterior:
         """(C, M, k) as (G, C M / G, k): the rows of each block of q(U)."""
         return x.reshape(self._g, -1, x.shape[-1])
 
+    def _cols(self, f):
+        """A (rows, C M) cross block as (G, rows, C M / G): each block of q(U)'s columns."""
+        return f.reshape(len(f), self._g, -1).transpose(1, 0, 2)
+
     def _each(self, x):
         """A (G, ...) array of the blocks of q(U) as one entry per component."""
         return np.broadcast_to(x, (len(self.specs), *x.shape[1:]))
@@ -182,6 +188,11 @@ class Posterior:
         if self._b is None:
             return tri_inverse(self.L, overwrite=True)
         return np.stack([tri_inverse(l) for l in self.L])
+
+    @functools.cached_property
+    def _m2s(self):
+        """-2 S_c = -2 B~_c B~_c^T per component of a mean-field q(U)."""
+        return -2.0 * (self._bt @ self._bt.transpose(0, 2, 1))
 
     @functools.cached_property
     def ka(self):
@@ -216,20 +227,20 @@ class Posterior:
     def read(self, f, rows):
         """(mu, rowsum(t^2)) at the training rows ``rows`` from their cross block
         f over all components, or None for lambda's, which are its Grams; the
-        block keeps f, t and its u for ``accumulate``. B's t is (G, rows, R),
-        each block of q(U) in one product with its columns of f, and t and u
-        are written over the last block's."""
+        block keeps f and t for ``accumulate``. B's t is (G, rows, R), each
+        block of q(U) in one product with its columns of f, and t and a
+        coupled B's u are written over the last block's."""
         if f is None:  # lambda's B~_c are all one: t whitens sum_c F_c once
             t = tri_mul(self._ksum[rows], self._bt, lower=False, out=self._work[1])
-            self._block = None, t, self._work[4], rows
+            self._block = None, t, rows
             return self.ka.sum(axis=0)[rows], _rowsq(t)
         if self._bufs is None or self._bufs[0].shape[1] < len(f):
             shape = (self._g, len(f), self._bt.shape[-1])
-            self._bufs = np.empty(shape), np.empty((*shape[:2], 1 + shape[2]))
-        t, u = (x[:, : len(f)] for x in self._bufs)
-        groups = f.reshape(len(f), len(t), -1).transpose(1, 0, 2)
-        _skinny(groups, self._groups(self._bt), out=t)
-        self._block = groups, t, u, rows
+            u = np.empty((1, len(f), 1 + shape[2])) if self._g == 1 else None  # coupled B's
+            self._bufs = np.empty(shape), u
+        t = self._bufs[0][:, : len(f)]
+        _skinny(self._cols(f), self._groups(self._bt), out=t)
+        self._block = f, t, rows
         return f @ self.alphas.ravel(), np.einsum("gnr,gnr->n", t, t)
 
     def accumulate(self, gmu, gs, last):
@@ -239,25 +250,35 @@ class Posterior:
         takes them to -2 (F^T Gs t) L^{-1} and L^{-T} (t^T Gs t) L^{-1};
         lambda needs U for -2 diag(Ksum U), so z = t L^{-1} = J P. As
         Lambda z = I - P, lambda's fourth sum is diag(J Omega) = diag(z Lambda z),
-        and it keeps -Psi = Z^T Z, Z = sqrt(-Gs) z (Gs <= 0) over L^{-1}."""
-        (f, t, u, rows), self._block = self._block, None
-        lam = self._b is None
-        z = tri_mul(t, self.linv, out=t) if lam else t
-        u[..., 0] = gmu
-        # B's Gs spread over R columns: numpy multiplies a broadcast column in R-wide runs
-        gsz = gs[:, None] if lam else np.repeat(gs[:, None], z.shape[-1], 1)
-        np.multiply(gsz, z, out=u[..., 1:])
+        and it keeps -Psi = Z^T Z, Z = sqrt(-Gs) z (Gs <= 0) over L^{-1}.
+        Mean-field adds F^T dE/dmu (a gemv) and H_c = F_c^T (Gs F_c), whitened
+        at last as H_c B~_c and B~_c^T H_c B~_c, and returns (dE/dmu, Gs F)."""
+        (f, t, rows), self._block = self._block, None
+        lam, apart = self._b is None, self._g > 1
+        if apart:  # u = (dE/dmu, Gs F); einsum scales rows faster than a broadcast multiply
+            u = gmu, np.einsum("nk,n->nk", f, gs)
+            new = [(f.T @ gmu).reshape(self.alphas.shape),
+                   _skinny(self._cols(f), self._cols(u[1]), transpose=True)]
+        else:
+            z = tri_mul(t, self.linv, out=t) if lam else t
+            u = self._work[4] if lam else self._bufs[1][:, : len(f)]
+            u[..., 0] = gmu
+            # B's Gs spread over R columns: numpy multiplies a broadcast column in R-wide runs
+            gsz = gs[:, None] if lam else np.repeat(gs[:, None], z.shape[-1], 1)
+            np.multiply(gsz, z, out=u[..., 1:])
         if lam:
             ksum_u = np.einsum("ij,ij->j", self._ksum[rows], u[:, 1:])
             zs = np.multiply(z, np.sqrt(-gs)[:, None], out=self._work[0])
             new = [np.matmul(self.ku[:, :, rows], gmu), -2.0 * ksum_u,
                    sym_square(zs.T, out=self._work[2]), np.einsum("ij,j,ji->i", z, self._lam, z)]
-        else:
-            ftu = _skinny(f, u, transpose=True).reshape(*self._kb.shape[:2], -1)
+        elif not apart:
+            ftu = _skinny(self._cols(f), u, transpose=True).reshape(*self._kb.shape[:2], -1)
             new = [ftu[:, :, 0], ftu[:, :, 1:], z.transpose(0, 2, 1) @ u[..., 1:]]
         sums = self._sums = new if self._sums is None else [a + b for a, b in zip(self._sums, new)]
         if last and not lam:
             linv = self.linv
+            if apart:  # H_c to the whitened sums F_c^T Gs t_c and t_c^T Gs t_c
+                sums[1:] = (hb := sums[1] @ self._bt), self._bt.transpose(0, 2, 1) @ hb
             sums[1:] = -2.0 * (sums[1] @ linv), linv.transpose(0, 2, 1) @ sums[2] @ linv
         return u
 
@@ -276,7 +297,7 @@ class Posterior:
         """Per component, (dBound/dK_c, dBound/dF_c) = (B_c V B_c^T - alpha_c
         alpha_c^T / 2, dE/dmu alpha_c^T - 2 U B_c^T) from a row block's u and,
         in the ``last`` block, V = Psi - Omega / 2 (else no Gram weight), both
-        of the component's block of q(U).
+        of the component's block of q(U); mean-field's U_c B_c^T is Gs F_c S_c.
         Lambda's cross blocks are its Grams: (None, S + (dE/dmu - alpha_c / 2)
         alpha_c^T) with S = (Lambda V - 2 U) Lambda formed once, as
         2 ((Lambda / 2) V - U) Lambda to the bit, each weight over the last.
@@ -296,9 +317,13 @@ class Posterior:
                 yield None, dger(1.0, al, u[:, 0] - 0.5 * al, a=w.T, overwrite_a=True).T
             return
         vs = self._each(self._sums[2] - 0.5 * self._omega) if last else [None] * len(self.specs)
-        for b, bt, al, uc, v in zip(self._b, self._bt, self.alphas, self._each(u), vs):
+        for ci, (b, bt, al, v) in enumerate(zip(self._b, self._bt, self.alphas, vs)):
             gk = None if v is None else b @ v @ b.T - 0.5 * np.outer(al, al)
-            yield gk, uc @ np.vstack((al, -2.0 * bt.T))
+            if self._g == 1:
+                yield gk, u[0] @ np.vstack((al, -2.0 * bt.T))
+            else:  # U_c B_c^T = Gs F_c S_c; BLAS adds dE/dmu al^T in place
+                w = self._cols(u[1])[ci] @ self._m2s[ci]
+                yield gk, dger(1.0, al, u[0], a=w.T, overwrite_a=True).T
 
     def at(self, Xq, include_components=False):
         """Marginals of the sum at the query points Xq (full input width) and,

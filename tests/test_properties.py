@@ -25,6 +25,7 @@ from addgp import (
     Dataset,
     FullModel,
     Gaussian,
+    Poisson,
     SparseModel,
     exact_sum_posterior,
     load_model,
@@ -121,17 +122,45 @@ def test_read_paths_agree_and_stay_nonnegative(model):
     d=st.integers(1, 2),
 )
 def test_mean_field_blocks_match_full_rank_coupled(seed, c, m, n, d):
+    _check_mean_field_against_coupled(_model(MEAN_FIELD, seed, c, m, n, d), m, c)
+
+
+@pytest.mark.parametrize("setting", ["poisson", "row_blocks"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 4),
+    m=st.integers(1, 5),
+    n=st.integers(4, 9),
+    d=st.integers(1, 2),
+)
+def test_mean_field_oracle_across_rows(setting, seed, c, m, n, d):
+    # a Gaussian's dE/ds is one constant, and one row block holds all rows;
+    # a Poisson's varies by row, so Gs must weight each row of F_c, and
+    # blocks of two rows make the data sums H_c = F_c^T (Gs o F_c) span blocks
+    mf = _model(MEAN_FIELD, seed, c, m, n, d)
+    rows = sparse._BOUND_ROWS
+    if setting == "poisson":
+        counts = np.random.default_rng(seed).poisson(2.0, size=n).astype(float)
+        mf = SparseModel(mf.specs, Poisson(), Dataset(mf.data.X, counts), state=mf.state)
+    else:
+        rows = 2
+        assert len(sparse._row_blocks(n, rows)) > 1
+    with mock.patch.object(sparse, "_BOUND_ROWS", rows):
+        _check_mean_field_against_coupled(mf, m, c)
+
+
+def _check_mean_field_against_coupled(mf, m, c):
     # the coupled model with R = M C at the same block-diagonal B is the
     # same posterior through one MC x MC capacitance: an oracle for the
     # per-block bound and its gradients
-    mf = _model(MEAN_FIELD, seed, c, m, n, d)
     cp = SparseModel(mf.specs, mf.likelihood, mf.data, r=m * c)
     cp.state.alpha = mf.state.alpha.copy()
     cp.state.B = mf.state.B.copy()
 
     def rel_close(a, b):
         a, b = np.asarray(a), np.asarray(b)
-        return np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+        return np.max(np.abs(a - b), initial=0.0) <= 1e-10 * np.max(np.abs(b), initial=0.0)
 
     assert rel_close(mf.elbo(), cp.elbo())
     bound_mf, g_mf = mf.elbo_with_grads(train_hypers=True)

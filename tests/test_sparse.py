@@ -922,7 +922,20 @@ def test_bound_does_not_depend_on_product_pieces(n):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
-def test_mean_field_products_stay_whole():
-    # a mean-field block's products, (rows, 16) by [alpha, B~] and its
-    # transpose by u = [dE/dmu, U], both 17 columns, are one piece per row block
-    assert sparse._piece_rows(16, 17) >= sparse._BOUND_ROWS
+def test_mean_field_products_stay_whole(monkeypatch):
+    # a mean-field block's batched products are M wide: t = F_c B~_c and the
+    # data sum H_c = F_c^T (Gs o F_c), a (rows, M) block by M columns, with no
+    # u = [dE/dmu, Gs t] of M + 1; at M = 16 each is one piece per row block
+    assert sparse._piece_rows(16, 16) >= sparse._BOUND_ROWS
+    widths, skinny = [], sparse._skinny
+
+    def recording(f, b, *args, **kwargs):
+        widths.append((f.shape[2], b.shape[2]))
+        return skinny(f, b, *args, **kwargs)
+
+    monkeypatch.setattr(sparse, "_skinny", recording)
+    model = _mean_field_model(17, c=3, m=4, n=20, d=1)
+    for hyper in (False, True):
+        widths.clear()
+        model.elbo_with_grads(train_hypers=hyper)
+        assert widths == [(4, 4)] * 2, hyper
